@@ -10,7 +10,8 @@ Three sections land in the JSON:
 * ``grid``      — wall time of the scheduled apps × machines × threads
   sweep (cold and stage-cached re-render) plus its shape;
 * ``kernels``   — microbenchmarks of the vectorised kernels the sweep
-  leans on: BBV/signature accumulation, the exact set-associative LRU
+  leans on: BBV/signature accumulation, one exact SimPoint clustering
+  sweep at LULESH's signature shape, the exact set-associative LRU
   simulator's lockstep path, the columnar payload codec
   (encode/decode round trip through a real container file), the
   vectorised exact reuse-distance engine, and the two *streamed*
@@ -122,6 +123,39 @@ def bench_bbv_kernel() -> dict:
         "barrier_points": int(bbv.shape[0]),
         "dimensions": int(bbv.shape[1]),
         "seconds_per_run": round(seconds, 5),
+    }
+
+
+def bench_simpoint_kernel() -> dict:
+    """Microbenchmark: one exact SimPoint sweep at LULESH's shape.
+
+    A seeded 9,840 × 352 signature matrix (LULESH's barrier points × its
+    8-thread BBV ⊕ LDV width) goes through :func:`run_simpoint` with the
+    default exact options: projection, then for every k of the grid the
+    k-means++ seeding, Lloyd update and BIC score of each restart.  Per-
+    cluster masks or per-call ``(n, k)`` temporaries in those kernels
+    show up here first.
+    """
+    from repro.clustering.simpoint import SimPointOptions, run_simpoint
+
+    gen = np.random.default_rng(2017)
+    archetypes = gen.random((16, 352))
+    signatures = archetypes[gen.integers(0, 16, size=9840)] * gen.lognormal(
+        0.0, 0.1, (9840, 352)
+    )
+    weights = gen.integers(1_000, 100_000, size=9840).astype(float)
+    options = SimPointOptions()
+    run_simpoint(signatures, weights, np.random.default_rng(0), options)  # warm
+    rounds = 5
+    t0 = time.perf_counter()
+    for seed in range(rounds):
+        choice = run_simpoint(signatures, weights, np.random.default_rng(seed), options)
+    seconds = (time.perf_counter() - t0) / rounds
+    return {
+        "barrier_points": int(signatures.shape[0]),
+        "dimensions": int(signatures.shape[1]),
+        "k_examined": len(choice.bic_by_k),
+        "seconds_per_sweep": round(seconds, 5),
     }
 
 
@@ -363,6 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         "grid": bench_grid(args.scale, args.jobs, args.cache_dir),
         "kernels": {
             "bbv_collect": bench_bbv_kernel(),
+            "simpoint_sweep": bench_simpoint_kernel(),
             "cache_lockstep": bench_cache_kernel(),
             "payload_codec": bench_codec_kernel(),
             "reuse_distances": bench_reuse_kernel(),

@@ -10,6 +10,7 @@ candidate report's ``bench`` field):
 ``scaling-grid`` (baseline ``BENCH_bench_scaling_grid.json``)::
 
     grid.cold_seconds / grid.warm_seconds              lower is better
+    kernels.*.seconds_per_run / *.seconds_per_sweep    lower is better
     kernels.*.accesses_per_second / *_mib_per_second   higher is better
 
 ``serve`` (baseline ``BENCH_serve.json``)::
@@ -52,6 +53,7 @@ GATED_SUITES = {
         ("grid.cold_seconds", False),
         ("grid.warm_seconds", False),
         ("kernels.bbv_collect.seconds_per_run", False),
+        ("kernels.simpoint_sweep.seconds_per_sweep", False),
         ("kernels.cache_lockstep.accesses_per_second", True),
         ("kernels.payload_codec.encode_mib_per_second", True),
         ("kernels.payload_codec.decode_mib_per_second", True),

@@ -46,10 +46,7 @@ from repro.api.registry import register_stage
 from repro.api.stage import Stage
 from repro.core.signatures import SignatureMatrix, build_signatures
 from repro.hw.pmu import INSTRUCTIONS
-from repro.instrumentation.bbv import collect_bbv
-from repro.instrumentation.collector import DiscoveryObservation
-from repro.instrumentation.ldv import collect_ldv
-from repro.runtime.interleave import signature_jitter_sigma
+from repro.instrumentation.collector import CleanSignatures, DiscoveryObservation
 
 __all__ = ["RankifyStage", "CoalesceRanksStage", "coalesce_signatures"]
 
@@ -97,10 +94,10 @@ def coalesce_signatures(per_rank: list[SignatureMatrix]) -> SignatureMatrix:
 class RankifyStage(Stage):
     """Step 1 (distributed): instrument each rank's execution.
 
-    Per discovery run and per rank: collect the rank's BBV/LDV from its
-    own trace, weight by the rank's exact instruction counts, and
-    perturb with interleaving jitter seeded per ``(run, rank)`` — R
-    Pintool invocations per run, one per MPI process.
+    Per rank: collect the rank's BBV/LDV from its own trace once and
+    weight them by the rank's exact instruction counts; per discovery
+    run, perturb them with interleaving jitter seeded per ``(run,
+    rank)`` — R Pintool invocations per run, one per MPI process.
 
     Requires a workload wrapped in
     :class:`~repro.workloads.distributed.DistributedWorkload`; the
@@ -141,26 +138,21 @@ class RankifyStage(Stage):
         label = ctx.binary(ctx.discovery_isa).label
         rng = ctx.tree.child("discovery", ctx.app.name, ctx.threads, label)
 
-        observations: list[list[DiscoveryObservation]] = []
-        for run in range(self.effective_runs(ctx)):
-            per_rank: list[DiscoveryObservation] = []
-            for rank in range(trace.ranks):
-                rank_trace = trace.rank_trace(rank)
-                cols = trace.rank_columns(rank)
-                weights = counters.values[:, cols, INSTRUCTIONS].sum(axis=1)
-                bbv = collect_bbv(rank_trace)
-                ldv = collect_ldv(rank_trace)
-                sigma = signature_jitter_sigma(weights, rank_trace.threads)
-                gen = rng.generator("run", run, "rank", rank)
-                bbv = bbv * np.exp(sigma[:, None] * gen.standard_normal(bbv.shape))
-                ldv = ldv * np.exp(sigma[:, None] * gen.standard_normal(ldv.shape))
-                per_rank.append(
-                    DiscoveryObservation(
-                        bbv=bbv, ldv=ldv, weights=weights.copy(), run_index=run
-                    )
-                )
-            observations.append(per_rank)
-        ctx.put("rank_observations", observations)
+        runs = range(self.effective_runs(ctx))
+        # Rank-outer, so one rank's clean signatures are live at a time;
+        # every (run, rank) generator is independent of visiting order.
+        by_rank: list[list[DiscoveryObservation]] = []
+        for rank in range(trace.ranks):
+            cols = trace.rank_columns(rank)
+            clean = CleanSignatures.of(
+                trace.rank_trace(rank), counters.values[:, cols, INSTRUCTIONS].sum(axis=1)
+            )
+            by_rank.append(
+                [clean.observe(rng.generator("run", run, "rank", rank), run) for run in runs]
+            )
+        ctx.put(
+            "rank_observations", [list(per_run) for per_run in zip(*by_rank, strict=True)]
+        )
         return ctx
 
     def cache_key(self, ctx: StageContext) -> dict:

@@ -4,11 +4,21 @@ Barrier points differ wildly in size (miniFE's dominant matvec region
 versus its tiny dot products), so the clustering weighs each signature
 by the instructions its barrier point executes — a small, fast region
 should not pull a centroid as hard as the region that dominates runtime.
+
+Every kernel here reproduces, bit for bit, the straightforward
+formulation kept under ``tests/`` as the reference: each rewrite below
+performs the same floating-point operations in the same order and only
+removes temporaries, masks and repeated work.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +52,72 @@ class KMeansResult:
         return int(self.centers.shape[0])
 
 
+class _Sweep:
+    """What every k and restart of one clustering sweep shares.
+
+    Each value depends only on the points and their weights, so one
+    SimPoint sweep computes it once and every :func:`kmeans` restart and
+    :func:`~repro.clustering.bic.bic_score` call reuses the identical
+    array.  Values are computed on first use.
+    """
+
+    def __init__(self, data: np.ndarray, weights: np.ndarray) -> None:
+        self.data = data
+        self.weights = weights
+
+    @cached_property
+    def data_sq(self) -> np.ndarray:
+        """``(data**2).sum(axis=1)``; BIC's variance floor is its mean."""
+        return (self.data**2).sum(axis=1)
+
+    @cached_property
+    def first_cdf(self) -> np.ndarray:
+        """Inverse CDF of the first k-means++ draw (probability ∝ weight)."""
+        return _cdf(self.weights / self.weights.sum())
+
+
+#: The sweep of the innermost :func:`_sweep_scope`; a context variable,
+#: so concurrent sweeps on other threads never see it.
+_ACTIVE_SWEEP: ContextVar[_Sweep | None] = ContextVar("kmeans_sweep", default=None)
+
+
+def _sweep_for(data: np.ndarray, weights: np.ndarray) -> _Sweep:
+    """The active sweep if it was opened on these very arrays, else a new one."""
+    sweep = _ACTIVE_SWEEP.get()
+    if sweep is not None and sweep.data is data and sweep.weights is weights:
+        return sweep
+    return _Sweep(data, weights)
+
+
+@contextmanager
+def _sweep_scope(data: np.ndarray, weights: np.ndarray) -> Iterator[None]:
+    """Share one :class:`_Sweep` among the kernels called on ``data``/``weights``."""
+    token = _ACTIVE_SWEEP.set(_sweep_for(data, weights))
+    try:
+        yield
+    finally:
+        _ACTIVE_SWEEP.reset(token)
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The normalised running sum ``Generator.choice(n, p=p)`` searches."""
+    cdf = p.cumsum()
+    if not math.isfinite(cdf[-1]):
+        raise ValueError("k-means++ probabilities contain NaN or infinity")
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, gen: np.random.Generator) -> int:
+    """``gen.choice(n, p=p)`` for the ``p`` behind ``cdf``.
+
+    The same inverse-CDF draw ``choice`` makes — one ``gen.random()``,
+    so the index and the generator state after the call match — without
+    re-validating a ``p`` that is valid by construction.
+    """
+    return int(cdf.searchsorted(gen.random(), "right"))
+
+
 def _squared_distances(
     data: np.ndarray, centers: np.ndarray, data_sq: np.ndarray | None = None
 ) -> np.ndarray:
@@ -51,15 +127,19 @@ def _squared_distances(
     and every Lloyd iteration call this with the *same* points, and
     reusing the identical computed array is bit-identical to
     recomputing it while skipping the dominant O(n·d) term.
+
+    The one matrix product is finished in place: scaling it by -2 is
+    exact, and ``(-2x) + a`` is IEEE-identical to ``a - 2x``, so the
+    result matches ``a - (2·data)·centersᵀ + c`` without its ``(n, k)``
+    temporaries.
     """
     if data_sq is None:
         data_sq = (data**2).sum(axis=1)
-    d2 = (
-        data_sq[:, None]
-        - 2.0 * data @ centers.T
-        + (centers**2).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    d2 = data @ centers.T
+    d2 *= -2.0
+    d2 += data_sq[:, None]
+    d2 += (centers**2).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kmeanspp_init(
@@ -69,13 +149,17 @@ def _kmeanspp_init(
     gen: np.random.Generator,
     data_sq: np.ndarray | None = None,
 ) -> np.ndarray:
-    """k-means++ seeding with probability ∝ weight × squared distance."""
+    """k-means++ seeding with probability ∝ weight × squared distance.
+
+    Each distance column stays its own single-column product: batching
+    columns turns OpenBLAS's gemv into a gemm, whose different
+    summation order changes the distance bits.
+    """
     n = data.shape[0]
     if data_sq is None:
         data_sq = (data**2).sum(axis=1)
     centers = np.empty((k, data.shape[1]))
-    first = gen.choice(n, p=weights / weights.sum())
-    centers[0] = data[first]
+    centers[0] = data[_draw(_sweep_for(data, weights).first_cdf, gen)]
     closest = _squared_distances(data, centers[:1], data_sq)[:, 0]
     for j in range(1, k):
         scores = weights * closest
@@ -83,10 +167,13 @@ def _kmeanspp_init(
         if total <= 0:  # all points coincide with chosen centers
             idx = int(gen.integers(0, n))
         else:
-            idx = int(gen.choice(n, p=scores / total))
+            scores /= total
+            idx = _draw(_cdf(scores), gen)
         centers[j] = data[idx]
-        closest = np.minimum(
-            closest, _squared_distances(data, centers[j : j + 1], data_sq)[:, 0]
+        np.minimum(
+            closest,
+            _squared_distances(data, centers[j : j + 1], data_sq)[:, 0],
+            out=closest,
         )
     return centers
 
@@ -116,6 +203,16 @@ def kmeans(
     n_init / max_iter / tol:
         Restart count, Lloyd iteration cap, and relative inertia
         improvement below which iteration stops.
+
+    Notes
+    -----
+    The exact solver currently stops after one Lloyd update: its stop
+    test starts from ``prev_inertia = inf``, and
+    ``inf - inertia <= tol * inf`` holds for any finite inertia.  Every
+    restart therefore reports ``iterations == 1`` (for
+    ``max_iter >= 1``), and ``max_iter`` and ``tol`` have no effect on
+    it.  Fixing this changes the clusterings every table is built from,
+    so it awaits a deliberate, versioned change of the numbers.
     """
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
@@ -129,12 +226,49 @@ def kmeans(
             raise ValueError("weights must be (n,) non-negative with positive sum")
 
     best: KMeansResult | None = None
-    for _ in range(max(n_init, 1)):
-        result = _lloyd(data, weights, k, gen, max_iter, tol)
-        if best is None or result.inertia < best.inertia:
-            best = result
+    with _sweep_scope(data, weights):
+        for _ in range(max(n_init, 1)):
+            result = _lloyd(data, weights, k, gen, max_iter, tol)
+            if best is None or result.inertia < best.inertia:
+                best = result
     assert best is not None
     return best
+
+
+def _update_centers(
+    data: np.ndarray,
+    weights: np.ndarray,
+    labels: np.ndarray,
+    nearest: np.ndarray,
+    centers: np.ndarray,
+) -> None:
+    """Move each center to its cluster's weighted mean, in place.
+
+    A stable sort by label lays every cluster out as one contiguous
+    slice in the original point order, so each slice sums exactly the
+    elements a per-cluster mask would select, in the same order: the
+    axis-0 sum runs row by row and the 1-D weight sum's pairwise
+    blocking depends only on the element sequence.  (``np.add.reduceat``
+    and a weighted ``np.bincount`` group the additions differently and
+    do not reproduce it.)  An empty or weightless cluster is reseeded
+    at the point farthest from its nearest center.
+    """
+    k = centers.shape[0]
+    # A stable order is unique, so sorting the labels as the narrowest
+    # unsigned type (a radix sort) yields the same permutation, faster.
+    order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
+    bounds = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(labels, minlength=k), out=bounds[1:])
+    sorted_weights = weights[order]
+    weighted = data[order]
+    weighted *= sorted_weights[:, None]
+    for j in range(k):
+        lo, hi = bounds[j], bounds[j + 1]
+        cluster_weight = sorted_weights[lo:hi].sum()
+        if cluster_weight > 0:
+            centers[j] = weighted[lo:hi].sum(axis=0) / cluster_weight
+        else:
+            centers[j] = data[int(nearest.argmax())]
 
 
 def _lloyd(
@@ -145,25 +279,17 @@ def _lloyd(
     max_iter: int,
     tol: float,
 ) -> KMeansResult:
-    data_sq = (data**2).sum(axis=1)
+    data_sq = _sweep_for(data, weights).data_sq
     centers = _kmeanspp_init(data, weights, k, gen, data_sq)
-    labels = np.zeros(data.shape[0], dtype=np.int64)
+    rows = np.arange(data.shape[0])
     prev_inertia = np.inf
     iteration = 0
     for iteration in range(1, max_iter + 1):  # noqa: B007  # read after the loop
         d2 = _squared_distances(data, centers, data_sq)
         labels = d2.argmin(axis=1)
-        inertia = float((weights * d2[np.arange(data.shape[0]), labels]).sum())
-
-        for j in range(k):
-            mask = labels == j
-            cluster_weight = weights[mask].sum()
-            if cluster_weight > 0:
-                centers[j] = (weights[mask, None] * data[mask]).sum(axis=0) / cluster_weight
-            else:
-                # Reseed an empty cluster at the point farthest from its center.
-                farthest = int(d2.min(axis=1).argmax())
-                centers[j] = data[farthest]
+        nearest = d2[rows, labels]
+        inertia = float((weights * nearest).sum())
+        _update_centers(data, weights, labels, nearest, centers)
 
         if prev_inertia - inertia <= tol * max(prev_inertia, 1e-30):
             prev_inertia = inertia
@@ -172,5 +298,5 @@ def _lloyd(
 
     d2 = _squared_distances(data, centers, data_sq)
     labels = d2.argmin(axis=1)
-    inertia = float((weights * d2[np.arange(data.shape[0]), labels]).sum())
+    inertia = float((weights * d2[rows, labels]).sum())
     return KMeansResult(labels=labels, centers=centers, inertia=inertia, iterations=iteration)

@@ -21,7 +21,7 @@ from repro.ir.trace import ExecutionTrace
 from repro.runtime.interleave import signature_jitter_sigma
 from repro.util.rng import RngTree
 
-__all__ = ["DiscoveryObservation", "BarrierPointCollector"]
+__all__ = ["DiscoveryObservation", "CleanSignatures", "BarrierPointCollector"]
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,63 @@ class DiscoveryObservation:
         return int(self.weights.shape[0])
 
 
+@dataclass(frozen=True)
+class CleanSignatures:
+    """One execution's un-jittered BBV/LDV, shared by all its discovery runs.
+
+    Every discovery run of an execution instruments the same trace and
+    differs only in its interleaving jitter, so a stage collects these
+    once per trace and draws each run from them with :meth:`observe`.
+
+    Attributes
+    ----------
+    bbv / ldv:
+        ``(n_bp, D)`` matrices as :func:`collect_bbv` and
+        :func:`collect_ldv` return them.
+    weights:
+        ``(n_bp,)`` exact per-barrier-point instruction counts.
+    sigma:
+        ``(n_bp,)`` lognormal jitter sigma of each barrier point.
+    """
+
+    bbv: np.ndarray
+    ldv: np.ndarray
+    weights: np.ndarray
+    sigma: np.ndarray
+
+    @classmethod
+    def of(cls, trace: ExecutionTrace, weights: np.ndarray) -> CleanSignatures:
+        """Collect the clean signatures of ``trace``, weighted by ``weights``."""
+        return cls(
+            bbv=collect_bbv(trace),
+            ldv=collect_ldv(trace),
+            weights=weights,
+            sigma=signature_jitter_sigma(weights, trace.threads),
+        )
+
+    def observe(self, gen: np.random.Generator, run_index: int) -> DiscoveryObservation:
+        """One discovery run: BBV, then LDV, jittered with draws from ``gen``."""
+        bbv = self._jittered(self.bbv, gen)
+        ldv = self._jittered(self.ldv, gen)
+        return DiscoveryObservation(
+            bbv=bbv, ldv=ldv, weights=self.weights.copy(), run_index=run_index
+        )
+
+    def _jittered(self, clean: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        """``clean * exp(sigma[:, None] * z)``, ``z ~ N(0, 1)``, in one buffer."""
+        z = gen.standard_normal(clean.shape)
+        z *= self.sigma[:, None]
+        np.exp(z, out=z)
+        z *= clean
+        return z
+
+
 class BarrierPointCollector:
     """Collects BBV/LDV observations from instrumented executions.
+
+    The collector keeps the :class:`CleanSignatures` of the last
+    ``(trace, counters)`` pair it instrumented, so a stage's discovery
+    runs over one execution collect them once.
 
     Parameters
     ----------
@@ -63,6 +118,8 @@ class BarrierPointCollector:
 
     def __init__(self, rng: RngTree) -> None:
         self._rng = rng
+        self._source: tuple[ExecutionTrace, TrueCounters] | None = None
+        self._clean: CleanSignatures | None = None
 
     def collect(
         self, trace: ExecutionTrace, counters: TrueCounters, run_index: int
@@ -79,14 +136,8 @@ class BarrierPointCollector:
         run_index:
             Discovery run number (0-based); selects the interleaving.
         """
-        bbv = collect_bbv(trace)
-        ldv = collect_ldv(trace)
-        weights = counters.bp_instructions()
-
-        sigma = signature_jitter_sigma(weights, trace.threads)  # (n_bp,)
-        gen = self._rng.generator("run", run_index)
-        bbv = bbv * np.exp(sigma[:, None] * gen.standard_normal(bbv.shape))
-        ldv = ldv * np.exp(sigma[:, None] * gen.standard_normal(ldv.shape))
-        return DiscoveryObservation(
-            bbv=bbv, ldv=ldv, weights=weights.copy(), run_index=run_index
-        )
+        source = self._source
+        if source is None or source[0] is not trace or source[1] is not counters:
+            self._clean = CleanSignatures.of(trace, counters.bp_instructions())
+            self._source = (trace, counters)
+        return self._clean.observe(self._rng.generator("run", run_index), run_index)

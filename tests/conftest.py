@@ -13,6 +13,12 @@ from repro.ir.regions import Drift, RegionTemplate
 from repro.util.rng import RngTree
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "properties: hypothesis property-based tests"
+    )
+
+
 @pytest.fixture
 def rng_tree() -> RngTree:
     """A deterministic randomness tree for tests."""

@@ -113,6 +113,23 @@ class TestCollector:
         b = collector.collect(trace, counters, run_index=3)
         assert np.allclose(a.bbv, b.bbv)
 
+    def test_new_trace_is_collected_afresh(self, trace, counters, toy_program, rng_tree):
+        wide = execute_program(
+            toy_program, BinaryConfig(ISA.X86_64, False), 4, rng_tree.child("structure")
+        )
+        wide_counters = PerfModel(rng_tree.child("uarch")).true_counters(
+            wide, INTEL_I7_3770
+        )
+        collector = BarrierPointCollector(rng_tree.child("d"))
+        collector.collect(trace, counters, run_index=0)
+        switched = collector.collect(wide, wide_counters, run_index=1)
+        fresh = BarrierPointCollector(rng_tree.child("d")).collect(
+            wide, wide_counters, run_index=1
+        )
+        assert np.array_equal(switched.bbv, fresh.bbv)
+        assert np.array_equal(switched.ldv, fresh.ldv)
+        assert np.array_equal(switched.weights, fresh.weights)
+
     def test_jitter_is_relative(self, trace, counters, rng_tree):
         collector = BarrierPointCollector(rng_tree.child("d"))
         obs = collector.collect(trace, counters, run_index=0)
