@@ -43,7 +43,7 @@ from repro.core.selection import BarrierPointSelection, select_barrier_points
 from repro.core.signatures import SignatureMatrix, build_signatures
 from repro.core.validation import validate_estimate
 from repro.hw.machines import Machine
-from repro.instrumentation.collector import BarrierPointCollector, DiscoveryObservation
+from repro.instrumentation.collector import CleanSignatures, DiscoveryObservation
 from repro.isa.descriptors import ISA
 
 __all__ = [
@@ -127,13 +127,13 @@ class ProfileStage(Stage):
         trace = ctx.trace(ctx.discovery_isa)
         counters = ctx.counters_on(ctx.discovery_isa)
         label = ctx.binary(ctx.discovery_isa).label
-        collector = BarrierPointCollector(
-            ctx.tree.child("discovery", ctx.app.name, ctx.threads, label)
-        )
+        rng = ctx.tree.child("discovery", ctx.app.name, ctx.threads, label)
+        # Every run instruments the same trace: collect it once, jitter per run.
+        clean = CleanSignatures.of(trace, counters.bp_instructions())
         ctx.put(
             "observations",
             [
-                collector.collect(trace, counters, run)
+                clean.observe(rng.generator("run", run), run)
                 for run in range(self.effective_runs(ctx))
             ],
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clustering.kmeans import KMeansResult, _sweep_for
+from repro.clustering.kmeans import KMeansResult
 
 __all__ = ["bic_score"]
 
@@ -63,7 +63,7 @@ def bic_score(
     # Variance floor: signatures carry finite measurement precision, so a
     # clustering can never legitimately explain them to zero variance.
     # Without the floor, k == n degenerates (sigma2 -> 0, BIC -> +inf).
-    scale = float(_sweep_for(data, weights).data_sq.mean())
+    scale = float((data**2).sum(axis=1).mean())
     sigma2 = max(result.inertia / (d * dof), 1e-7 * scale, 1e-30)
 
     ll = float(

@@ -14,11 +14,7 @@ removes temporaries, masks and repeated work.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -50,53 +46,6 @@ class KMeansResult:
     def k(self) -> int:
         """Number of clusters."""
         return int(self.centers.shape[0])
-
-
-class _Sweep:
-    """What every k and restart of one clustering sweep shares.
-
-    Each value depends only on the points and their weights, so one
-    SimPoint sweep computes it once and every :func:`kmeans` restart and
-    :func:`~repro.clustering.bic.bic_score` call reuses the identical
-    array.  Values are computed on first use.
-    """
-
-    def __init__(self, data: np.ndarray, weights: np.ndarray) -> None:
-        self.data = data
-        self.weights = weights
-
-    @cached_property
-    def data_sq(self) -> np.ndarray:
-        """``(data**2).sum(axis=1)``; BIC's variance floor is its mean."""
-        return (self.data**2).sum(axis=1)
-
-    @cached_property
-    def first_cdf(self) -> np.ndarray:
-        """Inverse CDF of the first k-means++ draw (probability ∝ weight)."""
-        return _cdf(self.weights / self.weights.sum())
-
-
-#: The sweep of the innermost :func:`_sweep_scope`; a context variable,
-#: so concurrent sweeps on other threads never see it.
-_ACTIVE_SWEEP: ContextVar[_Sweep | None] = ContextVar("kmeans_sweep", default=None)
-
-
-def _sweep_for(data: np.ndarray, weights: np.ndarray) -> _Sweep:
-    """The active sweep if it was opened on these very arrays, else a new one."""
-    sweep = _ACTIVE_SWEEP.get()
-    if sweep is not None and sweep.data is data and sweep.weights is weights:
-        return sweep
-    return _Sweep(data, weights)
-
-
-@contextmanager
-def _sweep_scope(data: np.ndarray, weights: np.ndarray) -> Iterator[None]:
-    """Share one :class:`_Sweep` among the kernels called on ``data``/``weights``."""
-    token = _ACTIVE_SWEEP.set(_sweep_for(data, weights))
-    try:
-        yield
-    finally:
-        _ACTIVE_SWEEP.reset(token)
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -148,18 +97,23 @@ def _kmeanspp_init(
     k: int,
     gen: np.random.Generator,
     data_sq: np.ndarray | None = None,
+    first_cdf: np.ndarray | None = None,
 ) -> np.ndarray:
     """k-means++ seeding with probability ∝ weight × squared distance.
 
-    Each distance column stays its own single-column product: batching
+    ``first_cdf`` memoises the first draw's ``_cdf(weights / weights.sum())``,
+    which is the same for every restart on the same points.  Each
+    distance column stays its own single-column product: batching
     columns turns OpenBLAS's gemv into a gemm, whose different
     summation order changes the distance bits.
     """
     n = data.shape[0]
     if data_sq is None:
         data_sq = (data**2).sum(axis=1)
+    if first_cdf is None:
+        first_cdf = _cdf(weights / weights.sum())
     centers = np.empty((k, data.shape[1]))
-    centers[0] = data[_draw(_sweep_for(data, weights).first_cdf, gen)]
+    centers[0] = data[_draw(first_cdf, gen)]
     closest = _squared_distances(data, centers[:1], data_sq)[:, 0]
     for j in range(1, k):
         scores = weights * closest
@@ -225,12 +179,14 @@ def kmeans(
         if weights.shape != (n,) or np.any(weights < 0) or weights.sum() == 0:
             raise ValueError("weights must be (n,) non-negative with positive sum")
 
+    # Every restart shares the squared norms and the first draw's CDF.
+    data_sq = (data**2).sum(axis=1)
+    first_cdf = _cdf(weights / weights.sum())
     best: KMeansResult | None = None
-    with _sweep_scope(data, weights):
-        for _ in range(max(n_init, 1)):
-            result = _lloyd(data, weights, k, gen, max_iter, tol)
-            if best is None or result.inertia < best.inertia:
-                best = result
+    for _ in range(max(n_init, 1)):
+        result = _lloyd(data, weights, k, gen, max_iter, tol, data_sq, first_cdf)
+        if best is None or result.inertia < best.inertia:
+            best = result
     assert best is not None
     return best
 
@@ -278,9 +234,10 @@ def _lloyd(
     gen: np.random.Generator,
     max_iter: int,
     tol: float,
+    data_sq: np.ndarray,
+    first_cdf: np.ndarray,
 ) -> KMeansResult:
-    data_sq = _sweep_for(data, weights).data_sq
-    centers = _kmeanspp_init(data, weights, k, gen, data_sq)
+    centers = _kmeanspp_init(data, weights, k, gen, data_sq, first_cdf)
     rows = np.arange(data.shape[0])
     prev_inertia = np.inf
     iteration = 0

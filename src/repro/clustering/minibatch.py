@@ -27,7 +27,6 @@ from repro.clustering.kmeans import (
     KMeansResult,
     _kmeanspp_init,
     _squared_distances,
-    _sweep_for,
     kmeans,
 )
 
@@ -90,7 +89,7 @@ def minibatch_kmeans(
         if weights.shape != (n,) or np.any(weights < 0) or weights.sum() == 0:
             raise ValueError("weights must be (n,) non-negative with positive sum")
 
-    data_sq = _sweep_for(data, weights).data_sq
+    data_sq = (data**2).sum(axis=1)
     best: KMeansResult | None = None
     for _ in range(max(n_init, 1)):
         # Seed on a batch-sized random subsample: k-means++ on the full

