@@ -383,10 +383,12 @@ class MeasureStage(Stage):
     """Step 3: native counters on every target machine.
 
     Per target: the instrumented per-barrier-point means, the clean ROI
-    reference, and the per-repetition reads of each selection's
-    representatives.  A target whose barrier sequence disagrees with
-    discovery (HPGMG-FV on ARMv8) is recorded under ``failures`` instead
-    of aborting the whole graph.
+    reference, the per-repetition reads of each selection's
+    representatives, and ``comm_cycles``: the slowest rank's noise-free
+    network cycles (``0.0`` for shared-memory jobs), which rank cells
+    report without re-running the trace.  A target whose barrier
+    sequence disagrees with discovery (HPGMG-FV on ARMv8) is recorded
+    under ``failures`` instead of aborting the whole graph.
     """
 
     name = "measure"
@@ -401,7 +403,7 @@ class MeasureStage(Stage):
         failures: dict[str, str] = dict(ctx.get("failures", {}))
         for machine in ctx.targets:
             try:
-                ctx.check_compatible(selections[0], machine)
+                comm = ctx.check_compatible(selections[0], machine).comm_cycles
             except CrossArchitectureMismatch as exc:
                 failures[machine.name] = str(exc)
                 continue
@@ -413,6 +415,7 @@ class MeasureStage(Stage):
                 "means": ctx.measured_means(machine),
                 "reference": ctx.reference_totals(machine),
                 "reps": reps,
+                "comm_cycles": 0.0 if comm is None else float(comm.sum(axis=0).max()),
             }
         ctx.put("measurements", measurements)
         ctx.put("failures", failures)
@@ -434,6 +437,7 @@ class MeasureStage(Stage):
                         str(run): {"bp": pair["bp"], "roi": pair["roi"]}
                         for run, pair in entry["reps"].items()
                     },
+                    "comm_cycles": entry["comm_cycles"],
                 }
                 for name, entry in ctx.require("measurements").items()
             },
@@ -451,6 +455,7 @@ class MeasureStage(Stage):
                         int(run): {"bp": pair["bp"], "roi": pair["roi"]}
                         for run, pair in entry["reps"].items()
                     },
+                    "comm_cycles": entry["comm_cycles"],
                 }
                 for name, entry in payload["measurements"].items()
             },

@@ -42,7 +42,11 @@ CELL_KINDS: dict[str, str] = {
 #: (three machines per (app, threads) or (app, ranks), plus the
 #: crossarch cells' scalar half), so caching the derived payload a
 #: second time would only duplicate bytes and hide the stage-cache
-#: traffic the verbose report accounts for.
+#: traffic the verbose report accounts for.  Invariant: a cache-exempt
+#: cell reads every number it reports from stage payloads, so a warm
+#: run executes no trace and no perf model (a number a cell needs is
+#: recorded by the stage that computes it, as ``measure`` records the
+#: rank cells' communication cycles).
 CELL_LEVEL_UNCACHED: frozenset[str] = frozenset({"scaling", "ranks"})
 
 _RESOLVED: dict[str, Callable] = {}

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 #: Bump when payload contents or the underlying models change shape.
-CACHE_VERSION = 7
+CACHE_VERSION = 8
 
 
 def cache_version() -> str:

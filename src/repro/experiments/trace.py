@@ -22,6 +22,7 @@ slow path as the checker for the fast one.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,7 @@ def trace_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
     from repro.instrumentation.streamed import StreamedSignatureCollector
     from repro.mem.streams import iter_stream_tiles
 
+    started = time.perf_counter()
     accesses = int(request.param("accesses"))
     tile_size = int(config.trace_tile_size)
     register_config_machines(config)
@@ -212,16 +214,16 @@ def trace_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
     payload["app"] = request.app
     payload["threads"] = request.threads
     payload["machine"] = machine_name
-    # The whole point of the tiled kernels is a bounded RSS; record the
-    # high-water mark under the cell's own stage name so the --profile
-    # table carries the evidence (worker deltas max-merge it back).
-    from repro.exec.stagestore import stage_store_for
-
-    stage_store_for(config).stats.record_rss("trace")
     payload["oracle_checked"] = False
     if store_lines:
         _assert_matches_oracles(request, config, blocks, budgets, payload, levels)
         payload["oracle_checked"] = True
+    # The whole point of the tiled kernels is a bounded RSS; record the
+    # cell's time and high-water mark under its own stage name so the
+    # --profile table carries the evidence (worker deltas merge it back).
+    from repro.exec.stagestore import stage_store_for
+
+    stage_store_for(config).stats.record_run("trace", time.perf_counter() - started)
     return payload
 
 

@@ -11,7 +11,10 @@ Covers the acceptance properties of the rank PR:
   registered rank-aware stages, reports the communication share, and
   its speedup/efficiency accounting is self-consistent;
 * discovery-side stage payloads are shared across machines through the
-  stage store.
+  stage store;
+* the cache-exempt rank and scaling cells are thin derivations: a warm
+  re-run reads every number from stage payloads and executes no trace
+  and no perf model.
 """
 
 import pytest
@@ -19,6 +22,7 @@ import pytest
 from repro.api import PipelineConfig, RankStudy
 from repro.api.ranks import RANK_THREADS, default_rank_stages, run_rank_cell
 from repro.api.registry import stage_registry
+from repro.api.scaling import run_scaling_cell
 from repro.exec.scheduler import StudyScheduler
 from repro.exec.stagestore import StageStore
 from repro.experiments import ranks as ranks_exp
@@ -139,6 +143,26 @@ class TestRankStudyApi:
 
         cell = run_rank_cell("MCB", INTEL_I7_3770.name, 2, config=FAST)
         assert RankCell.from_payload(cell.to_payload()) == cell
+
+    @pytest.mark.parametrize(
+        "run_cell", [run_rank_cell, run_scaling_cell], ids=["ranks", "scaling"]
+    )
+    def test_warm_cell_executes_no_trace_and_no_perf_model(
+        self, run_cell, tmp_path, monkeypatch
+    ):
+        def cell():
+            store = StageStore(tmp_path / "stages")
+            return run_cell("MCB", INTEL_I7_3770.name, 2, config=FAST, store=store)
+
+        cold = cell()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm cell re-ran a trace or the perf model")
+
+        monkeypatch.setattr("repro.api.context.execute_program", refuse)
+        monkeypatch.setattr("repro.runtime.distributed.execute_distributed", refuse)
+        monkeypatch.setattr("repro.hw.perf.PerfModel.true_counters", refuse)
+        assert cell() == cold
 
     def test_prewrapped_workload_rank_mismatch_rejected(self):
         from repro.workloads.distributed import DistributedWorkload

@@ -227,6 +227,21 @@ class TestTraceCell:
             total = sum(int(t["lines"].size) for t in reader)
         assert total == 3000
 
+    def test_cell_records_run_time_and_rss_for_the_profile(self, tmp_path):
+        from dataclasses import replace
+
+        from repro.exec.stagestore import stage_store_for
+        from repro.experiments.config import default_config
+        from repro.experiments.trace import trace_cell, trace_request
+
+        config = replace(
+            default_config("quick"), cache_dir=str(tmp_path), trace_accesses=2000
+        )
+        trace_cell(trace_request("MCB", 2000), config)
+        stats = stage_store_for(config).stats
+        assert stats.run_seconds["trace"] > 0
+        assert stats.rss_peak_kib["trace"] > 0
+
 
 class TestMiniBatchKMeans:
     @staticmethod
