@@ -2,8 +2,9 @@
 """Validate the analytic memory models against exact simulation.
 
 The paper-scale experiments derive LDVs and cache misses analytically
-from memory patterns (DESIGN.md §2's "analytic path").  This example
-runs the ground-truth pipeline next to it for every pattern kind:
+from memory patterns (the analytic cache model of the ``mem/`` layer in
+``docs/architecture.md``).  This example runs the ground-truth pipeline
+next to it for every pattern kind:
 
     address stream  →  exact LRU stack distances  →  LDV histogram
                     →  trace-driven set-associative cache simulation

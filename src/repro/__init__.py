@@ -17,11 +17,11 @@ The stage-based API lives in :mod:`repro.api`: seven pluggable stages
 (profile → signature → cluster → select → measure → reconstruct →
 validate) assembled by :func:`repro.api.build_pipeline`, with open
 ``@register_workload`` / ``@register_machine`` / ``@register_stage``
-registries.  ``BarrierPointPipeline``, ``CrossArchStudy`` and
-``create_workload`` remain as deprecation-shimmed facades.
+registries.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured comparison of every table and figure.
+See ``docs/architecture.md`` for the system inventory and
+``docs/paper-map.md`` for the module and command behind every table and
+figure of the paper.
 """
 
 from repro.api import (
@@ -38,11 +38,9 @@ from repro.api import (
     stage_registry,
     workload_registry,
 )
-from repro.api.deprecation import warn_once
+from repro.api.study import ConfigResult, CrossArchResult
 from repro.api.types import EvaluationResult, PipelineConfig
-from repro.core.crossarch import ConfigResult, CrossArchResult, CrossArchStudy
 from repro.core.errors import CrossArchitectureMismatch, MethodologyError
-from repro.core.pipeline import BarrierPointPipeline
 from repro.core.selection import BarrierPointSelection
 from repro.core.validation import EstimationReport
 from repro.hw.machines import APM_XGENE, INTEL_I7_3770, Machine, machine_for
@@ -50,11 +48,9 @@ from repro.hw.measure import MeasurementProtocol
 from repro.hw.pmu import PMU_METRICS
 from repro.isa.descriptors import ALL_BINARIES, ISA, BinaryConfig, binary_config
 from repro.util.rng import RngTree
-from repro.workloads.base import ProxyApp
 from repro.workloads.registry import (
     ACCURATE_APPS,
     EVALUATED_APPS,
-    REGISTRY,
     SINGLE_REGION_APPS,
     TABLE1_ORDER,
     all_apps,
@@ -62,16 +58,6 @@ from repro.workloads.registry import (
 )
 
 __version__ = "1.2.0"
-
-
-def create_workload(name: str) -> ProxyApp:
-    """Deprecated alias of :func:`repro.workloads.registry.create`."""
-    warn_once(
-        "create_workload",
-        "create_workload is deprecated; use repro.workloads.registry.create"
-        " or repro.api.workload_registry.get",
-    )
-    return create(name)
 
 __all__ = [
     "__version__",
@@ -88,13 +74,11 @@ __all__ = [
     "register_workload",
     "register_machine",
     "register_stage",
-    # legacy facades
-    "BarrierPointPipeline",
+    # methodology types
     "PipelineConfig",
     "EvaluationResult",
     "BarrierPointSelection",
     "EstimationReport",
-    "CrossArchStudy",
     "CrossArchResult",
     "ConfigResult",
     "MethodologyError",
@@ -113,9 +97,7 @@ __all__ = [
     "ALL_BINARIES",
     # workloads
     "create",
-    "create_workload",
     "all_apps",
-    "REGISTRY",
     "TABLE1_ORDER",
     "EVALUATED_APPS",
     "ACCURATE_APPS",

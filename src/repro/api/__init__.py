@@ -26,9 +26,8 @@ whether a representative region survives team growth, and
 :class:`RankStudy` whether it survives distribution over MPI-style
 ranks (per-rank discovery through the registered ``rankify`` /
 ``coalesce_ranks`` stages, communication priced by each machine's
-network model).  The legacy ``BarrierPointPipeline`` /
-``CrossArchStudy`` / ``create_workload`` entry points remain as
-deprecation-shimmed facades over this package.
+network model).  :func:`run_crossarch` runs the paper's four-way
+cross-architecture comparison for one (application, thread count).
 """
 
 from repro.api.builder import (

@@ -374,8 +374,9 @@ def build_pipeline(
     """Start a fluent pipeline over one (workload, threads) configuration.
 
     ``workload`` may be a registry name (case-insensitive), a workload
-    class, or a ready instance.  With all-default stages the resulting
-    pipeline is bit-identical to the legacy ``BarrierPointPipeline``.
+    class, or a ready instance.  With all-default stages the staged
+    graph is bit-identical to the eager :class:`StagePipeline` methods
+    (``discover`` + ``evaluate_many``).
 
     Example
     -------

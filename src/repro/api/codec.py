@@ -3,7 +3,7 @@
 Two planes, one contract: a decoded payload is indistinguishable from a
 freshly computed one, to the bit.
 
-* **Columnar plane** (default, ``CODEC_VERSION`` 2) —
+* **Columnar plane** (the cache format, ``CODEC_VERSION`` 2) —
   :func:`encode_payload` splits a JSON-shaped tree with
   :class:`numpy.ndarray` leaves into a pure-JSON *metadata plane* (the
   tree with each array replaced by an index placeholder) and an *array
@@ -13,32 +13,29 @@ freshly computed one, to the bit.
   from zero-copy ``np.frombuffer`` views over an ``mmap`` — no base64,
   no ``tolist``, no text parsing of array data.
 
-* **Legacy plane** (codec 1, kept live by ``REPRO_FORCE_LEGACY_CODEC=1``)
-  — arrays become ``{dtype, shape, data}`` dicts with base64 payloads
-  inside ordinary JSON (:func:`encode_array`/:func:`decode_array`);
+* **JSON wire plane** — arrays become ``{dtype, shape, data}`` dicts
+  with base64 payloads inside ordinary JSON
+  (:func:`encode_array`/:func:`decode_array`);
   :func:`payload_to_jsonable`/:func:`payload_from_jsonable` apply that
-  encoding over a whole tree.  Decimal text would be ~3x larger than the
-  data and float round-tripping mistakes are a classic source of
-  cache-only result drift, which is why even the legacy plane ships raw
-  little-endian bytes.
+  encoding over a whole tree.  The serve daemon's ``/v1/cells``
+  responses and the scheduler's byte-identity witness use it.  Decimal
+  text would be ~3x larger than the data and float round-tripping
+  mistakes are a classic source of result drift, which is why even the
+  wire plane ships raw little-endian bytes.
 
-The active codec version is part of the cache version
-(:func:`repro.exec.store.cache_version`), so flipping codecs relocates
+The codec version is part of the cache version
+(:func:`repro.exec.store.cache_version`), so a codec change relocates
 every cache address instead of raising on a format it cannot decode.
 """
 
 from __future__ import annotations
 
 import base64
-import os
 
 import numpy as np
 
 __all__ = [
     "CODEC_VERSION",
-    "LEGACY_CODEC_VERSION",
-    "active_codec_version",
-    "legacy_codec_forced",
     "encode_array",
     "decode_array",
     "encode_payload",
@@ -51,28 +48,12 @@ __all__ = [
 
 #: The binary columnar codec (metadata JSON + little-endian segments).
 CODEC_VERSION = 2
-#: The base64-inside-JSON codec it replaced.
-LEGACY_CODEC_VERSION = 1
-
-#: Environment switch keeping the legacy plane exercised (CI runs the
-#: integration suite once with it set, proving the fallback stays live).
-_FORCE_LEGACY_ENV = "REPRO_FORCE_LEGACY_CODEC"
 
 #: Placeholder key marking an array slot in the metadata plane.  The
-#: legacy plane never produces single-key dicts with this key, and stage
-#: payloads are built from dataclass fields, so the sentinel cannot
-#: collide with real data.
+#: JSON wire plane never produces single-key dicts with this key, and
+#: stage payloads are built from dataclass fields, so the sentinel
+#: cannot collide with real data.
 _ARRAY_KEY = "__ndarray__"
-
-
-def legacy_codec_forced() -> bool:
-    """Whether ``REPRO_FORCE_LEGACY_CODEC`` selects the base64 plane."""
-    return os.environ.get(_FORCE_LEGACY_ENV, "").strip() not in ("", "0")
-
-
-def active_codec_version() -> int:
-    """The codec new cache entries are written with (2, or 1 if forced)."""
-    return LEGACY_CODEC_VERSION if legacy_codec_forced() else CODEC_VERSION
 
 
 def _as_little_endian(array: np.ndarray) -> np.ndarray:
@@ -90,7 +71,7 @@ def _as_little_endian(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# ------------------------------------------------------------ legacy plane
+# -------------------------------------------------------- JSON wire plane
 def encode_array(array: np.ndarray) -> dict:
     """Encode one array as ``{dtype, shape, data}`` with base64 payload.
 
@@ -124,7 +105,7 @@ def _is_encoded_array(node: dict) -> bool:
 
 
 def payload_to_jsonable(payload):
-    """Legacy plane: replace every ndarray leaf with its base64 dict."""
+    """JSON wire plane: replace every ndarray leaf with its base64 dict."""
     if isinstance(payload, np.ndarray):
         return encode_array(payload)
     if isinstance(payload, dict):

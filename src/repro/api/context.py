@@ -6,8 +6,8 @@ counters per (ISA, machine), the measurement memos, and the ``artifacts``
 mapping the stages read from and write to (observations → signatures →
 clusterings → selections → measurements → estimates → evaluations).
 
-Every random stream is addressed by exactly the paths the monolithic
-``BarrierPointPipeline`` used — ``("structure", app, threads)``,
+Every random stream is addressed by exactly the paths the seed's
+monolithic pipeline used — ``("structure", app, threads)``,
 ``("uarch", app, threads)``, ``("discovery", ..., label)``,
 ``("simpoint", ..., run)``, ``("measure", ..., machine)``,
 ``("per-rep", ..., run_index)`` — which is what makes the decomposed
@@ -173,8 +173,8 @@ class StageContext:
         """Counters on a target, verifying the barrier sequences align.
 
         ``isa`` defaults to the machine's own; an explicit mismatched
-        pairing (the legacy API allowed it) fails inside the hardware
-        model with a :class:`ValueError`.
+        pairing (``StagePipeline.evaluate`` accepts one) fails inside
+        the hardware model with a :class:`ValueError`.
 
         Raises
         ------

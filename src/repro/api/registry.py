@@ -1,7 +1,7 @@
 """Open plugin registries: workloads, machines, stages.
 
-The seed hard-coded its extension points — ``workloads.registry.REGISTRY``
-was a literal dict, the two machines were module constants, and the
+The seed hard-coded its extension points — the workloads were a literal
+name → class dict, the two machines were module constants, and the
 clustering entry point was a direct function call — so every new
 application, platform or clustering variant meant editing core files.
 A :class:`PluginRegistry` turns each of those into an open table with

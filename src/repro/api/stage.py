@@ -87,8 +87,7 @@ class Stage(abc.ABC):
 
         JSON-shaped scalars/dicts/lists with raw :class:`numpy.ndarray`
         leaves — the store moves the arrays into the binary columnar
-        plane (or the legacy base64 plane), so stages never serialise
-        array data themselves.
+        plane, so stages never serialise array data themselves.
         """
         raise NotImplementedError(f"stage {self.name!r} is not cacheable")
 

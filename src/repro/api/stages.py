@@ -80,8 +80,9 @@ def evaluate_selection(
 ) -> EvaluationResult:
     """Measure → reconstruct → validate one selection on one target.
 
-    The single source of truth both the eager facade
-    (``BarrierPointPipeline.evaluate``) and the staged graph reduce to;
+    The single source of truth both the eager path
+    (:meth:`~repro.api.StagePipeline.evaluate`) and the staged graph
+    reduce to;
     raises :class:`~repro.core.errors.CrossArchitectureMismatch` when
     the target's barrier sequence disagrees with discovery.  ``isa``
     defaults to the machine's own ISA.

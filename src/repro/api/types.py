@@ -1,10 +1,8 @@
 """Shared types of the public methodology API.
 
 :class:`PipelineConfig`, :class:`EvaluationResult` and
-:class:`SupportsProgram` were born in ``repro.core.pipeline``; they live
-here now so the stage classes, the builder and the deprecation facades
-can all import them without cycles.  ``repro.core.pipeline`` re-exports
-them, so historical imports keep working.
+:class:`SupportsProgram` live in their own module so the stage classes,
+the builder and the study drivers can all import them without cycles.
 """
 
 from __future__ import annotations
@@ -100,8 +98,9 @@ def evaluation_payload(result: EvaluationResult) -> dict:
 
     Every float is emitted exactly (``repr``-round-trippable), so two
     payloads compare byte-identical iff the underlying numbers do — the
-    equivalence test between the stage API and the legacy pipeline
-    serialises both sides through this function.
+    equivalence test between the staged graph and the eager
+    :class:`~repro.api.StagePipeline` methods serialises both sides
+    through this function.
     """
     selection = result.selection
     report = result.report

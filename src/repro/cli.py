@@ -16,7 +16,7 @@ Regenerates any of the paper's tables/figures from the terminal::
     repro ranks           # distributed-memory grid: ranks x machines
     repro trace           # streamed exact traces (out-of-core tiles)
     repro all             # every artefact from one scheduled pass
-    repro workloads       # registered workload plugins ('list' is an alias)
+    repro workloads       # registered workload plugins
     repro machines        # registered machine plugins
     repro machines ingest # ingest a captured host (or '-' for live /sys)
     repro stages          # registered pipeline stages
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_EXPERIMENTS) + ["all", "list", "workloads", "machines", "stages"],
+        choices=sorted(_EXPERIMENTS) + ["all", "workloads", "machines", "stages"],
         help="which artefact to regenerate ('all' renders every one); "
         "'workloads'/'machines'/'stages' list the registered plugins",
     )
@@ -270,7 +270,7 @@ def _config_from_args(args: argparse.Namespace):
 
 
 def _print_registry(which: str) -> None:
-    """List one plugin registry ('list' is the legacy workloads alias)."""
+    """List one plugin registry."""
     from repro.api.registry import (
         machine_registry,
         stage_registry,
@@ -278,7 +278,6 @@ def _print_registry(which: str) -> None:
     )
 
     registry = {
-        "list": workload_registry,
         "workloads": workload_registry,
         "machines": machine_registry,
         "stages": stage_registry,
@@ -343,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    if args.experiment in ("list", "workloads", "machines", "stages"):
+    if args.experiment in ("workloads", "machines", "stages"):
         _print_registry(args.experiment)
         return 0
 

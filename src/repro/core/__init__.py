@@ -3,7 +3,8 @@
 Workflow (Section V-A), mapped to modules:
 
 1. *Source instrumentation* — ROI markers and PAPI calls:
-   :mod:`repro.instrumentation.roi`, :mod:`repro.hw.papi`.
+   :mod:`repro.instrumentation.roi`; the PAPI reads and their cost are
+   modelled by :mod:`repro.hw.measure` and :mod:`repro.hw.overhead`.
 2. *Barrier point discovery and clustering* (x86_64 only) —
    :mod:`repro.core.signatures` (BBV ⊕ LDV signature vectors),
    :mod:`repro.clustering` (SimPoint), :mod:`repro.core.selection`
@@ -12,10 +13,9 @@ Workflow (Section V-A), mapped to modules:
 4. *Program behaviour reconstruction* — :mod:`repro.core.reconstruction`.
 5. *Barrier point set validation* — :mod:`repro.core.validation`.
 
-The stages themselves are first-class plugins in :mod:`repro.api`;
-:class:`repro.core.pipeline.BarrierPointPipeline` and
-:class:`repro.core.crossarch.CrossArchStudy` remain as deprecation
-facades wiring them together the way the seed did.
+The stages themselves are first-class plugins in :mod:`repro.api`,
+which wires these steps together (:class:`repro.api.StagePipeline`,
+:func:`repro.api.run_crossarch`).
 """
 
 from repro.core.errors import CrossArchitectureMismatch, MethodologyError
@@ -23,26 +23,6 @@ from repro.core.reconstruction import reconstruct_per_rep, reconstruct_totals
 from repro.core.selection import BarrierPointSelection, select_barrier_points
 from repro.core.signatures import SignatureMatrix, build_signatures
 from repro.core.validation import EstimationReport, validate_estimate
-
-#: Facade names resolved lazily (PEP 562): the facade modules import
-#: :mod:`repro.api`, whose own modules import the step modules above —
-#: eager imports here would close an import cycle.
-_FACADES = {
-    "BarrierPointPipeline": "repro.core.pipeline",
-    "EvaluationResult": "repro.core.pipeline",
-    "PipelineConfig": "repro.core.pipeline",
-    "CrossArchStudy": "repro.core.crossarch",
-    "CrossArchResult": "repro.core.crossarch",
-    "ConfigResult": "repro.core.crossarch",
-}
-
-
-def __getattr__(name: str):
-    if name in _FACADES:
-        from importlib import import_module
-
-        return getattr(import_module(_FACADES[name]), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "SignatureMatrix",
@@ -55,10 +35,4 @@ __all__ = [
     "validate_estimate",
     "MethodologyError",
     "CrossArchitectureMismatch",
-    "PipelineConfig",
-    "BarrierPointPipeline",
-    "EvaluationResult",
-    "CrossArchStudy",
-    "CrossArchResult",
-    "ConfigResult",
 ]

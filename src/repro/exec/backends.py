@@ -27,7 +27,6 @@ foreign deltas from already-counted local ones, not the backend name.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Protocol, Sequence
 
@@ -140,11 +139,6 @@ BACKEND_NAMES: dict[str, type] = {
     ThreadPoolBackend.name: ThreadPoolBackend,
     ProcessPoolBackend.name: ProcessPoolBackend,
 }
-
-
-def default_jobs() -> int:
-    """A sensible worker count for this machine."""
-    return max(1, (os.cpu_count() or 2) - 1)
 
 
 def create_backend(name: str | None, jobs: int = 1) -> ExecutionBackend:

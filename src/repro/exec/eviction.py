@@ -3,7 +3,7 @@
 The serve daemon keeps the cache warm forever, so the store only grows —
 something has to reclaim bytes.  :class:`StoreEvictor` walks the sharded
 ``stages/`` and ``cells/`` trees (``.rpb``/``.rpt`` containers and
-legacy ``.json`` entries alike), orders entries by last use and unlinks
+``.json`` cell entries alike), orders entries by last use and unlinks
 the coldest until the store fits its byte budget.
 
 Two safety properties:

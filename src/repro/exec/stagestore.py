@@ -11,10 +11,7 @@ keep their addresses — a re-run reuses them and only clusters onward.
 Payloads are stored as binary columnar containers
 (:mod:`repro.exec.columnar`): the JSON-shaped metadata stays JSON inside
 the header while every array rides as contiguous little-endian segments,
-decoded zero-copy through one mmap.  ``REPRO_FORCE_LEGACY_CODEC=1``
-switches new entries back to the base64-inside-JSON plane (and, through
-:func:`~repro.exec.store.cache_version`, to disjoint addresses — the two
-formats never collide on disk).
+decoded zero-copy through one mmap.
 
 Hit/miss counters are kept per stage name (:class:`StageCacheStats`),
 now alongside profiling counters: bytes encoded/decoded and wall time
@@ -43,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exec.columnar import read_payload_file, write_payload_atomic
-from repro.exec.store import cache_version, read_json, write_json_atomic
+from repro.exec.store import _touch, cache_version
 
 __all__ = [
     "StageCacheStats",
@@ -343,12 +340,6 @@ class StageStore:
         """Whether a cache directory is configured."""
         return self._dir is not None
 
-    @staticmethod
-    def _legacy() -> bool:
-        from repro.api.codec import legacy_codec_forced
-
-        return legacy_codec_forced()
-
     #: Digest-prefix directory fanout (mirrors ``StudyStore.SHARD_PREFIX``).
     SHARD_PREFIX = 2
 
@@ -357,70 +348,50 @@ class StageStore:
 
         Entries shard over ``stages/<digest prefix>/`` directories —
         digest-prefix fanout keeps each directory small under served
-        traffic and gives the eviction scan natural units.  The suffix
-        tracks the active codec — ``.rpb`` containers by default,
-        ``.json`` when the legacy codec is forced — and the filename
-        embeds :func:`~repro.exec.store.cache_version`, so a codec flip
-        can never address (or half-decode) the other format's entries.
+        traffic and gives the eviction scan natural units.  Every entry
+        is an ``.rpb`` container, and the filename embeds
+        :func:`~repro.exec.store.cache_version`, so a codec bump can
+        never address (or half-decode) an older format's entries.
         """
         if self._dir is None:
             return None
-        suffix = "json" if self._legacy() else "rpb"
         shard = digest[: self.SHARD_PREFIX]
-        return self._dir / shard / f"v{cache_version()}_{stage_name}_{digest[:24]}.{suffix}"
+        return self._dir / shard / f"v{cache_version()}_{stage_name}_{digest[:24]}.rpb"
 
     def load(self, digest: str, stage_name: str):
         """Stored payload for a stage digest, or None on miss/corruption.
 
         Containers decode zero-copy: arrays in the returned payload are
-        read-only mmap views.  Legacy JSON entries decode through the
-        base64 plane.  Either way the payload tree carries plain
+        read-only mmap views, so the payload tree carries plain
         ``np.ndarray`` leaves.
         """
         path = self.path(digest, stage_name)
         payload = None
         if path is not None:
             started = time.perf_counter()
-            if self._legacy():
-                raw = read_json(path)
-                if raw is not None:
-                    from repro.api.codec import payload_from_jsonable
-
-                    payload = payload_from_jsonable(raw)
-                    self.stats.bytes_decoded[stage_name] += path.stat().st_size
-            else:
-                loaded = read_payload_file(path)
-                if loaded is not None:
-                    payload, nbytes = loaded
-                    self.stats.bytes_decoded[stage_name] += nbytes
+            loaded = read_payload_file(path)
+            if loaded is not None:
+                payload, nbytes = loaded
+                self.stats.bytes_decoded[stage_name] += nbytes
             self.stats.load_seconds[stage_name] += time.perf_counter() - started
         if payload is None:
             self.stats.misses[stage_name] += 1
         else:
             self.stats.hits[stage_name] += 1
-            from repro.exec.store import _touch
-
             _touch(path)  # refresh the eviction loop's LRU clock
         return payload
 
     def store(self, digest: str, stage_name: str, payload) -> None:
-        """Atomically persist one stage payload (container or legacy JSON)."""
+        """Atomically persist one stage payload as a columnar container."""
         path = self.path(digest, stage_name)
         if path is None:
             return
         started = time.perf_counter()
         try:
-            if self._legacy():
-                from repro.api.codec import payload_to_jsonable
-
-                write_json_atomic(path, payload_to_jsonable(payload))
-                nbytes = path.stat().st_size
-            else:
-                # durable=False: a torn container self-heals as a cache
-                # miss on the next read, so stage entries trade the fsync
-                # (which would dominate cold writes at hundreds of MiB)
-                # for speed.
-                nbytes = write_payload_atomic(path, payload, durable=False)
+            # durable=False: a torn container self-heals as a cache miss
+            # on the next read, so stage entries trade the fsync (which
+            # would dominate cold writes at hundreds of MiB) for speed.
+            nbytes = write_payload_atomic(path, payload, durable=False)
         except OSError:
             # A full or failing disk degrades the cache, never the run:
             # the payload is already in memory, the slot stays a miss.

@@ -1,11 +1,11 @@
 """Content-addressed, atomically-written study cache.
 
-The old :class:`StudyRunner` cache keyed files by a hand-picked subset of
-the protocol (seed, discovery runs, repetitions) — changing ``maxK``,
-``bbv_weight`` or the measurement overhead silently served stale
-summaries.  :class:`StudyStore` instead hashes the *full* serialized
-pipeline configuration together with the request identity, so any knob
-that can change a number changes the address.
+A cache keyed by a hand-picked subset of the protocol (seed, discovery
+runs, repetitions) would silently serve stale summaries after a change
+to ``maxK``, ``bbv_weight`` or the measurement overhead.
+:class:`StudyStore` instead hashes the *full* serialized pipeline
+configuration together with the request identity, so any knob that can
+change a number changes the address.
 
 Writes go to a temporary file in the same directory followed by
 :func:`os.replace`, so a crashed or concurrently-writing process can
@@ -22,6 +22,7 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
+from repro.exec.columnar import read_payload_file, unlink_when_closed, write_payload_atomic
 from repro.exec.request import StudyRequest
 
 __all__ = [
@@ -42,13 +43,12 @@ def cache_version() -> str:
     """The full cache version: payload schema **and** codec.
 
     Both halves are part of every cache filename and digest, so a codec
-    bump (or forcing the legacy codec via ``REPRO_FORCE_LEGACY_CODEC``)
-    relocates every entry instead of asking the new reader to decode an
-    old format — stale entries are simply never addressed again.
+    bump relocates every entry instead of asking the new reader to decode
+    an old format — stale entries are simply never addressed again.
     """
-    from repro.api.codec import active_codec_version  # lazy: avoids api↔exec cycle
+    from repro.api.codec import CODEC_VERSION  # lazy: avoids api↔exec cycle
 
-    return f"{CACHE_VERSION}.{active_codec_version()}"
+    return f"{CACHE_VERSION}.{CODEC_VERSION}"
 
 
 def read_json(path: Path):
@@ -131,7 +131,7 @@ def config_fingerprint(config) -> str:
     """Hash every protocol knob that can influence a cell's result.
 
     ``config`` is an :class:`~repro.experiments.config.ExperimentConfig`;
-    the fingerprint covers its full :class:`~repro.core.pipeline.PipelineConfig`
+    the fingerprint covers its full :class:`~repro.api.types.PipelineConfig`
     (discovery runs, every SimPoint option, the measurement protocol
     including the per-read overhead model, ``bbv_weight`` and the seed).
     Execution-only settings — ``thread_counts``, ``cache_dir``, ``jobs``,
@@ -239,22 +239,7 @@ class StudyStore:
     def load_by_digest(self, digest: str):
         """Decode one persisted cell payload by digest (None on miss)."""
         path = self.find_by_digest(digest)
-        if path is None:
-            return None
-        if path.suffix == ".rpb":
-            from repro.exec.columnar import read_payload_file
-
-            loaded = read_payload_file(path)
-            return None if loaded is None else loaded[0]
-        raw = read_json(path)
-        if raw is None:
-            return None
-        from repro.api.codec import payload_from_jsonable
-
-        return payload_from_jsonable(raw)
-
-    def _container_path(self, path: Path) -> Path:
-        return path.with_suffix(".rpb")
+        return None if path is None else self._read(path.with_suffix(".json"))
 
     def load(self, request: StudyRequest):
         """Stored payload for a request, or None on miss/corruption.
@@ -265,50 +250,36 @@ class StudyStore:
         A corrupt entry is removed so the slot can be rewritten cleanly.
         """
         path = self.path(request)
-        if path is None:
-            return None
-        from repro.api.codec import legacy_codec_forced, payload_from_jsonable
+        return None if path is None else self._read(path)
 
-        if legacy_codec_forced():
-            raw = read_json(path)
-            if raw is None:
-                return None
-            _touch(path)
-            return payload_from_jsonable(raw)
+    @staticmethod
+    def _read(path: Path):
+        """Read the JSON entry at ``path``, else its ``.rpb`` container,
+        and refresh the hit's LRU clock (None on miss or corruption)."""
         payload = read_json(path)
-        if payload is not None:
-            _touch(path)
-            return payload
-        from repro.exec.columnar import read_payload_file
-
-        loaded = read_payload_file(self._container_path(path))
-        if loaded is None:
-            return None
-        _touch(self._container_path(path))
-        return loaded[0]
+        if payload is None:
+            path = path.with_suffix(".rpb")
+            loaded = read_payload_file(path)
+            if loaded is None:
+                return None
+            payload = loaded[0]
+        _touch(path)
+        return payload
 
     def store(self, request: StudyRequest, payload) -> None:
         """Atomically persist one cell payload (temp file + rename).
 
         JSON for scalar/metadata payloads; any :class:`numpy.ndarray`
         in the tree routes the whole payload to a binary columnar
-        container instead (legacy codec: base64-inside-JSON).
+        container instead.
         """
         path = self.path(request)
         if path is None:
             return
-        from repro.api.codec import (
-            legacy_codec_forced,
-            payload_has_arrays,
-            payload_to_jsonable,
-        )
+        from repro.api.codec import payload_has_arrays
 
-        if legacy_codec_forced():
-            write_json_atomic(path, payload_to_jsonable(payload))
-        elif payload_has_arrays(payload):
-            from repro.exec.columnar import write_payload_atomic
-
-            write_payload_atomic(self._container_path(path), payload)
+        if payload_has_arrays(payload):
+            write_payload_atomic(path.with_suffix(".rpb"), payload)
         else:
             write_json_atomic(path, payload)
 
@@ -331,8 +302,6 @@ class StudyStore:
         travel through :meth:`store`/:meth:`load`); the spill area
         serves the :data:`~repro.exec.cells.CELL_LEVEL_UNCACHED` kinds.
         """
-        from repro.exec.columnar import write_payload_atomic
-
         path = self.spill_path(request)
         if path is None:
             return None
@@ -353,8 +322,6 @@ class StudyStore:
         until the last mapping dies instead of yanking bytes out from
         under a reader.
         """
-        from repro.exec.columnar import read_payload_file, unlink_when_closed
-
         loaded = read_payload_file(Path(path))
         if loaded is None:
             raise RuntimeError(f"spilled payload vanished or was torn: {path}")

@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the methodology's design choices.
 
 Four studies beyond the paper's own evaluation:
 

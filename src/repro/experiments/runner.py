@@ -1,16 +1,14 @@
-"""Cross-architecture study cells and the :class:`StudyRunner` facade.
+"""Cross-architecture study cells.
 
 Tables III/IV and every Figure 2 panel derive from the same underlying
-sweep: a :class:`~repro.core.crossarch.CrossArchStudy` per (application,
+sweep: one :func:`~repro.api.study.run_crossarch` per (application,
 thread count).  Each such cell is declared as a ``"crossarch"``
-:class:`~repro.exec.request.StudyRequest` and executed through the
-:class:`~repro.exec.scheduler.StudyScheduler`, which deduplicates cells
-shared across experiments, runs them on the configured backend and
-caches the JSON payloads content-addressed on disk.
-
-:class:`StudyRunner` survives as a thin imperative facade over the
-engine for callers (and tests) that want ``runner.study(app, threads)``
-without dealing in requests.
+:class:`~repro.exec.request.StudyRequest` (:func:`crossarch_request`)
+and executed through the :class:`~repro.exec.scheduler.StudyScheduler`,
+which deduplicates cells shared across experiments, runs them on the
+configured backend and caches the JSON payloads content-addressed on
+disk; :func:`decode_summaries` turns the executed payloads back into
+:class:`StudySummary` objects.
 """
 
 from __future__ import annotations
@@ -19,14 +17,12 @@ from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from repro.exec.request import StudyRequest
-from repro.exec.scheduler import StudyScheduler
 from repro.experiments.config import ExperimentConfig
 from repro.hw.pmu import PMU_METRICS
 
 __all__ = [
     "ConfigSummary",
     "StudySummary",
-    "StudyRunner",
     "crossarch_request",
     "crossarch_cell",
     "decode_summaries",
@@ -153,46 +149,3 @@ def decode_summaries(
         for request, payload in results.items()
         if request.kind == "crossarch"
     }
-
-
-class StudyRunner:
-    """Imperative facade over the study-graph engine.
-
-    Parameters
-    ----------
-    config:
-        Experiment protocol; part of every cache address.
-    scheduler:
-        Share an existing scheduler (and its memo/stats) instead of
-        building a private one.
-    """
-
-    def __init__(
-        self, config: ExperimentConfig, scheduler: StudyScheduler | None = None
-    ) -> None:
-        self.config = config
-        self.scheduler = scheduler or StudyScheduler(config)
-        self._memory: dict[tuple[str, int], StudySummary] = {}
-
-    def study(self, app_name: str, threads: int) -> StudySummary:
-        """Run (or fetch) the study for one (application, threads) cell."""
-        return self.sweep([app_name], [threads])[0]
-
-    def sweep(self, app_names, thread_counts=None) -> list[StudySummary]:
-        """Run studies for a cross product of apps and thread counts.
-
-        The whole product is handed to the scheduler in one batch, so a
-        parallel backend overlaps every cell of the sweep.
-        """
-        threads = thread_counts or self.config.thread_counts
-        requests = [
-            crossarch_request(app, t) for app in app_names for t in threads
-        ]
-        results = self.scheduler.run(requests)
-        out = []
-        for request in requests:
-            key = (request.app, request.threads)
-            if key not in self._memory:
-                self._memory[key] = StudySummary.from_payload(results[request])
-            out.append(self._memory[key])
-        return out

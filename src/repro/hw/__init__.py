@@ -18,8 +18,6 @@ core/cluster and 8 MiB shared L3.  This package provides:
   biases per-barrier-point statistics (Section V-C).
 * :mod:`repro.hw.measure` — the measurement protocol (20 repetitions,
   pinned threads) used by workflow Step 3.
-* :mod:`repro.hw.papi` — a small PAPI-like facade mirroring the paper's
-  source instrumentation API.
 """
 
 from repro.hw.caches import CacheLevelSpec

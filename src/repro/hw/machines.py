@@ -36,9 +36,9 @@ sharing never crosses a node boundary, and each node's L3 is shared
 only by that rank's team.
 
 CPI and penalty figures are order-of-magnitude realistic for Ivy Bridge
-and the first-generation X-Gene; absolute fidelity is not required (see
-DESIGN.md §2) because the methodology's error metrics compare a machine
-against itself.
+and the first-generation X-Gene; absolute fidelity is not required
+because the methodology's error metrics compare a machine against
+itself.
 """
 
 from __future__ import annotations

@@ -171,12 +171,6 @@ class ExecutionTrace:
             out[mask] = values[self.bp_instance[mask]]
         return out
 
-    def bp_footprint_scale(self) -> np.ndarray:
-        """Per-barrier-point footprint drift multiplier, in bp order."""
-        return self.gather_instance_values(
-            [t.footprint_scale for t in self.template_traces]
-        )
-
     def bp_hot_scale(self) -> np.ndarray:
         """Per-barrier-point hot-fraction drift multiplier, in bp order."""
         return self.gather_instance_values([t.hot_scale for t in self.template_traces])

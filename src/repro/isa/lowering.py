@@ -5,7 +5,7 @@ ISA-neutral :class:`~repro.ir.mix.InstructionMix` of a basic-block
 iteration into per-class dynamic instruction counts for one of the four
 binary variants the paper builds.
 
-Modelling choices (justified in DESIGN.md §2):
+Modelling choices:
 
 * Scalar instruction counts are *close* across ISAs — Blem et al. (HPCA
   2013), cited by the paper, found ISA effects on instruction count

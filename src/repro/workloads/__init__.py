@@ -1,9 +1,9 @@
 """The eleven OpenMP HPC proxy- and mini-applications (Table I).
 
 Each module models one application's phase structure — region kinds,
-size distribution, drift and failure modes — as documented in DESIGN.md
-§2 and §5.  The registry reproduces Table I and the evaluation subsets
-of Section VI.
+size distribution, drift and failure modes — and its docstring ties
+that structure to the paper's Table III/IV numbers.  The registry
+reproduces Table I and the evaluation subsets of Section VI.
 """
 
 from repro.workloads.amgmk import AMGMk
@@ -21,7 +21,6 @@ from repro.workloads.registry import (
     ACCURATE_APPS,
     EVALUATED_APPS,
     FINE_GRAINED_APPS,
-    REGISTRY,
     SINGLE_REGION_APPS,
     TABLE1_ORDER,
     all_apps,
@@ -44,7 +43,6 @@ __all__ = [
     "PathFinder",
     "RSBench",
     "XSBench",
-    "REGISTRY",
     "TABLE1_ORDER",
     "EVALUATED_APPS",
     "ACCURATE_APPS",

@@ -30,7 +30,6 @@ from repro.workloads import (  # noqa: F401  (imported for registration)
 from repro.workloads.base import ProxyApp
 
 __all__ = [
-    "REGISTRY",
     "TABLE1_ORDER",
     "EVALUATED_APPS",
     "ACCURATE_APPS",
@@ -55,12 +54,6 @@ TABLE1_ORDER = (
     "RSBench",
     "XSBench",
 )
-
-#: Name → workload class, in Table I order (legacy closed-registry view;
-#: the open registry is :data:`repro.api.registry.workload_registry`).
-REGISTRY: dict[str, type[ProxyApp]] = {
-    name: workload_registry.get(name) for name in TABLE1_ORDER
-}
 
 #: The seven applications that pass the first workflow stages
 #: (Section VI: the single-region trio is excluded, HPGMG-FV is dropped

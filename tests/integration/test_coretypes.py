@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.pipeline import BarrierPointPipeline, PipelineConfig
+from repro.api import PipelineConfig, StagePipeline
 from repro.experiments import coretypes
 from repro.experiments.config import ExperimentConfig
 from repro.hw.machines import APM_XGENE, ARMV8_IN_ORDER
@@ -30,21 +30,21 @@ class TestInOrderMachine:
 
 class TestMachineOverride:
     def test_evaluate_with_explicit_machine(self):
-        pipeline = BarrierPointPipeline(create("miniFE"), threads=4, config=FAST)
+        pipeline = StagePipeline(create("miniFE"), threads=4, config=FAST)
         selection = pipeline.discover()[0]
         default = pipeline.evaluate(selection, ISA.ARMV8)
         explicit = pipeline.evaluate(selection, ISA.ARMV8, machine=APM_XGENE)
         assert default.report.error_mean == pytest.approx(explicit.report.error_mean)
 
     def test_in_order_estimate_stays_accurate(self):
-        pipeline = BarrierPointPipeline(create("miniFE"), threads=4, config=FAST)
+        pipeline = StagePipeline(create("miniFE"), threads=4, config=FAST)
         selection = pipeline.discover()[0]
         result = pipeline.evaluate(selection, ISA.ARMV8, machine=ARMV8_IN_ORDER)
         assert result.report.error_pct("cycles") < 6.0
         assert result.report.error_pct("instructions") < 6.0
 
     def test_wrong_isa_machine_rejected(self):
-        pipeline = BarrierPointPipeline(create("miniFE"), threads=4, config=FAST)
+        pipeline = StagePipeline(create("miniFE"), threads=4, config=FAST)
         selection = pipeline.discover()[0]
         with pytest.raises(ValueError):
             pipeline.evaluate(selection, ISA.X86_64, machine=ARMV8_IN_ORDER)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.crossarch import CrossArchStudy
-from repro.core.pipeline import PipelineConfig
+from repro.api import PipelineConfig, run_crossarch
 from repro.hw.measure import MeasurementProtocol
 from repro.workloads.registry import create
 
@@ -12,7 +11,7 @@ FAST = PipelineConfig(discovery_runs=2, protocol=MeasurementProtocol(repetitions
 
 @pytest.fixture(scope="module")
 def mcb_result():
-    return CrossArchStudy(create("MCB"), threads=4, config=FAST).run()
+    return run_crossarch(create("MCB"), threads=4, config=FAST)
 
 
 class TestCrossArchStudy:
@@ -45,7 +44,7 @@ class TestCrossArchStudy:
         assert mcb_result.best_selection(True).k >= 1
 
     def test_hpgmg_records_failures(self):
-        result = CrossArchStudy(create("HPGMG-FV"), threads=4, config=FAST).run()
+        result = run_crossarch(create("HPGMG-FV"), threads=4, config=FAST)
         assert "ARMv8" in result.failures
         assert "ARMv8-vect" in result.failures
         assert "x86_64" in result.configs  # same-ISA still evaluated

@@ -12,7 +12,7 @@ from repro.exec.backends import BACKEND_NAMES
 from repro.exec.scheduler import StudyScheduler
 from repro.experiments import figure2, table3, table4
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import StudyRunner, StudySummary, crossarch_request
+from repro.experiments.runner import StudySummary, crossarch_request, decode_summaries
 
 APPS = ("MCB", "graph500")
 
@@ -123,25 +123,23 @@ class TestDiskCache:
         assert scheduler.store.load(request) == first  # rewritten cleanly
 
 
-class TestStudyRunnerFacade:
-    def test_study_identity_within_runner(self):
-        runner = StudyRunner(_config())
-        assert runner.study("MCB", 2) is runner.study("MCB", 2)
-
+class TestCrossarchSummaries:
     def test_sweep_batches_product(self):
-        runner = StudyRunner(_config())
-        summaries = runner.sweep(APPS)
-        assert [(s.app, s.threads) for s in summaries] == [
-            (app, t) for app in APPS for t in (1, 2)
-        ]
-        assert runner.scheduler.stats.executed == 4
+        scheduler = StudyScheduler(_config())
+        requests = [crossarch_request(app, t) for app in APPS for t in (1, 2)]
+        summaries = decode_summaries(scheduler.run(requests))
+        assert list(summaries) == [(app, t) for app in APPS for t in (1, 2)]
+        assert [(s.app, s.threads) for s in summaries.values()] == list(summaries)
+        assert scheduler.stats.executed == 4
 
     def test_shared_scheduler_shares_memo(self):
-        config = _config()
-        scheduler = StudyScheduler(config)
-        StudyRunner(config, scheduler=scheduler).study("MCB", 1)
-        StudyRunner(config, scheduler=scheduler).study("MCB", 1)
+        scheduler = StudyScheduler(_config())
+        request = crossarch_request("MCB", 1)
+        first = decode_summaries(scheduler.run([request]))
+        second = decode_summaries(scheduler.run([request]))
+        assert second == first
         assert scheduler.stats.executed == 1
+        assert scheduler.stats.memo_hits == 1
 
 
 class TestReferenceTransport:

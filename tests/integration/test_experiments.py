@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.api import PipelineConfig, StagePipeline
+from repro.exec.scheduler import StudyScheduler
 from repro.experiments import table1, table2
 from repro.experiments.ablations import drop_insignificant
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import StudyRunner
+from repro.experiments.runner import crossarch_request, decode_summaries
 from repro.experiments.table3 import PAPER_TABLE3
+from repro.hw.measure import MeasurementProtocol
 from repro.workloads.registry import create
 
 QUICK = ExperimentConfig(
@@ -30,10 +33,15 @@ class TestStaticTables:
         assert "X-Gene" in rendered
 
 
-class TestStudyRunner:
+def _study(scheduler, app, threads):
+    """Run one crossarch cell through ``scheduler`` and decode it."""
+    results = scheduler.run([crossarch_request(app, threads)])
+    return decode_summaries(results)[(app, threads)]
+
+
+class TestCrossarchCells:
     def test_summary_contents(self):
-        runner = StudyRunner(QUICK)
-        summary = runner.study("MCB", 4)
+        summary = _study(StudyScheduler(QUICK), "MCB", 4)
         assert summary.app == "MCB"
         assert summary.total_barrier_points == PAPER_TABLE3["MCB"][0]
         assert set(summary.configs) == {
@@ -43,27 +51,22 @@ class TestStudyRunner:
         assert 0 <= cfg.error_mean["cycles"] < 50
         assert cfg.speedup > 1.0
 
-    def test_memory_cache_hit(self):
-        runner = StudyRunner(QUICK)
-        assert runner.study("MCB", 4) is runner.study("MCB", 4)
-
     def test_disk_cache_roundtrip(self, tmp_path):
         config = ExperimentConfig(
             thread_counts=(4,), discovery_runs=2, repetitions=5,
             cache_dir=str(tmp_path),
         )
-        first = StudyRunner(config).study("MCB", 4)
-        second = StudyRunner(config).study("MCB", 4)  # fresh runner, from disk
-        assert second.configs["ARMv8"].error_mean == first.configs["ARMv8"].error_mean
+        first = _study(StudyScheduler(config), "MCB", 4)
+        fresh = StudyScheduler(config)  # no memo: served from disk
+        second = _study(fresh, "MCB", 4)
+        assert fresh.stats.cache_hits == 1 and fresh.stats.executed == 0
+        assert second == first
         assert list(tmp_path.rglob("*.json"))
 
 
 class TestDropInsignificant:
     def test_drops_and_rescales(self):
-        from repro.core.pipeline import BarrierPointPipeline, PipelineConfig
-        from repro.hw.measure import MeasurementProtocol
-
-        pipeline = BarrierPointPipeline(
+        pipeline = StagePipeline(
             create("miniFE"),
             threads=4,
             config=PipelineConfig(
@@ -78,10 +81,7 @@ class TestDropInsignificant:
         assert red_cover == pytest.approx(base_cover)
 
     def test_zero_threshold_identity(self):
-        from repro.core.pipeline import BarrierPointPipeline, PipelineConfig
-        from repro.hw.measure import MeasurementProtocol
-
-        pipeline = BarrierPointPipeline(
+        pipeline = StagePipeline(
             create("MCB"),
             threads=2,
             config=PipelineConfig(

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import PipelineConfig, StagePipeline
 from repro.core.errors import CrossArchitectureMismatch
-from repro.core.pipeline import BarrierPointPipeline, PipelineConfig
 from repro.hw.measure import MeasurementProtocol
 from repro.isa.descriptors import ISA
 from repro.workloads.registry import create
@@ -16,7 +16,7 @@ FAST = PipelineConfig(
 
 @pytest.fixture(scope="module")
 def minife_pipeline():
-    pipeline = BarrierPointPipeline(create("miniFE"), threads=4, config=FAST)
+    pipeline = StagePipeline(create("miniFE"), threads=4, config=FAST)
     selections = pipeline.discover()
     return pipeline, selections
 
@@ -44,8 +44,8 @@ class TestDiscovery:
             assert np.all(s.multipliers > 0)
 
     def test_discovery_deterministic(self):
-        a = BarrierPointPipeline(create("MCB"), threads=2, config=FAST).discover()
-        b = BarrierPointPipeline(create("MCB"), threads=2, config=FAST).discover()
+        a = StagePipeline(create("MCB"), threads=2, config=FAST).discover()
+        b = StagePipeline(create("MCB"), threads=2, config=FAST).discover()
         assert [list(s.representatives) for s in a] == [
             list(s.representatives) for s in b
         ]
@@ -66,7 +66,7 @@ class TestEvaluation:
         assert result.report.error_pct("cycles") < 6.0
 
     def test_vectorised_pipeline(self):
-        pipeline = BarrierPointPipeline(
+        pipeline = StagePipeline(
             create("miniFE"), threads=4, vectorised=True, config=FAST
         )
         selections = pipeline.discover()
@@ -81,14 +81,14 @@ class TestEvaluation:
         assert many[1].report.error_mean == pytest.approx(single.report.error_mean)
 
     def test_hpgmg_cross_arch_mismatch(self):
-        pipeline = BarrierPointPipeline(create("HPGMG-FV"), threads=4, config=FAST)
+        pipeline = StagePipeline(create("HPGMG-FV"), threads=4, config=FAST)
         selections = pipeline.discover()
         pipeline.evaluate(selections[0], ISA.X86_64)  # same-ISA fine
         with pytest.raises(CrossArchitectureMismatch, match="parallel sections"):
             pipeline.evaluate(selections[0], ISA.ARMV8)
 
     def test_single_region_app_trivial_selection(self):
-        pipeline = BarrierPointPipeline(create("XSBench"), threads=4, config=FAST)
+        pipeline = StagePipeline(create("XSBench"), threads=4, config=FAST)
         selections = pipeline.discover()
         assert selections[0].k == 1
         assert selections[0].selected_instruction_fraction == pytest.approx(1.0)

@@ -118,9 +118,7 @@ class TestStageCache:
         disabled = _payload(_run(FAST, StageStore("")))
         assert first == second == disabled
 
-    def test_corrupt_entry_treated_as_miss(self, store, monkeypatch):
-        # Pin the binary codec: this test corrupts container files.
-        monkeypatch.delenv("REPRO_FORCE_LEGACY_CODEC", raising=False)
+    def test_corrupt_entry_treated_as_miss(self, store):
         _run(FAST, store)
         corrupted = list(store._dir.rglob("*_profile_*.rpb"))
         assert corrupted, "profile stage should persist a columnar container"
@@ -135,42 +133,6 @@ class TestStageCache:
         disabled = StageStore("")
         _run(FAST, disabled)
         assert not disabled.stats.hits and not disabled.stats.misses
-
-
-class TestCodecEquivalence:
-    """The binary columnar codec and the legacy base64 plane must be
-    observationally identical: same payload bytes out of a warm run,
-    disjoint on-disk addresses, and both equal to an uncached run."""
-
-    def test_warm_results_identical_across_codecs(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_LEGACY_CODEC", raising=False)
-        binary_store = StageStore(tmp_path / "binary")
-        _run(FAST, binary_store)                      # cold fill
-        binary = _payload(_run(FAST, binary_store))   # warm, from containers
-
-        monkeypatch.setenv("REPRO_FORCE_LEGACY_CODEC", "1")
-        legacy_store = StageStore(tmp_path / "legacy")
-        _run(FAST, legacy_store)                      # cold fill
-        legacy = _payload(_run(FAST, legacy_store))   # warm, from base64 JSON
-        assert legacy_store.stats.hit_count("profile") == 1
-
-        monkeypatch.delenv("REPRO_FORCE_LEGACY_CODEC")
-        fresh = _payload(_run(FAST, StageStore("")))
-        assert binary == legacy == fresh
-
-    def test_codecs_write_disjoint_formats(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_LEGACY_CODEC", raising=False)
-        store = StageStore(tmp_path / "cache")
-        _run(FAST, store)
-        assert list(store._dir.rglob("*.rpb")) and not list(store._dir.rglob("*.json"))
-
-        monkeypatch.setenv("REPRO_FORCE_LEGACY_CODEC", "1")
-        store.stats.reset()
-        _run(FAST, store)
-        # Different codec → different addresses: full cold re-run.
-        for stage in CACHEABLE:
-            assert store.stats.miss_count(stage) == 1
-        assert list(store._dir.rglob("*.json"))
 
 
 class TestStageProfileCounters:

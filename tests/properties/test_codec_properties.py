@@ -1,9 +1,9 @@
-"""Property tests: the payload codecs round-trip exactly, both planes.
+"""Property tests: the payload codecs round-trip exactly.
 
 The seven registered stages emit float64/int64/int32/bool arrays in 0-d,
 1-d and 2-d shapes (including empty axes); the strategies below cover
 that envelope plus the adjacent dtypes, and every draw must survive both
-the columnar container and the legacy base64 plane bit-for-bit.
+the columnar container and the JSON wire plane bit-for-bit.
 """
 
 import numpy as np
@@ -89,7 +89,7 @@ def _trees_equal(left, right) -> bool:
 
 @given(array=stage_arrays())
 @settings(max_examples=150, deadline=None)
-def test_single_array_roundtrips_both_planes(array, tmp_path_factory):
+def test_single_array_roundtrips_columnar_and_wire_planes(array, tmp_path_factory):
     payload = {"a": array}
     meta, table = encode_payload(payload)
     assert _trees_equal(decode_payload(meta, table), payload)
@@ -114,8 +114,9 @@ def test_payload_tree_roundtrips_container(tree, tmp_path_factory):
 
 
 def test_registered_stage_payloads_roundtrip(tmp_path):
-    """Every cacheable registered stage's real encode survives both
-    planes bit-for-bit (the end-to-end version of the property)."""
+    """Every cacheable registered stage's real encode survives the
+    container and the JSON wire plane bit-for-bit (the end-to-end
+    version of the property)."""
     from repro.api import PipelineConfig, build_pipeline
     from repro.hw.measure import MeasurementProtocol
     from repro.isa.descriptors import ISA
@@ -135,5 +136,5 @@ def test_registered_stage_payloads_roundtrip(tmp_path):
         write_payload_atomic(path, payload)
         loaded, _ = read_payload_file(path)
         assert _trees_equal(loaded, payload), stage.name
-        legacy = payload_from_jsonable(payload_to_jsonable(payload))
-        assert _trees_equal(legacy, payload), stage.name
+        wire = payload_from_jsonable(payload_to_jsonable(payload))
+        assert _trees_equal(wire, payload), stage.name

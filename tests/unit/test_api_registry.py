@@ -9,7 +9,7 @@ from repro.api.registry import (
     workload_registry,
 )
 from repro.workloads.base import ProxyApp
-from repro.workloads.registry import REGISTRY, TABLE1_ORDER, create
+from repro.workloads.registry import TABLE1_ORDER, create
 
 
 class TestPluginRegistry:
@@ -79,7 +79,7 @@ class TestBuiltinRegistries:
     def test_all_table1_workloads_registered(self):
         for name in TABLE1_ORDER:
             assert name in workload_registry
-            assert workload_registry.get(name) is REGISTRY[name]
+            assert workload_registry.get(name)().name == name
 
     def test_machines_registered(self):
         assert "Intel Core i7-3770" in machine_registry

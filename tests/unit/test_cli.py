@@ -17,7 +17,7 @@ class TestCli:
         assert "i7-3770" in out and "X-Gene" in out
 
     def test_list(self, capsys):
-        assert main(["list"]) == 0
+        assert main(["workloads"]) == 0
         out = capsys.readouterr().out
         assert out.count("\n") >= 11
         assert "LULESH" in out
@@ -86,12 +86,6 @@ class TestRegistryListings:
         out = capsys.readouterr().out
         assert out.count("\n") >= 11
         assert "miniFE" in out and "XSBench" in out
-
-    def test_workloads_matches_legacy_list(self, capsys):
-        assert main(["workloads"]) == 0
-        workloads_out = capsys.readouterr().out
-        assert main(["list"]) == 0
-        assert capsys.readouterr().out == workloads_out
 
     def test_stages_lists_all_seven(self, capsys):
         assert main(["stages"]) == 0

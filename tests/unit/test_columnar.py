@@ -7,11 +7,8 @@ import pytest
 
 from repro.api.codec import (
     CODEC_VERSION,
-    LEGACY_CODEC_VERSION,
-    active_codec_version,
     decode_payload,
     encode_payload,
-    legacy_codec_forced,
     payload_from_jsonable,
     payload_nbytes,
     payload_to_jsonable,
@@ -19,7 +16,7 @@ from repro.api.codec import (
 from repro.exec.columnar import MAGIC, read_payload_file, write_payload_atomic
 from repro.exec.request import StudyRequest
 from repro.exec.stagestore import StageStore
-from repro.exec.store import StudyStore, cache_version
+from repro.exec.store import CACHE_VERSION, StudyStore, cache_version
 from repro.experiments.config import ExperimentConfig
 
 PAYLOAD = {
@@ -66,7 +63,7 @@ class TestEncodePayload:
         )
         assert payload_nbytes({"just": "json", "k": [1, 2]}) == 0
 
-    def test_legacy_plane_is_inverse_too(self):
+    def test_json_wire_plane_is_inverse_too(self):
         jsonable = payload_to_jsonable(PAYLOAD)
         assert jsonable["observations"][0]["bbv"]["dtype"] == "<f8"
         _assert_payload_equal(payload_from_jsonable(jsonable), PAYLOAD)
@@ -156,28 +153,13 @@ class TestContainer:
 
 
 class TestCodecSelection:
-    def test_binary_codec_is_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_LEGACY_CODEC", raising=False)
-        assert not legacy_codec_forced()
-        assert active_codec_version() == CODEC_VERSION
-        assert cache_version().endswith(f".{CODEC_VERSION}")
-
-    def test_forcing_legacy_flips_version_and_addresses(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_LEGACY_CODEC", raising=False)
-        binary_version = cache_version()
-        monkeypatch.setenv("REPRO_FORCE_LEGACY_CODEC", "1")
-        assert legacy_codec_forced()
-        assert active_codec_version() == LEGACY_CODEC_VERSION
-        assert cache_version() != binary_version
-
-    def test_zero_means_not_forced(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_LEGACY_CODEC", "0")
-        assert not legacy_codec_forced()
+    def test_binary_codec_is_default(self):
+        assert CODEC_VERSION == 2
+        assert cache_version() == f"{CACHE_VERSION}.{CODEC_VERSION}"
 
 
 class TestStageStoreCodecs:
-    def test_binary_entries_are_containers(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_LEGACY_CODEC", raising=False)
+    def test_binary_entries_are_containers(self, tmp_path):
         store = StageStore(tmp_path)
         store.store("d" * 64, "profile", PAYLOAD)
         (entry,) = (tmp_path / "stages").rglob("*.*")
@@ -186,21 +168,6 @@ class TestStageStoreCodecs:
         assert store.stats.bytes_encoded["profile"] > 0
         assert store.stats.bytes_decoded["profile"] > 0
 
-    def test_legacy_entries_are_json(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_LEGACY_CODEC", "1")
-        store = StageStore(tmp_path)
-        store.store("d" * 64, "profile", PAYLOAD)
-        (entry,) = (tmp_path / "stages").rglob("*.*")
-        assert entry.suffix == ".json"
-        _assert_payload_equal(store.load("d" * 64, "profile"), PAYLOAD)
-
-    def test_codec_flip_relocates_instead_of_raising(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_LEGACY_CODEC", raising=False)
-        store = StageStore(tmp_path)
-        store.store("d" * 64, "profile", PAYLOAD)
-        monkeypatch.setenv("REPRO_FORCE_LEGACY_CODEC", "1")
-        assert store.load("d" * 64, "profile") is None  # clean miss
-
 
 class TestStudyStoreArrays:
     REQUEST = StudyRequest("scaling", "MCB", 4)
@@ -208,19 +175,28 @@ class TestStudyStoreArrays:
     def _config(self):
         return ExperimentConfig(discovery_runs=2, repetitions=3, cache_dir="")
 
-    def test_array_payloads_roundtrip_binary(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_LEGACY_CODEC", raising=False)
+    def test_array_payloads_roundtrip_binary(self, tmp_path):
         store = StudyStore(tmp_path, self._config())
         store.store(self.REQUEST, PAYLOAD)
         assert not list(tmp_path.rglob("*.json"))  # routed to a container
         _assert_payload_equal(store.load(self.REQUEST), PAYLOAD)
 
-    def test_array_payloads_roundtrip_legacy(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_LEGACY_CODEC", "1")
+    @pytest.mark.parametrize("payload", [{"k": 7}, PAYLOAD], ids=["json", "container"])
+    @pytest.mark.parametrize("read", ["load", "load_by_digest"])
+    def test_read_refreshes_lru_clock(self, tmp_path, payload, read):
+        # Serve's warm-disk GET and post-restart hydration read by
+        # digest; a cell they just served must not look cold to the
+        # eviction scan (mtime is its clock on noatime mounts).
         store = StudyStore(tmp_path, self._config())
-        store.store(self.REQUEST, PAYLOAD)
-        assert not list(tmp_path.rglob("*.rpb"))
-        _assert_payload_equal(store.load(self.REQUEST), PAYLOAD)
+        store.store(self.REQUEST, payload)
+        (entry,) = (tmp_path / "cells").rglob("*.*")
+        os.utime(entry, (1000.0, 1000.0))
+        if read == "load":
+            loaded = store.load(self.REQUEST)
+        else:
+            loaded = store.load_by_digest(store.digest(self.REQUEST))
+        assert loaded is not None
+        assert entry.stat().st_mtime > 1000.0
 
     def test_all_empty_arrays_still_route_to_a_container(self, tmp_path):
         # payload_nbytes is 0 but a plain-JSON write would choke on the

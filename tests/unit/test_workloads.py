@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.api.registry import workload_registry
 from repro.isa.descriptors import ISA
 from repro.workloads import vcycles_to_converge
 from repro.workloads.registry import (
     ACCURATE_APPS,
     EVALUATED_APPS,
     FINE_GRAINED_APPS,
-    REGISTRY,
     SINGLE_REGION_APPS,
     TABLE1_ORDER,
     all_apps,
@@ -49,7 +49,8 @@ class TestRegistry:
     def test_subsets_are_registered(self):
         for group in (EVALUATED_APPS, ACCURATE_APPS, SINGLE_REGION_APPS, FINE_GRAINED_APPS):
             for name in group:
-                assert name in REGISTRY
+                assert name in TABLE1_ORDER
+                assert name in workload_registry
 
     def test_all_apps_instantiates(self):
         apps = all_apps()
