@@ -46,10 +46,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.api.scaling import SCALING_MACHINES, SCALING_THREAD_COUNTS
+from repro.api.sweep import SCALING_MACHINES, SCALING_THREAD_COUNTS, ThreadAxis
 from repro.exec.scheduler import StudyScheduler
 from repro.experiments.config import default_config
-from repro.experiments.scaling import scaling_request
+from repro.experiments.sweep import SweepGrid
 from repro.workloads.registry import EVALUATED_APPS
 
 #: Bench scales: (protocol scale, apps, machines, thread counts).
@@ -58,18 +58,6 @@ BENCH_SCALES = {
     "quick": ("quick", EVALUATED_APPS, SCALING_MACHINES, SCALING_THREAD_COUNTS),
     "full": ("full", EVALUATED_APPS, SCALING_MACHINES, SCALING_THREAD_COUNTS),
 }
-
-
-def _grid_requests(apps, machines, thread_counts, config):
-    from repro.api.registry import machine_registry
-
-    return [
-        scaling_request(app, threads, machine)
-        for app in apps
-        for machine in machines
-        for threads in thread_counts
-        if machine_registry.get(machine).supports_threads(threads)
-    ]
 
 
 def bench_grid(scale: str, jobs: int, cache_dir: str) -> dict:
@@ -81,7 +69,7 @@ def bench_grid(scale: str, jobs: int, cache_dir: str) -> dict:
         jobs=jobs,
         backend="serial" if jobs == 1 else "processes",
     )
-    requests = _grid_requests(apps, machines, thread_counts, config)
+    requests = SweepGrid(ThreadAxis(), thread_counts).requests_for(apps, machines)
 
     t0 = time.perf_counter()
     cold = StudyScheduler(config).run(requests)

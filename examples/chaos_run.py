@@ -32,7 +32,7 @@ from repro.exec.scheduler import StudyScheduler, _canonical
 from repro.exec.supervise import QuarantinedCellError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import crossarch_request
-from repro.experiments.scaling import scaling_request
+from repro.experiments.sweep import rank_request, scaling_request
 
 DRILL = "seed=2017,kill=0.6,exc=0.6,torn=0.6,enospc=0.3,max=1"
 MACHINE = "Intel Core i7-3770"
@@ -109,17 +109,15 @@ def main() -> None:
     else:
         raise AssertionError("unbounded faults should have quarantined")
 
-    # 4. Checkpoint/resume: run half a grid, "crash", resume.  Scaling
-    # cells are cache-exempt (their payloads park in the checkpoint
-    # journal, written per-completion), so only the unfinished half
-    # executes on resume.
+    # 4. Checkpoint/resume: run half a grid, "crash", resume.  Sweep
+    # cells — both axes, thread teams and ranks — are cache-exempt
+    # (their payloads park in the checkpoint journal, written
+    # per-completion), so only the unfinished half executes on resume.
     _fresh_plane()
     cache = str(tmp / "resume")
     grid = [
-        scaling_request(app, threads, MACHINE)
-        for app in ("MCB", "graph500")
-        for threads in (1, 2)
-    ]
+        scaling_request("MCB", threads, MACHINE) for threads in (1, 2)
+    ] + [rank_request("graph500", ranks, MACHINE) for ranks in (1, 2)]
     first = StudyScheduler(_config(cache_dir=cache))
     first.run(grid[:2])
     first.checkpoint.close()  # the simulated SIGKILL point

@@ -2,10 +2,11 @@
 """Distributed ranks: does the region survive the network?
 
 Sweeps miniFE over MPI-style rank counts on the modelled i7-3770
-cluster (one rank per node, 2 OpenMP threads each) through the
-rank-aware stage graph — per-rank Pintool runs, rank-major signature
-coalescing, collective-aware measurement — and prints the scaling,
-communication share and reconstruction error per job size.
+cluster (one rank per node, 2 OpenMP threads each) — a ``Sweep`` on a
+``RankAxis`` — through the rank-aware stage graph: per-rank Pintool
+runs, rank-major signature coalescing, collective-aware measurement.
+Prints the scaling, communication share and reconstruction error per
+job size.
 
 Usage::
 
@@ -14,7 +15,7 @@ Usage::
 
 import os
 
-from repro.api import PipelineConfig, RankStudy
+from repro.api import PipelineConfig, RankAxis, Sweep
 from repro.hw.measure import MeasurementProtocol
 
 MACHINE = "Intel Core i7-3770"
@@ -29,19 +30,19 @@ CONFIG = PipelineConfig(
 
 
 def main() -> None:
-    study = RankStudy(
-        "miniFE", machines=(MACHINE,), rank_counts=(1, 2, 4, 8), config=CONFIG
+    study = Sweep(
+        "miniFE", RankAxis(threads=2), (1, 2, 4, 8), machines=(MACHINE,), config=CONFIG
     )
     result = study.run()
 
-    print(f"miniFE on {MACHINE!r} — {result.threads} threads per rank\n")
+    print(f"miniFE on {MACHINE!r} — {result.axis.threads} threads per rank\n")
     header = (
         f"{'ranks':>5} {'wall Mcyc':>12} {'comm %':>7} {'speedup':>8} "
         f"{'eff %':>6} {'BPs':>9} {'CPI err %':>10}"
     )
     print(header)
     print("-" * len(header))
-    for ranks in result.rank_counts:
+    for ranks in result.widths:
         cell = result.cell(MACHINE, ranks)
         speedup = result.speedup(MACHINE, ranks)
         efficiency = result.efficiency_pct(MACHINE, ranks)

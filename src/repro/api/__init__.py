@@ -21,13 +21,15 @@ Workloads, machines and stages live in open registries
 lookup, so new applications, platforms and clustering variants plug in
 without touching core files.
 
-Axis sweeps build on the same graph: :class:`ScalingStudy` asks
-whether a representative region survives team growth, and
-:class:`RankStudy` whether it survives distribution over MPI-style
-ranks (per-rank discovery through the registered ``rankify`` /
-``coalesce_ranks`` stages, communication priced by each machine's
-network model).  :func:`run_crossarch` runs the paper's four-way
-cross-architecture comparison for one (application, thread count).
+Axis sweeps build on the same graph: one :class:`Sweep` over an
+:class:`Axis` asks whether a representative region survives a growing
+job — along :class:`ThreadAxis` (team growth on one node) or
+:class:`RankAxis` (distribution over MPI-style ranks: per-rank
+discovery through the registered ``rankify`` / ``coalesce_ranks``
+stages, communication priced by each machine's network model).
+``ScalingStudy`` and ``RankStudy`` construct the two.
+:func:`run_crossarch` runs the paper's four-way cross-architecture
+comparison for one (application, thread count).
 """
 
 from repro.api.builder import (
@@ -51,24 +53,6 @@ from repro.api.rank_stages import (
     RankifyStage,
     coalesce_signatures,
 )
-from repro.api.ranks import (
-    RANK_COUNTS,
-    RANK_MACHINES,
-    RANK_THREADS,
-    RankCell,
-    RankResult,
-    RankStudy,
-    default_rank_stages,
-    run_rank_cell,
-)
-from repro.api.scaling import (
-    SCALING_MACHINES,
-    SCALING_THREAD_COUNTS,
-    ScalingCell,
-    ScalingResult,
-    ScalingStudy,
-    run_scaling_cell,
-)
 from repro.api.stage import Stage
 from repro.api.stages import (
     DEFAULT_STAGE_NAMES,
@@ -83,6 +67,23 @@ from repro.api.stages import (
     evaluate_selection,
 )
 from repro.api.study import CrossArchResult, run_crossarch
+from repro.api.sweep import (
+    RANK_COUNTS,
+    RANK_THREADS,
+    SCALING_MACHINES,
+    SCALING_THREAD_COUNTS,
+    Axis,
+    RankAxis,
+    RankStudy,
+    ScalingStudy,
+    Sweep,
+    SweepCell,
+    SweepResult,
+    ThreadAxis,
+    default_rank_stages,
+    run_rank_cell,
+    run_scaling_cell,
+)
 from repro.api.types import (
     EvaluationResult,
     PipelineConfig,
@@ -116,17 +117,18 @@ __all__ = [
     "evaluate_selection",
     "CrossArchResult",
     "run_crossarch",
+    "Sweep",
+    "Axis",
+    "ThreadAxis",
+    "RankAxis",
+    "SweepCell",
+    "SweepResult",
     "SCALING_MACHINES",
     "SCALING_THREAD_COUNTS",
-    "ScalingCell",
-    "ScalingResult",
     "ScalingStudy",
     "run_scaling_cell",
     "RANK_COUNTS",
-    "RANK_MACHINES",
     "RANK_THREADS",
-    "RankCell",
-    "RankResult",
     "RankStudy",
     "RankifyStage",
     "CoalesceRanksStage",

@@ -101,9 +101,10 @@ class RankifyStage(Stage):
 
     Requires a workload wrapped in
     :class:`~repro.workloads.distributed.DistributedWorkload`; the
-    assembled graph is what :class:`repro.api.RankStudy` executes::
+    assembled graph is what a rank-axis :class:`repro.api.Sweep`
+    executes::
 
-        RankStudy("miniFE", rank_counts=(1, 2, 4)).run()
+        Sweep("miniFE", RankAxis(), (1, 2, 4)).run()
     """
 
     name = "rankify"

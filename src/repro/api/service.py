@@ -185,11 +185,11 @@ class CellSubmission:
 
             return crossarch_request(app, self.threads)
         if self.kind == "scaling":
-            from repro.experiments.scaling import scaling_request
+            from repro.experiments.sweep import scaling_request
 
             return scaling_request(app, self.threads, self.canonical_machine())
         if self.kind == "ranks":
-            from repro.experiments.ranks import rank_request
+            from repro.experiments.sweep import rank_request
 
             return rank_request(app, int(self.ranks), self.canonical_machine())
         from repro.experiments.trace import trace_request

@@ -48,8 +48,6 @@ from repro.experiments import (
     figure1,
     figure2,
     limitations,
-    ranks,
-    scaling,
     table1,
     table2,
     table3,
@@ -58,6 +56,7 @@ from repro.experiments import (
     variability,
 )
 from repro.experiments.config import SCALES, default_config
+from repro.experiments.sweep import ranks, scaling
 
 __all__ = ["main"]
 

@@ -30,8 +30,8 @@ CELL_KINDS: dict[str, str] = {
     "limitations": "repro.experiments.limitations:limitation_cell",
     "coalesce": "repro.experiments.coalesce:coalesce_cell",
     "coretypes": "repro.experiments.coretypes:coretype_cell",
-    "scaling": "repro.experiments.scaling:scaling_cell",
-    "ranks": "repro.experiments.ranks:rank_cell",
+    "scaling": "repro.experiments.sweep:sweep_cell",
+    "ranks": "repro.experiments.sweep:sweep_cell",
     "trace": "repro.experiments.trace:trace_cell",
 }
 

@@ -16,7 +16,7 @@ from repro.exec.scheduler import StudyScheduler, _canonical
 from repro.exec.supervise import QuarantinedCellError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import crossarch_request
-from repro.experiments.scaling import scaling_request
+from repro.experiments.sweep import rank_request, scaling_request
 
 APPS = ("MCB", "graph500")
 MACHINE = "Intel Core i7-3770"
@@ -177,11 +177,14 @@ class TestQuarantine:
 
 
 class TestCheckpointResume:
-    def test_resume_executes_only_unfinished_cells(self, tmp_path):
+    @pytest.mark.parametrize(
+        "make_request", [scaling_request, rank_request], ids=["scaling", "ranks"]
+    )
+    def test_resume_executes_only_unfinished_cells(self, make_request, tmp_path):
         """Simulated mid-grid crash: finished cells reload, rest run."""
         cache = str(tmp_path / "cache")
         requests = [
-            scaling_request(app, t, MACHINE) for app in APPS for t in (1, 2)
+            make_request(app, width, MACHINE) for app in APPS for width in (1, 2)
         ]
 
         # "Crash" after two cells: the checkpoint journal is written

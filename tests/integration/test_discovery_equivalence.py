@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.api.context import StageContext
 from repro.api.rank_stages import RankifyStage
-from repro.api.ranks import RANK_THREADS
 from repro.api.stages import ProfileStage
+from repro.api.sweep import RANK_THREADS
 from repro.experiments.config import default_config
 from repro.hw.pmu import INSTRUCTIONS
 from repro.instrumentation.bbv import collect_bbv

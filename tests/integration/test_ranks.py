@@ -7,7 +7,7 @@ Covers the acceptance properties of the rank PR:
 * collective operations induce the same region boundaries on every
   rank, end to end through the rank stages (every rank's observations
   cover the same barrier points);
-* the :class:`~repro.api.ranks.RankStudy` public API composes the
+* the :func:`~repro.api.sweep.RankStudy` public API composes the
   registered rank-aware stages, reports the communication share, and
   its speedup/efficiency accounting is self-consistent;
 * discovery-side stage payloads are shared across machines through the
@@ -20,13 +20,17 @@ Covers the acceptance properties of the rank PR:
 import pytest
 
 from repro.api import PipelineConfig, RankStudy
-from repro.api.ranks import RANK_THREADS, default_rank_stages, run_rank_cell
 from repro.api.registry import stage_registry
-from repro.api.scaling import run_scaling_cell
+from repro.api.sweep import (
+    RANK_THREADS,
+    default_rank_stages,
+    run_rank_cell,
+    run_scaling_cell,
+)
 from repro.exec.scheduler import StudyScheduler
 from repro.exec.stagestore import StageStore
-from repro.experiments import ranks as ranks_exp
 from repro.experiments.config import default_config
+from repro.experiments.sweep import rank_request, ranks as ranks_exp
 from repro.hw.machines import APM_XGENE, INTEL_I7_3770
 from repro.hw.measure import MeasurementProtocol
 
@@ -39,7 +43,7 @@ MACHINES = (INTEL_I7_3770.name, APM_XGENE.name)
 
 def _small_requests(apps=("MCB",), rank_counts=(1, 2)):
     return [
-        ranks_exp.rank_request(app, ranks, machine)
+        rank_request(app, ranks, machine)
         for app in apps
         for machine in MACHINES
         for ranks in rank_counts
@@ -139,10 +143,15 @@ class TestRankStudyApi:
         assert store.stats.miss_count("measure") == 1
 
     def test_cell_payload_roundtrip(self):
-        from repro.api.ranks import RankCell
+        from repro.api.sweep import SweepCell
 
         cell = run_rank_cell("MCB", INTEL_I7_3770.name, 2, config=FAST)
-        assert RankCell.from_payload(cell.to_payload()) == cell
+        assert SweepCell.from_payload(cell.to_payload()) == cell
+        assert list(cell.to_payload()) == [
+            "app", "machine", "ranks", "threads", "k", "total_barrier_points",
+            "wall_mcycles", "comm_mcycles", "comm_pct", "instructions",
+            "cpi_true", "cpi_estimate", "cpi_error_pct", "failure",
+        ]
 
     @pytest.mark.parametrize(
         "run_cell", [run_rank_cell, run_scaling_cell], ids=["ranks", "scaling"]
@@ -205,7 +214,6 @@ class TestRankDeterminism:
         # stage-cache entries: the phase count enters the rankify cache
         # key and relocates the whole digest chain.
         from repro.api.builder import StagePipeline
-        from repro.api.ranks import default_rank_stages
         from repro.workloads.distributed import DistributedWorkload
 
         store = StageStore(tmp_path / "stages")

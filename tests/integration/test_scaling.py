@@ -8,19 +8,21 @@ Covers the three acceptance properties of the scaling PR:
   scheduler merges worker deltas into the parent store), so a fully
   stage-cached parallel re-render reports its traffic instead of
   "no stage cache traffic";
-* the :class:`~repro.api.scaling.ScalingStudy` public API composes the
+* the :func:`~repro.api.sweep.ScalingStudy` public API composes the
   registered stages, reports unsupported widths explicitly, and its
   speedup/efficiency accounting is self-consistent.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.api import PipelineConfig, ScalingStudy
-from repro.api.scaling import run_scaling_cell
+from repro.api import PipelineConfig, RankStudy, ScalingStudy
+from repro.api.sweep import run_scaling_cell
 from repro.exec.scheduler import StudyScheduler
 from repro.exec.stagestore import StageStore, stage_store_for
-from repro.experiments import scaling as scaling_exp
 from repro.experiments.config import default_config
+from repro.experiments.sweep import scaling as scaling_exp, scaling_request
 from repro.hw.machines import APM_XGENE, INTEL_I7_3770
 from repro.hw.measure import MeasurementProtocol
 
@@ -34,7 +36,7 @@ MACHINES = (INTEL_I7_3770.name, APM_XGENE.name)
 
 def _small_requests(apps=("MCB",), thread_counts=(1, 2)):
     return [
-        scaling_exp.scaling_request(app, threads, machine)
+        scaling_request(app, threads, machine)
         for app in apps
         for machine in MACHINES
         for threads in thread_counts
@@ -65,6 +67,40 @@ class TestScalingStudyApi:
         )
         assert unsupported[(APM_XGENE.name, 16)] == "exceeds 8 hardware contexts"
 
+    @pytest.mark.parametrize(
+        "make_study, width, reason",
+        [
+            (
+                lambda machine: ScalingStudy(
+                    "MCB", machines=(machine,), thread_counts=(16,), config=FAST
+                ),
+                16,
+                "x86_64 discovery (Intel Core i7-3770) exceeds 8 hardware contexts",
+            ),
+            (
+                lambda machine: RankStudy(
+                    "MCB", machines=(machine,), rank_counts=(2,), threads=16,
+                    config=FAST,
+                ),
+                2,
+                "x86_64 discovery (Intel Core i7-3770) team of 16 exceeds 8 "
+                "hardware contexts per node",
+            ),
+        ],
+        ids=["threads", "ranks"],
+    )
+    def test_discovery_machine_caps_both_axes(self, make_study, width, reason):
+        # A 32-core target hosts a 16-wide team, but discovery runs that
+        # team on the 8-context x86_64 machine: the cell is unsupported,
+        # not scheduled to fail mid-pipeline.
+        wide = dataclasses.replace(APM_XGENE, name="wide-arm", cores=32)
+        study = make_study(wide)
+        assert study.grid() == []
+        assert study.unsupported() == {("wide-arm", width): reason}
+        result = study.run()
+        assert result.cells == {}
+        assert result.unsupported == {("wide-arm", width): reason}
+
     def test_run_reports_speedup_and_cpi(self, tmp_path):
         study = ScalingStudy(
             "MCB", machines=MACHINES, thread_counts=(1, 2), config=FAST
@@ -94,10 +130,17 @@ class TestScalingStudyApi:
         assert store.stats.miss_count("measure") == 1
 
     def test_cell_payload_roundtrip(self, tmp_path):
-        from repro.api.scaling import ScalingCell
+        from repro.api.sweep import SweepCell
 
         cell = run_scaling_cell("MCB", INTEL_I7_3770.name, 2, FAST)
-        assert ScalingCell.from_payload(cell.to_payload()) == cell
+        assert SweepCell.from_payload(cell.to_payload()) == cell
+        # Served and checkpointed payloads keep their shape: no rank
+        # fields leak into a thread-axis cell.
+        assert list(cell.to_payload()) == [
+            "app", "machine", "threads", "k", "total_barrier_points",
+            "wall_mcycles", "instructions", "cpi_true", "cpi_estimate",
+            "cpi_error_pct", "failure",
+        ]
 
 
 class TestScalingDeterminism:

@@ -20,11 +20,10 @@ DOCTEST_MODULES = (
     "repro.api.builder",
     "repro.api.codec",
     "repro.api.context",
-    "repro.api.ranks",
     "repro.api.rank_stages",
     "repro.api.registry",
-    "repro.api.scaling",
     "repro.api.study",
+    "repro.api.sweep",
     "repro.api.types",
     "repro.workloads.distributed",
 )

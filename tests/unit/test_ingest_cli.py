@@ -135,7 +135,7 @@ class TestIngestedMachineGrids:
         assert grid_machines(default_config("quick"), base) == base
 
     def test_scaling_requests_include_ingested_machine(self, spec_path):
-        from repro.experiments import scaling
+        from repro.experiments.sweep import scaling
 
         config = self._config(spec_path)
         machines = {r.param("machine") for r in scaling.requests(config)}
@@ -146,7 +146,7 @@ class TestIngestedMachineGrids:
         assert "grid-arm" not in default_machines
 
     def test_ranks_requests_include_ingested_machine(self, spec_path):
-        from repro.experiments import ranks
+        from repro.experiments.sweep import ranks
 
         config = self._config(spec_path)
         machines = {r.param("machine") for r in ranks.requests(config)}
@@ -159,7 +159,7 @@ class TestIngestedMachineGrids:
         # row, not a scheduled cell that dies mid-pipeline.
         from dataclasses import replace as dc_replace
 
-        from repro.experiments import scaling
+        from repro.experiments.sweep import scaling
         from repro.hw.ingest import (
             HostDescriptor,
             lower_descriptor,
