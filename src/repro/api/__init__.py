@@ -69,12 +69,17 @@ from repro.api.stages import (
 from repro.api.study import CrossArchResult, run_crossarch
 from repro.api.sweep import (
     RANK_COUNTS,
+    RANK_MACHINES,
     RANK_THREADS,
     SCALING_MACHINES,
     SCALING_THREAD_COUNTS,
     Axis,
     RankAxis,
+    RankCell,
+    RankResult,
     RankStudy,
+    ScalingCell,
+    ScalingResult,
     ScalingStudy,
     Sweep,
     SweepCell,
@@ -126,10 +131,15 @@ __all__ = [
     "SCALING_MACHINES",
     "SCALING_THREAD_COUNTS",
     "ScalingStudy",
+    "ScalingCell",
+    "ScalingResult",
     "run_scaling_cell",
     "RANK_COUNTS",
+    "RANK_MACHINES",
     "RANK_THREADS",
     "RankStudy",
+    "RankCell",
+    "RankResult",
     "RankifyStage",
     "CoalesceRanksStage",
     "coalesce_signatures",

@@ -62,12 +62,17 @@ from repro.workloads.distributed import DistributedWorkload
 
 __all__ = [
     "RANK_COUNTS",
+    "RANK_MACHINES",
     "RANK_THREADS",
     "SCALING_MACHINES",
     "SCALING_THREAD_COUNTS",
     "Axis",
     "RankAxis",
+    "RankCell",
+    "RankResult",
     "RankStudy",
+    "ScalingCell",
+    "ScalingResult",
     "ScalingStudy",
     "Sweep",
     "SweepCell",
@@ -97,6 +102,9 @@ RANK_THREADS = 2
 #: Section VIII in-order core (one rank per node on the rank axis), all
 #: taken from the open machine registry.
 SCALING_MACHINES = (INTEL_I7_3770.name, APM_XGENE.name, ARMV8_IN_ORDER.name)
+
+#: The rank sweep's machine axis: the same tuple as SCALING_MACHINES.
+RANK_MACHINES = SCALING_MACHINES
 
 
 def default_rank_stages() -> list:
@@ -484,6 +492,12 @@ class SweepResult:
         return 100.0 * speedup / width
 
 
+#: Per-axis names of the one cell and result type, so code that imports
+#: or annotates with the thread-axis or rank-axis name still resolves.
+ScalingCell = RankCell = SweepCell
+ScalingResult = RankResult = SweepResult
+
+
 class Sweep:
     """Sweep one workload's widths × machines through the stages.
 
@@ -588,7 +602,7 @@ def ScalingStudy(
 
 def RankStudy(
     workload,
-    machines=SCALING_MACHINES,
+    machines=RANK_MACHINES,
     rank_counts: tuple[int, ...] = RANK_COUNTS,
     threads: int = RANK_THREADS,
     config: PipelineConfig | None = None,
