@@ -17,7 +17,9 @@ case-insensitive names and third-party plugins both work), the builder
 swaps or inserts stages by name, ``on`` adds evaluation targets
 (machines, ISAs, or registered names), and ``run`` executes the graph —
 optionally against a :class:`~repro.exec.stagestore.StageStore`, caching
-every cacheable stage under a digest chain of upstream cache keys.
+every cacheable stage under a digest chain of upstream cache keys.  A
+stored run loads only the stages its results read: a warm default
+graph loads ``select`` and ``measure`` and nothing upstream of them.
 """
 
 from __future__ import annotations
@@ -68,7 +70,10 @@ class PipelineRun:
 
     Wraps the run's :class:`~repro.api.context.StageContext` with typed
     accessors for the common artifacts; anything a custom stage
-    published is reachable through ``run.context.get(name)``.
+    published is reachable through ``run.context.get(name)``.  A run
+    against a warm store holds only what its results needed: the
+    artifacts of stages upstream of a loaded one (``observations``,
+    ``signatures``, ``clusterings``) are absent.
 
     Example
     -------
@@ -199,7 +204,11 @@ class StagePipeline:
         return self.context.reference_totals(machine or machine_for(isa), isa)
 
     # ------------------------------------------------------------- running
-    def _execute(self, stages, store: StageStore | None) -> None:
+    #: Artifacts :class:`PipelineRun`'s accessors read.
+    _ACCESSED = frozenset({"selections", "evaluations", "failures"})
+
+    def _chain(self) -> list[tuple[Stage, str]]:
+        """Every stage with its address: the digest chain of upstream keys."""
         digest = base_digest(
             app=self.app.name,
             threads=self.threads,
@@ -207,6 +216,7 @@ class StagePipeline:
             seed=self.config.seed,
             discovery_isa=self.context.discovery_isa.value,
         )
+        chain = []
         for stage in self.stages:
             digest = chain_digest(
                 digest,
@@ -216,10 +226,37 @@ class StagePipeline:
                     "key": stage.cache_key(self.context),
                 },
             )
-            if stage not in stages or stage.name in self._completed:
+            chain.append((stage, digest))
+        return chain
+
+    def _execute(self, stages, store: StageStore | None) -> None:
+        """Load or run what the results need, walking back from the end.
+
+        A stage is needed when no later stage reads its outputs (a
+        sink), or when a :class:`PipelineRun` accessor or a stage that
+        runs reads one of them.  A needed cacheable stage is loaded
+        from the store if it can be; otherwise it runs, and its inputs
+        become needed.  Stages upstream of a loaded one are neither
+        looked up nor run.  Decodes and runs then happen in graph order.
+        """
+        cached = store is not None and store.enabled
+        needed = set(self._ACCESSED)
+        read_later: set[str] = set()
+        plan = []
+        for stage, digest in reversed(self._chain()):
+            if stage not in stages:
                 continue
-            cached = store is not None and store.enabled and stage.cacheable
-            payload = store.load(digest, stage.name) if cached else None
+            outputs = set(stage.outputs)
+            live = not (outputs & read_later) or bool(outputs & needed)
+            read_later |= set(stage.inputs)
+            needed -= outputs
+            if not live or stage.name in self._completed:
+                continue
+            payload = store.load(digest, stage.name) if cached and stage.cacheable else None
+            if payload is None:
+                needed |= set(stage.inputs)
+            plan.append((stage, digest, payload))
+        for stage, digest, payload in reversed(plan):
             if payload is not None:
                 stage.decode(payload, self.context)
             else:
@@ -231,12 +268,12 @@ class StagePipeline:
                     store.stats.record_run(
                         stage.name, time.perf_counter() - started
                     )
-                if cached:
+                if cached and stage.cacheable:
                     store.store(digest, stage.name, stage.encode(self.context))
             self._completed.add(stage.name)
 
     def run(self, store: StageStore | None = None) -> PipelineRun:
-        """Execute the full graph (stage-cached when a store is given)."""
+        """Execute the graph (stage-cached and demand-loaded with a store)."""
         self._execute(self.stages, store)
         return PipelineRun(self.context, self.stages)
 

@@ -190,6 +190,11 @@ class StageContext:
             )
         return counters
 
+    def discovery_rng(self) -> RngTree:
+        """Randomness of the discovery runs' interleaving jitter."""
+        label = self.binary(self.discovery_isa).label
+        return self.tree.child("discovery", self.app.name, self.threads, label)
+
     # ------------------------------------------------------- measurement
     def _measure_rng(self, isa: ISA, machine: Machine) -> RngTree:
         return self.tree.child(

@@ -3,13 +3,13 @@
 Distributed jobs replace the first two canonical stages with a pair
 that operates *per rank* and then coalesces:
 
-=============== ===================== ==================================
-stage           artifacts             role
-=============== ===================== ==================================
-rankify         rank_observations     per-rank instrumented executions
-                                      (BBV/LDV collection per rank)
-coalesce_ranks  signatures            rank-major signature coalescing
-=============== ===================== ==================================
+=============== ====================== =================================
+stage           artifacts              role
+=============== ====================== =================================
+rankify         rank_observations,     per-rank instrumented executions
+                rank_clean_signatures  (BBV/LDV collection per rank)
+coalesce_ranks  signatures             rank-major signature coalescing
+=============== ====================== =================================
 
 ``coalesce_ranks`` publishes the very same ``signatures`` artifact the
 shared-memory ``signature`` stage does, so clustering, selection,
@@ -17,6 +17,11 @@ measurement, reconstruction and validation run **unchanged** downstream
 — the rank axis is invisible past the coalescing point, exactly as the
 paper's per-thread concatenation makes the thread axis invisible past
 signature assembly.
+
+Only ``rankify`` is cacheable, and its payload holds each rank's clean
+signatures rather than every jittered run: a cache hit draws the runs
+again from their seeded generators, and ``coalesce_ranks`` recomputes
+the coalesced matrix from them.
 
 Coalesced signature layout (documented, deterministic)
 ------------------------------------------------------
@@ -75,18 +80,24 @@ def coalesce_signatures(per_rank: list[SignatureMatrix]) -> SignatureMatrix:
                 f"rank {rank} observed {sig.n_barrier_points} barrier points, "
                 f"rank 0 observed {n_bp} — region boundaries misaligned"
             )
-    bbv_half = np.concatenate(
-        [sig.combined[:, : sig.bbv_dims] for sig in per_rank], axis=1
+    bbv_dims = sum(sig.bbv_dims for sig in per_rank)
+    ldv_dims = sum(sig.ldv_dims for sig in per_rank)
+    # One output buffer: each rank's halves are copied into their slices.
+    combined = np.empty(
+        (n_bp, bbv_dims + ldv_dims),
+        dtype=np.result_type(*(sig.combined for sig in per_rank)),
     )
-    ldv_half = np.concatenate(
-        [sig.combined[:, sig.bbv_dims :] for sig in per_rank], axis=1
-    )
-    weights = np.sum([sig.weights for sig in per_rank], axis=0)
+    bbv_at, ldv_at = 0, bbv_dims
+    for sig in per_rank:
+        combined[:, bbv_at : bbv_at + sig.bbv_dims] = sig.combined[:, : sig.bbv_dims]
+        combined[:, ldv_at : ldv_at + sig.ldv_dims] = sig.combined[:, sig.bbv_dims :]
+        bbv_at += sig.bbv_dims
+        ldv_at += sig.ldv_dims
     return SignatureMatrix(
-        combined=np.concatenate([bbv_half, ldv_half], axis=1),
-        weights=weights,
-        bbv_dims=int(sum(sig.bbv_dims for sig in per_rank)),
-        ldv_dims=int(sum(sig.ldv_dims for sig in per_rank)),
+        combined=combined,
+        weights=np.sum([sig.weights for sig in per_rank], axis=0),
+        bbv_dims=int(bbv_dims),
+        ldv_dims=int(ldv_dims),
     )
 
 
@@ -97,7 +108,10 @@ class RankifyStage(Stage):
     Per rank: collect the rank's BBV/LDV from its own trace once and
     weight them by the rank's exact instruction counts; per discovery
     run, perturb them with interleaving jitter seeded per ``(run,
-    rank)`` — R Pintool invocations per run, one per MPI process.
+    rank)`` — R Pintool invocations per run, one per MPI process.  The
+    payload is each rank's clean signatures plus the run count;
+    decoding draws every ``(run, rank)`` observation again from the
+    same generators, bit for bit, without executing the trace.
 
     Requires a workload wrapped in
     :class:`~repro.workloads.distributed.DistributedWorkload`; the
@@ -109,7 +123,7 @@ class RankifyStage(Stage):
 
     name = "rankify"
     inputs = ()
-    outputs = ("rank_observations",)
+    outputs = ("rank_observations", "rank_clean_signatures")
     description = "instrument every rank's execution (per-rank BBV/LDV)"
     cacheable = True
 
@@ -128,6 +142,21 @@ class RankifyStage(Stage):
     def _ranks(ctx: StageContext) -> int:
         return int(getattr(ctx.app, "ranks", 1))
 
+    @staticmethod
+    def _observe(
+        ctx: StageContext, per_rank: list[CleanSignatures], runs: int
+    ) -> list[list[DiscoveryObservation]]:
+        """Run-major ``[run][rank]`` observations, one generator per pair."""
+        rng = ctx.discovery_rng()
+        by_rank = [
+            [
+                clean.observe(rng.generator("run", run, "rank", rank), run)
+                for run in range(runs)
+            ]
+            for rank, clean in enumerate(per_rank)
+        ]
+        return [list(per_run) for per_run in zip(*by_rank, strict=True)]
+
     def run(self, ctx: StageContext) -> StageContext:
         trace = ctx.trace(ctx.discovery_isa)
         if not hasattr(trace, "rank_traces"):
@@ -136,23 +165,16 @@ class RankifyStage(Stage):
                 "in repro.workloads.distributed.DistributedWorkload"
             )
         counters = ctx.counters_on(ctx.discovery_isa)
-        label = ctx.binary(ctx.discovery_isa).label
-        rng = ctx.tree.child("discovery", ctx.app.name, ctx.threads, label)
-
-        runs = range(self.effective_runs(ctx))
-        # Rank-outer, so one rank's clean signatures are live at a time;
-        # every (run, rank) generator is independent of visiting order.
-        by_rank: list[list[DiscoveryObservation]] = []
-        for rank in range(trace.ranks):
-            cols = trace.rank_columns(rank)
-            clean = CleanSignatures.of(
-                trace.rank_trace(rank), counters.values[:, cols, INSTRUCTIONS].sum(axis=1)
+        per_rank = [
+            CleanSignatures.of(
+                trace.rank_trace(rank),
+                counters.values[:, trace.rank_columns(rank), INSTRUCTIONS].sum(axis=1),
             )
-            by_rank.append(
-                [clean.observe(rng.generator("run", run, "rank", rank), run) for run in runs]
-            )
+            for rank in range(trace.ranks)
+        ]
+        ctx.put("rank_clean_signatures", per_rank)
         ctx.put(
-            "rank_observations", [list(per_run) for per_run in zip(*by_rank, strict=True)]
+            "rank_observations", self._observe(ctx, per_rank, self.effective_runs(ctx))
         )
         return ctx
 
@@ -170,36 +192,15 @@ class RankifyStage(Stage):
 
     def encode(self, ctx: StageContext) -> dict:
         return {
-            "rank_observations": [
-                [
-                    {
-                        "bbv": obs.bbv,
-                        "ldv": obs.ldv,
-                        "weights": obs.weights,
-                        "run_index": int(obs.run_index),
-                    }
-                    for obs in per_rank
-                ]
-                for per_rank in ctx.require("rank_observations")
-            ]
+            # Each rank's dataclass fields (bbv, ldv, weights, sigma), uncopied.
+            "clean": [vars(clean) for clean in ctx.require("rank_clean_signatures")],
+            "runs": len(ctx.require("rank_observations")),
         }
 
     def decode(self, payload: dict, ctx: StageContext) -> None:
-        ctx.put(
-            "rank_observations",
-            [
-                [
-                    DiscoveryObservation(
-                        bbv=row["bbv"],
-                        ldv=row["ldv"],
-                        weights=row["weights"],
-                        run_index=int(row["run_index"]),
-                    )
-                    for row in per_rank
-                ]
-                for per_rank in payload["rank_observations"]
-            ],
-        )
+        per_rank = [CleanSignatures(**row) for row in payload["clean"]]
+        ctx.put("rank_clean_signatures", per_rank)
+        ctx.put("rank_observations", self._observe(ctx, per_rank, int(payload["runs"])))
 
 
 @register_stage
@@ -210,14 +211,14 @@ class CoalesceRanksStage(Stage):
     shared-memory Step 2 per rank) and concatenates them in the
     documented rank-major layout, summing the clustering weights over
     ranks.  Publishes the standard ``signatures`` artifact, so every
-    downstream stage is rank-agnostic.
+    downstream stage is rank-agnostic.  Like ``signature``, it is not
+    cacheable: it recomputes from the ``rankify`` observations.
     """
 
     name = "coalesce_ranks"
     inputs = ("rank_observations",)
     outputs = ("signatures",)
     description = "coalesce per-rank signatures rank-major into one matrix"
-    cacheable = True
 
     def __init__(self, bbv_weight: float | None = None) -> None:
         self.bbv_weight = bbv_weight
@@ -241,30 +242,3 @@ class CoalesceRanksStage(Stage):
 
     def cache_key(self, ctx: StageContext) -> dict:
         return {"bbv_weight": self.effective_weight(ctx)}
-
-    def encode(self, ctx: StageContext) -> dict:
-        return {
-            "signatures": [
-                {
-                    "combined": sig.combined,
-                    "weights": sig.weights,
-                    "bbv_dims": int(sig.bbv_dims),
-                    "ldv_dims": int(sig.ldv_dims),
-                }
-                for sig in ctx.require("signatures")
-            ]
-        }
-
-    def decode(self, payload: dict, ctx: StageContext) -> None:
-        ctx.put(
-            "signatures",
-            [
-                SignatureMatrix(
-                    combined=row["combined"],
-                    weights=row["weights"],
-                    bbv_dims=int(row["bbv_dims"]),
-                    ldv_dims=int(row["ldv_dims"]),
-                )
-                for row in payload["signatures"]
-            ],
-        )

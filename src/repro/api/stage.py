@@ -9,8 +9,8 @@ execution layer can cache the pipeline at stage granularity.
 
 Stage identity is the chain of cache keys up to and including a stage,
 so changing a knob re-runs exactly the stages downstream of it: a
-``maxK`` change re-clusters but reuses the cached profile and signature
-payloads.
+``maxK`` change re-clusters but reuses the cached profile payload,
+from which the signatures are re-derived.
 """
 
 from __future__ import annotations

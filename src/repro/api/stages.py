@@ -1,25 +1,28 @@
 """The seven first-class stages of the BarrierPoint methodology.
 
 The paper's workflow (Section V) decomposed from the old 278-line
-monolith into pluggable, individually cacheable steps:
+monolith into pluggable steps:
 
-========== ===================== =============================================
-stage      artifacts             role
-========== ===================== =============================================
-profile    observations          execute the binary under the Pintool
-signature  signatures            combine BBV ⊕ LDV into signature vectors
-cluster    clusterings           SimPoint-style k sweep with BIC selection
-select     selections            representatives + multipliers per cluster
-measure    measurements          native per-BP and clean-ROI counters
-reconstruct estimates            scale representatives up to whole-program
-validate   evaluations           error vs. the clean region of interest
-========== ===================== =============================================
+=========== ================= ===========================================
+stage       artifacts         role
+=========== ================= ===========================================
+profile     observations,     execute the binary under the Pintool
+            clean_signatures
+signature   signatures        combine BBV ⊕ LDV into signature vectors
+cluster     clusterings       SimPoint-style k sweep with BIC selection
+select      selections        representatives + multipliers per cluster
+measure     measurements      native per-BP and clean-ROI counters
+reconstruct estimates         scale representatives up to whole-program
+validate    evaluations       error vs. the clean region of interest
+=========== ================= ===========================================
 
 Each stage takes its knobs either from the shared
 :class:`~repro.api.types.PipelineConfig` or from constructor overrides
 (``ClusterStage(max_k=10)``), and contributes exactly those knobs to its
 cache key — so the execution layer re-runs a stage (and everything
-downstream) precisely when one of *its* knobs changes.
+downstream) precisely when one of *its* knobs changes.  ``profile``,
+``cluster``, ``select`` and ``measure`` are cacheable; the other three
+are cheap derivations, recomputed whenever a later stage needs them.
 
 Discovery always happens on x86_64 — "this step is only run for the
 x86_64 versions of the binaries, as our objective is to extract the
@@ -40,7 +43,7 @@ from repro.clustering.simpoint import ClusteringChoice, SimPointOptions, run_sim
 from repro.core.errors import CrossArchitectureMismatch
 from repro.core.reconstruction import reconstruct_per_rep, reconstruct_totals
 from repro.core.selection import BarrierPointSelection, select_barrier_points
-from repro.core.signatures import SignatureMatrix, build_signatures
+from repro.core.signatures import build_signatures
 from repro.core.validation import validate_estimate
 from repro.hw.machines import Machine
 from repro.instrumentation.collector import CleanSignatures, DiscoveryObservation
@@ -105,11 +108,19 @@ def evaluate_selection(
 
 @register_stage
 class ProfileStage(Stage):
-    """Step 1: run the instrumented x86_64 binary per discovery run."""
+    """Step 1: run the instrumented x86_64 binary per discovery run.
+
+    Every run instruments the same trace and differs only in its
+    interleaving jitter, so the stage collects the trace's clean
+    signatures once and draws each run from them.  Its payload is those
+    clean signatures plus the run count; decoding draws the runs again
+    from the same seeded generators, bit for bit, without executing
+    the trace.
+    """
 
     name = "profile"
     inputs = ()
-    outputs = ("observations",)
+    outputs = ("observations", "clean_signatures")
     description = "execute the binary under the Pintool (BBV/LDV collection)"
     cacheable = True
 
@@ -124,20 +135,20 @@ class ProfileStage(Stage):
             return self.discovery_runs
         return ctx.config.discovery_runs
 
+    @staticmethod
+    def _observe(
+        ctx: StageContext, clean: CleanSignatures, runs: int
+    ) -> list[DiscoveryObservation]:
+        """Discovery runs ``0 .. runs-1``, each jittered by its own generator."""
+        rng = ctx.discovery_rng()
+        return [clean.observe(rng.generator("run", run), run) for run in range(runs)]
+
     def run(self, ctx: StageContext) -> StageContext:
         trace = ctx.trace(ctx.discovery_isa)
         counters = ctx.counters_on(ctx.discovery_isa)
-        label = ctx.binary(ctx.discovery_isa).label
-        rng = ctx.tree.child("discovery", ctx.app.name, ctx.threads, label)
-        # Every run instruments the same trace: collect it once, jitter per run.
         clean = CleanSignatures.of(trace, counters.bp_instructions())
-        ctx.put(
-            "observations",
-            [
-                clean.observe(rng.generator("run", run), run)
-                for run in range(self.effective_runs(ctx))
-            ],
-        )
+        ctx.put("clean_signatures", clean)
+        ctx.put("observations", self._observe(ctx, clean, self.effective_runs(ctx)))
         return ctx
 
     def cache_key(self, ctx: StageContext) -> dict:
@@ -148,41 +159,29 @@ class ProfileStage(Stage):
 
     def encode(self, ctx: StageContext) -> dict:
         return {
-            "observations": [
-                {
-                    "bbv": obs.bbv,
-                    "ldv": obs.ldv,
-                    "weights": obs.weights,
-                    "run_index": int(obs.run_index),
-                }
-                for obs in ctx.require("observations")
-            ]
+            # The dataclass fields (bbv, ldv, weights, sigma), uncopied.
+            "clean": vars(ctx.require("clean_signatures")),
+            "runs": len(ctx.require("observations")),
         }
 
     def decode(self, payload: dict, ctx: StageContext) -> None:
-        ctx.put(
-            "observations",
-            [
-                DiscoveryObservation(
-                    bbv=row["bbv"],
-                    ldv=row["ldv"],
-                    weights=row["weights"],
-                    run_index=int(row["run_index"]),
-                )
-                for row in payload["observations"]
-            ],
-        )
+        clean = CleanSignatures(**payload["clean"])
+        ctx.put("clean_signatures", clean)
+        ctx.put("observations", self._observe(ctx, clean, int(payload["runs"])))
 
 
 @register_stage
 class SignatureStage(Stage):
-    """Step 2: combine each run's BBV and LDV into signature vectors."""
+    """Step 2: combine each run's BBV and LDV into signature vectors.
+
+    Not cacheable: it only normalises and concatenates the ``profile``
+    observations, so it is recomputed rather than stored.
+    """
 
     name = "signature"
     inputs = ("observations",)
     outputs = ("signatures",)
     description = "combine BBV and LDV halves into signature vectors"
-    cacheable = True
 
     def __init__(self, bbv_weight: float | None = None) -> None:
         self.bbv_weight = bbv_weight
@@ -201,33 +200,6 @@ class SignatureStage(Stage):
 
     def cache_key(self, ctx: StageContext) -> dict:
         return {"bbv_weight": self.effective_weight(ctx)}
-
-    def encode(self, ctx: StageContext) -> dict:
-        return {
-            "signatures": [
-                {
-                    "combined": sig.combined,
-                    "weights": sig.weights,
-                    "bbv_dims": int(sig.bbv_dims),
-                    "ldv_dims": int(sig.ldv_dims),
-                }
-                for sig in ctx.require("signatures")
-            ]
-        }
-
-    def decode(self, payload: dict, ctx: StageContext) -> None:
-        ctx.put(
-            "signatures",
-            [
-                SignatureMatrix(
-                    combined=row["combined"],
-                    weights=row["weights"],
-                    bbv_dims=int(row["bbv_dims"]),
-                    ldv_dims=int(row["ldv_dims"]),
-                )
-                for row in payload["signatures"]
-            ],
-        )
 
 
 @register_stage

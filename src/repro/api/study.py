@@ -16,7 +16,7 @@ Table IV ("the barrier point sets with the lowest estimation errors").
 
 Passing a :class:`~repro.exec.stagestore.StageStore` caches the study at
 stage granularity: a clustering-knob change re-runs clustering onward
-while the profile/signature payloads come straight from disk.
+while discovery is served by the profile payload, never re-executed.
 """
 
 from __future__ import annotations

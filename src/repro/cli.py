@@ -124,8 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="cap the SimPoint cluster sweep (default 20, minimum 2); "
         "thanks to stage-granular caching, changing this re-runs "
-        "clustering onward while profile/signature payloads come from "
-        "cache",
+        "clustering onward while discovery is served by the cached "
+        "profile payloads",
     )
     parser.add_argument(
         "--trace-tile-size",

@@ -5,8 +5,9 @@ configuration, so changing any knob re-executes the full cell from
 profiling onward.  :class:`StageStore` addresses payloads by a *digest
 chain* instead: each stage folds its own cache-key contribution into the
 digest of everything upstream, so a ``maxK`` change relocates the
-cluster/select/measure entries while the profile and signature entries
-keep their addresses — a re-run reuses them and only clusters onward.
+cluster/select/measure entries while the profile entry keeps its
+address — a re-run reuses it, re-derives the signatures and clusters
+onward.
 
 Payloads are stored as binary columnar containers
 (:mod:`repro.exec.columnar`): the JSON-shaped metadata stays JSON inside

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 #: Bump when payload contents or the underlying models change shape.
-CACHE_VERSION = 8
+CACHE_VERSION = 9
 
 
 def cache_version() -> str:

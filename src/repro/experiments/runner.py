@@ -126,7 +126,7 @@ def crossarch_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
 
     Runs the study as a stage graph against the stage-granular cache, so
     a knob change (e.g. ``maxK``) recomputes only the stages downstream
-    of it; the profile/signature payloads come straight from disk.
+    of it; discovery is served by the profile payload, never re-executed.
     """
     from repro.api.study import run_crossarch
     from repro.exec.stagestore import stage_store_for

@@ -119,15 +119,17 @@ class TestScalingStudyApi:
         assert result.speedup(INTEL_I7_3770.name, 16) is None
 
     def test_discovery_stages_shared_across_machines(self, tmp_path):
-        # Both machines at the same (app, threads) reuse the x86_64-side
-        # stage payloads: the second cell hits profile..select.
+        # Both machines at the same (app, threads) share the x86_64-side
+        # stages: the second cell loads the first one's selections and
+        # executes no discovery.
         store = StageStore(tmp_path / "stages")
         run_scaling_cell("MCB", INTEL_I7_3770.name, 2, FAST, store)
         store.stats.reset()
         run_scaling_cell("MCB", APM_XGENE.name, 2, FAST, store)
+        assert store.stats.hit_count("select") == 1
+        assert dict(store.stats.misses) == {"measure": 1}
         for stage in ("profile", "signature", "cluster", "select"):
-            assert store.stats.hit_count(stage) == 1, stage
-        assert store.stats.miss_count("measure") == 1
+            assert stage not in store.stats.run_seconds, stage
 
     def test_cell_payload_roundtrip(self, tmp_path):
         from repro.api.sweep import SweepCell
@@ -188,8 +190,11 @@ class TestProcessBackendStageStats:
         scheduler = StudyScheduler(config)
         scheduler.run(requests)
         assert scheduler.stats.executed == len(requests)
-        for stage in ("profile", "signature", "cluster", "select", "measure"):
+        for stage in ("select", "measure"):
             assert parent_stats.hit_count(stage) > 0, stage
+        assert not parent_stats.misses
+        # The workers' run timers merge too: none of them re-ran discovery.
+        assert sorted(parent_stats.run_seconds) == ["reconstruct", "validate"]
         assert "no stage cache traffic" not in parent_stats.describe()
 
     def test_serial_backend_not_double_counted(self, tmp_path):
@@ -203,10 +208,12 @@ class TestProcessBackendStageStats:
         parent_stats.reset()
 
         StudyScheduler(config).run(requests)
-        # 2 machines x 1 width: discovery hits twice (once per cell),
-        # measure hits once per cell.
+        # 2 machines x 1 width: select and measure hit once per cell,
+        # and discovery executes nowhere.
         assert parent_stats.hit_count("measure") == len(requests)
-        assert parent_stats.hit_count("profile") == len(requests)
+        assert parent_stats.hit_count("select") == len(requests)
+        assert not parent_stats.misses
+        assert "profile" not in parent_stats.run_seconds
 
     def test_stats_snapshot_delta_merge_roundtrip(self):
         from repro.exec.stagestore import StageCacheStats
