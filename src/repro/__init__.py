@@ -24,6 +24,19 @@ See ``docs/architecture.md`` for the system inventory and
 figure of the paper.
 """
 
+import os
+
+# One BLAS thread per process, set before numpy first loads: the CLI,
+# ``repro serve`` and every pool worker import this package first.
+# repro runs in parallel with processes, and on the clustering tier's
+# small products a BLAS helper thread per CPU mostly spins.  The thread
+# count also decides the float bits a product returns (see "Thread
+# pools" in docs/performance.md).  A value the user already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+os.environ.setdefault("BLIS_NUM_THREADS", "1")
+os.environ.setdefault("VECLIB_MAXIMUM_THREADS", "1")
+
 from repro.api import (
     PipelineBuilder,
     Stage,

@@ -35,8 +35,10 @@ __all__ = [
     "write_json_atomic",
 ]
 
-#: Bump when payload contents or the underlying models change shape.
-CACHE_VERSION = 9
+#: Bump when payload contents or the underlying models change shape, or
+#: when an ambient input to their float bits changes (10: one BLAS
+#: thread per process).
+CACHE_VERSION = 10
 
 
 def cache_version() -> str:

@@ -7,32 +7,23 @@ cache of ``C`` lines hits iff its stack distance is ``< C`` — this is the
 classic property that lets BarrierPoint's LDVs characterise memory
 behaviour independently of any particular cache.
 
-Two implementations, bit-identical by construction and by test:
+:func:`reuse_distances_vectorised` (the default behind
+:func:`reuse_distances`) is an argsort/merge-counting formulation.
+With ``prev[i]`` the previous access to ``i``'s line, the identity
 
-* :func:`reuse_distances_fenwick` — the standard Fenwick-tree (binary
-  indexed tree) formulation of Bennett & Kruskal / Olken: maintain a 0/1
-  marker per time step for "this position is the most recent access to
-  its line"; the distance of an access at time ``i`` whose line was last
-  touched at time ``j`` is the number of markers strictly between ``j``
-  and ``i``.  O(N log N) — but every one of those operations is a
-  Python-interpreter step, the per-access pattern the Pin-tool
-  literature moved off decades ago.  Kept as the golden oracle.
+    distance(i) = (i - prev[i] - 1) - #{q < i : prev[q] > prev[i]}
 
-* :func:`reuse_distances_vectorised` (the default behind
-  :func:`reuse_distances`) — an argsort/merge-counting formulation.
-  With ``prev[i]`` the previous access to ``i``'s line, the identity
-
-      distance(i) = (i - prev[i] - 1) - #{q < i : prev[q] > prev[i]}
-
-  holds because a position ``p`` in the open window ``(prev[i], i)``
-  fails to contribute a *distinct* line exactly when its next access
-  ``q = next[p]`` also lands in the window — and those ``q`` are
-  precisely the warm accesses before ``i`` whose own ``prev`` lies
-  inside the window.  The correction term is a per-element
-  previous-greater count over the warm ``prev`` sequence — an inversion
-  count, computed by a bottom-up mergesort whose per-level merge is one
-  ``np.lexsort`` over (run id, value): O(N log² N) work but ~log N
-  vectorised passes instead of N interpreted steps.
+holds because a position ``p`` in the open window ``(prev[i], i)``
+fails to contribute a *distinct* line exactly when its next access
+``q = next[p]`` also lands in the window — and those ``q`` are
+precisely the warm accesses before ``i`` whose own ``prev`` lies
+inside the window.  The correction term is a per-element
+previous-greater count over the warm ``prev`` sequence — an inversion
+count, computed by a bottom-up mergesort whose per-level merge is one
+``np.lexsort`` over (run id, value): O(N log² N) work but ~log N
+vectorised passes instead of N interpreted steps.  The tests hold it
+to the scalar Fenwick-tree formulation of Bennett & Kruskal / Olken,
+element for element (``tests/reuse_reference.py``).
 """
 
 from __future__ import annotations
@@ -41,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "reuse_distances",
-    "reuse_distances_fenwick",
     "reuse_distances_vectorised",
     "reuse_histogram",
 ]
@@ -50,58 +40,11 @@ __all__ = [
 COLD = -1
 
 
-class _Fenwick:
-    """Minimal Fenwick tree over ``n`` positions (1-indexed internally)."""
-
-    def __init__(self, n: int) -> None:
-        self._tree = np.zeros(n + 1, dtype=np.int64)
-
-    def add(self, index: int, delta: int) -> None:
-        """Add ``delta`` at 0-based ``index``."""
-        i = index + 1
-        tree = self._tree
-        while i < tree.size:
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix_sum(self, index: int) -> int:
-        """Sum of entries at 0-based positions ``0..index`` inclusive."""
-        i = index + 1
-        total = 0
-        tree = self._tree
-        while i > 0:
-            total += int(tree[i])
-            i -= i & (-i)
-        return total
-
-
 def _check_stream(lines: np.ndarray) -> np.ndarray:
     lines = np.asarray(lines)
     if lines.ndim != 1:
         raise ValueError(f"lines must be 1-D, got shape {lines.shape}")
     return lines
-
-
-def reuse_distances_fenwick(lines: np.ndarray) -> np.ndarray:
-    """Golden-oracle scalar implementation (see module docstring)."""
-    lines = _check_stream(lines)
-    n = lines.size
-    distances = np.empty(n, dtype=np.int64)
-    tree = _Fenwick(n)
-    last_seen: dict[int, int] = {}
-
-    for i in range(n):
-        line = int(lines[i])
-        prev = last_seen.get(line)
-        if prev is None:
-            distances[i] = COLD
-        else:
-            # Markers strictly between prev and i = distinct lines touched.
-            distances[i] = tree.prefix_sum(i - 1) - tree.prefix_sum(prev)
-            tree.add(prev, -1)
-        tree.add(i, +1)
-        last_seen[line] = i
-    return distances
 
 
 def _previous_occurrence(lines: np.ndarray) -> np.ndarray:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+# Imported before numpy, as the CLI does, so the test process and its
+# forked pool workers run numpy's BLAS on one thread too.
+import repro  # noqa: F401
+
+# isort: split
 import numpy as np
 import pytest
 

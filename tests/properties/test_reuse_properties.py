@@ -2,12 +2,12 @@
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from reuse_reference import reuse_distances_fenwick
 
 from repro.mem.cache import CacheSimulator
 from repro.mem.ldv import N_DISTANCE_BINS, bin_of_distance
 from repro.mem.reuse import (
     reuse_distances,
-    reuse_distances_fenwick,
     reuse_distances_vectorised,
     reuse_histogram,
 )

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from reuse_reference import reuse_distances_fenwick
 
 from repro.mem.cache import CacheSimulator, HierarchySimulator
 from repro.mem.ldv import N_DISTANCE_BINS
 from repro.mem.reuse import (
     reuse_distances,
-    reuse_distances_fenwick,
     reuse_distances_vectorised,
     reuse_histogram,
 )
