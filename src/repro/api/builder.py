@@ -277,12 +277,14 @@ class StagePipeline:
         self._execute(self.stages, store)
         return PipelineRun(self.context, self.stages)
 
-    def discover(self) -> list[BarrierPointSelection]:
+    def discover(self, store: StageStore | None = None) -> list[BarrierPointSelection]:
         """Run the x86_64-side stages and return the barrier point sets.
 
         Returns one :class:`BarrierPointSelection` per discovery run;
         thread-interleaving jitter makes them differ, reproducing the
-        min/max spread of Table III.
+        min/max spread of Table III.  With a ``store`` the stages are
+        cached as in :meth:`run`, so a discovery another cell stored
+        (same app, width, vectorisation and stage keys) is loaded.
         """
         prefix = []
         for stage in self.stages:
@@ -291,7 +293,7 @@ class StagePipeline:
                 break
         else:
             raise RuntimeError("no stage in this pipeline outputs 'selections'")
-        self._execute(prefix, None)
+        self._execute(prefix, store)
         return self.context.require("selections")
 
     def evaluate(

@@ -27,17 +27,23 @@ Regenerates any of the paper's tables/figures from the terminal::
 
 ``--scale quick`` (or the ``--quick`` shorthand) shrinks the protocol
 (3 discovery runs, 5 repetitions) for a fast look; the default
-reproduces the paper's 10 × 20 protocol.  ``--jobs N`` fans independent
-study cells out over N workers (``--backend`` picks serial/threads/
-processes); results are bit-identical regardless of backend.  ``repro
-all`` deduplicates cells shared between artefacts — Table III, Table IV
-and Figure 2 reuse the same studies — and renders everything from a
-single scheduled pass.
+reproduces the paper's 10 × 20 protocol.  Independent study cells fan
+out over one worker process per CPU the process may run on, as many as
+the available memory holds at full scale's per-worker peak; ``--jobs
+N`` sets the worker count (``--jobs 1`` runs serially) and
+``--backend`` picks serial/threads/processes.  That default belongs to
+the ``repro`` command: a Python caller of :func:`main` that passes
+``argv`` runs serially unless it passes ``--jobs``.  Results are
+bit-identical regardless of backend and worker count.  ``repro all``
+deduplicates cells shared between artefacts — Table III, Table IV and
+Figure 2 reuse the same studies — and renders everything from a single
+scheduled pass.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.exec.backends import BACKEND_NAMES
@@ -78,7 +84,41 @@ _EXPERIMENTS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+#: Peak RSS of one worker, rounded up from the heaviest measured cell
+#: (cold ``table3 --scale full``: 1.2 GiB); the command's default
+#: worker count never plans more of them than the available memory.
+_WORKER_PEAK_BYTES = 1280 * 2**20
+
+
+def _available_memory() -> int | None:
+    """``MemAvailable`` of ``/proc/meminfo`` in bytes; None where unreadable."""
+    try:
+        with open("/proc/meminfo") as handle:
+            for line in handle:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _default_jobs() -> int:
+    """The ``repro`` command's ``--jobs`` default.
+
+    One worker per CPU this process may run on, at most one per
+    :data:`_WORKER_PEAK_BYTES` of available memory, and at least one.
+    """
+    try:
+        jobs = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        jobs = os.cpu_count() or 1
+    available = _available_memory()
+    if available is not None:
+        jobs = min(jobs, available // _WORKER_PEAK_BYTES)
+    return max(1, jobs)
+
+
+def _build_parser(jobs_default: int = 1) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce tables/figures of the cross-architectural "
@@ -107,15 +147,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=1,
+        default=jobs_default,
         metavar="N",
-        help="study cells executed concurrently (default 1)",
+        help="study cells executed concurrently (default: one per usable "
+        "CPU, bounded by available memory, here %(default)s; 1 runs "
+        "serially)",
     )
     parser.add_argument(
         "--backend",
         choices=sorted(BACKEND_NAMES),
         default=None,
-        help="execution backend (default: processes when --jobs > 1)",
+        help="execution backend (default: processes when --jobs > 1, "
+        "else serial)",
     )
     parser.add_argument(
         "--max-k",
@@ -296,8 +339,16 @@ def _print_registry(which: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    if argv is None:
+    """CLI entry point; returns a process exit code.
+
+    Run as the ``repro`` command (``argv`` None, read from
+    ``sys.argv``), ``--jobs`` defaults to :func:`_default_jobs`.  A
+    Python caller that passes ``argv`` keeps ``ExperimentConfig``'s
+    serial default: whatever observes it in-process (test doubles, a
+    tracer wrapping entry points) sees no worker process.
+    """
+    command = argv is None
+    if command:
         argv = sys.argv[1:]
     # The serve/client/lint subcommands have their own option namespaces
     # (ports, budgets, baselines...), so they dispatch before the
@@ -320,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
 
         return ingest_main(argv[2:])
 
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(_default_jobs() if command else 1).parse_args(argv)
 
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
@@ -398,7 +449,12 @@ def main(argv: list[str] | None = None) -> int:
         # processes included.
         stats = stage_store_for(config).stats
         if args.verbose:
-            print(f"[scheduler] {scheduler.stats.describe()}", file=sys.stderr)
+            backend = scheduler.backend
+            print(
+                f"[scheduler] {backend.name} × {backend.jobs}: "
+                f"{scheduler.stats.describe()}",
+                file=sys.stderr,
+            )
             print(f"[stage-cache] {stats.describe()}", file=sys.stderr)
         if args.profile:
             print()

@@ -62,7 +62,8 @@ class SerialBackend:
     def map(self, fn: Callable, items: Sequence) -> list:
         return [fn(item) for item in items]
 
-    def map_supervised(self, fn, items, keys, policy, on_complete=None):
+    def map_supervised(self, fn, items, keys, policy, on_complete=None, groups=None):
+        # Input order already runs each group's first cell first.
         from repro.exec.supervise import run_sequential_supervised
 
         return run_sequential_supervised(fn, items, keys, policy, on_complete)
@@ -82,23 +83,23 @@ class ThreadPoolBackend:
         with ThreadPoolExecutor(max_workers=self.jobs) as pool:
             return list(pool.map(fn, items))
 
-    def map_supervised(self, fn, items, keys, policy, on_complete=None):
+    def map_supervised(self, fn, items, keys, policy, on_complete=None, groups=None):
         from repro.exec.supervise import run_threaded_supervised
 
         return run_threaded_supervised(
-            self.jobs, fn, items, keys, policy, on_complete
+            self.jobs, fn, items, keys, policy, on_complete, groups
         )
 
 
 class ProcessPoolBackend:
     """Run cells on a process pool (true CPU parallelism).
 
-    Small cells are batched per dispatch (``chunksize``): with hundreds
-    of quick cells the per-item submit/result round-trip over the pool's
-    pipes dominates, so items ship in chunks of roughly ``len(items) /
-    (workers * DISPATCH_CHUNKS_PER_WORKER)``.  Results still come back
-    in input order, and large payloads ride a file handle rather than
-    the pipe (see :mod:`repro.exec.scheduler`).
+    The scheduler always calls :meth:`map_supervised`, which runs a
+    grid's leading cheap cells inline and submits one future per
+    remaining cell (:class:`~repro.exec.supervise.ProcessSupervision`);
+    the chunked :meth:`map` serves only callers without supervision.
+    Large payloads ride a file handle rather than the pipe (see
+    :mod:`repro.exec.scheduler`).
     """
 
     name = "processes"
@@ -106,6 +107,15 @@ class ProcessPoolBackend:
     #: Chunks per worker per map: enough slack for load balancing when
     #: cell costs are skewed, few enough to amortise the IPC round-trip.
     DISPATCH_CHUNKS_PER_WORKER = 4
+
+    #: At most this many wall seconds of cheap cells run in the calling
+    #: process before the pool takes the rest (see
+    #: :class:`~repro.exec.supervise.ProcessSupervision`): a warm
+    #: ``repro all --quick`` re-renders its 168 cache-exempt cells inline
+    #: in 0.3 to 0.5 s, where dispatching them cost more CPU than it
+    #: saved.  The cap bounds how long a grid of many cheap cells runs
+    #: serially.
+    INLINE_SECONDS = 2.0
 
     def __init__(self, jobs: int) -> None:
         self.jobs = max(1, int(jobs))
@@ -120,7 +130,7 @@ class ProcessPoolBackend:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items, chunksize=chunksize))
 
-    def map_supervised(self, fn, items, keys, policy, on_complete=None):
+    def map_supervised(self, fn, items, keys, policy, on_complete=None, groups=None):
         from repro.exec.supervise import (
             ProcessSupervision,
             run_sequential_supervised,
@@ -131,7 +141,11 @@ class ProcessPoolBackend:
             # (a scheduled worker kill degrades to a raised
             # InjectedWorkerKill there, so retries still exercise).
             return run_sequential_supervised(fn, items, keys, policy, on_complete)
-        return ProcessSupervision(self.jobs, policy).run(fn, items, keys, on_complete)
+        # The scheduler's cell entry point runs safely inline (a
+        # scheduled worker kill degrades to a raised exception there).
+        return ProcessSupervision(self.jobs, policy, self.INLINE_SECONDS).run(
+            fn, items, keys, on_complete, groups
+        )
 
 
 BACKEND_NAMES: dict[str, type] = {

@@ -20,7 +20,10 @@ from typing import Callable
 
 from repro.exec.request import StudyRequest
 
-__all__ = ["CELL_KINDS", "CELL_LEVEL_UNCACHED", "resolve_executor", "execute_request"]
+__all__ = [
+    "CELL_KINDS", "CELL_LEVEL_UNCACHED", "discovery_group", "resolve_executor",
+    "execute_request",
+]
 
 #: kind → "module:function" executor address.
 CELL_KINDS: dict[str, str] = {
@@ -48,6 +51,36 @@ CELL_KINDS: dict[str, str] = {
 #: recorded by the stage that computes it, as ``measure`` records the
 #: rank cells' communication cycles).
 CELL_LEVEL_UNCACHED: frozenset[str] = frozenset({"scaling", "ranks"})
+
+
+#: kind → the discovery its cells read through the stage store.  Every
+#: listed kind but ``ranks`` reads the scalar x86_64 discovery
+#: (``profile`` → ``cluster`` → ``select``) of its (app, threads) —
+#: a crossarch cell stores it next to its vectorised one — and a rank
+#: cell reads the ``rankify`` discovery of its (app, threads, ranks).
+_DISCOVERY: dict[str, str] = {
+    "crossarch": "x86_64",
+    "coretypes": "x86_64",
+    "figure1": "x86_64",
+    "scaling": "x86_64",
+    "ranks": "rankify",
+}
+
+
+def discovery_group(request: StudyRequest) -> tuple | None:
+    """The cells ``request`` shares its discovery with, as a hashable key.
+
+    Cells of one group read one stage-stored discovery (a sweep cell's
+    ``machine`` param names only where it is evaluated).  A pooled run
+    holds all but one of them until that one has stored it.  Kinds that
+    discover nothing through the store share none: ``None``.
+    """
+    discovery = _DISCOVERY.get(request.kind)
+    if discovery is None:
+        return None
+    params = tuple(item for item in request.params if item[0] != "machine")
+    return (discovery, request.app, request.threads, params)
+
 
 _RESOLVED: dict[str, Callable] = {}
 

@@ -10,7 +10,8 @@ table and figure obtains its study cells.  One ``run`` call:
 3. fans the remaining misses out over the configured
    :mod:`backend <repro.exec.backends>` under per-cell supervision
    (:mod:`repro.exec.supervise`: bounded retries, timeouts, crashed
-   worker respawn, quarantine), and
+   worker respawn, quarantine), one cell of each discovery group
+   (:func:`~repro.exec.cells.discovery_group`) at a time, and
 4. persists and checkpoints fresh results *as each cell completes*
    before handing the full request → payload mapping back.
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.exec.backends import ExecutionBackend, create_backend
-from repro.exec.cells import CELL_LEVEL_UNCACHED, execute_request
+from repro.exec.cells import CELL_LEVEL_UNCACHED, discovery_group, execute_request
 from repro.exec.checkpoint import StudyCheckpoint
 from repro.exec.faults import active_plan, install_plan
 from repro.exec.request import StudyRequest
@@ -274,8 +275,9 @@ class StudyScheduler:
             supervised = getattr(self.backend, "map_supervised", None)
             if supervised is not None:
                 keys = [request.describe() for request in missing]
+                groups = [discovery_group(request) for request in missing]
                 _, report = supervised(
-                    _execute_item, items, keys, self._policy(), finish
+                    _execute_item, items, keys, self._policy(), finish, groups
                 )
                 self.stats.retries += report.retries
                 self.stats.respawns += report.respawns

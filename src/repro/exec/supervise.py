@@ -20,7 +20,13 @@ This module wraps each backend's map with a supervisor that
 * quarantines a cell that exhausts its budget instead of aborting the
   grid: the rest of the study completes, then the scheduler fails the
   run with a :class:`QuarantinedCellError` diagnostic naming every
-  quarantined cell and its last error.
+  quarantined cell and its last error;
+* holds the cells of one *group* (cells that share a discovery, see
+  :func:`repro.exec.cells.discovery_group`) back while another cell of
+  the group is in flight (:class:`GroupHold`), so the pool computes
+  each shared discovery once and the rest of the group loads it;
+* runs a grid's leading cheap cells in the calling process before the
+  process pool takes the rest (:class:`ProcessSupervision`).
 
 Completion callbacks fire in the *supervisor's* process as each cell
 finishes (never from a pool thread), which is what lets the scheduler
@@ -30,11 +36,11 @@ journal per-completion checkpoints that survive a driver SIGKILL.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.exec.faults import backoff_delay
 
@@ -43,6 +49,7 @@ __all__ = [
     "CellFailure",
     "SupervisionReport",
     "QuarantinedCellError",
+    "GroupHold",
     "run_sequential_supervised",
     "run_threaded_supervised",
     "ProcessSupervision",
@@ -101,6 +108,40 @@ class QuarantinedCellError(RuntimeError):
         )
 
 
+class GroupHold:
+    """Dispatch gate that keeps one cell of each group in flight.
+
+    ``groups[i]`` names cell ``i``'s group (``None``: ungrouped).  Of the
+    cells passed in, :attr:`ready` lists, in input order, every
+    ungrouped cell and the first of each group; the others are held.
+    :meth:`release` hands out a group's next held cell once its cell in
+    flight has finished or been quarantined (never on a retry, which
+    keeps the group).  A held cell was never dispatched, so it is never
+    running, blamed, timed out, retried or shown to the fault plane.
+    """
+
+    def __init__(self, groups: Sequence | None, indices: Iterable[int]) -> None:
+        self._groups = groups
+        self._held: dict[object, deque[int]] = {}
+        self.ready: list[int] = []
+        for index in sorted(indices):
+            group = self._group(index)
+            if group in self._held:
+                self._held[group].append(index)
+                continue
+            if group is not None:
+                self._held[group] = deque()
+            self.ready.append(index)
+
+    def _group(self, index: int):
+        return self._groups[index] if self._groups else None
+
+    def release(self, index: int) -> list[int]:
+        """The held cell (if any) to dispatch now that ``index`` is settled."""
+        held = self._held.get(self._group(index))
+        return [held.popleft()] if held else []
+
+
 def run_sequential_supervised(
     fn: Callable,
     items: Sequence,
@@ -111,31 +152,38 @@ def run_sequential_supervised(
     """Supervised serial map: retry inline, record post-hoc timeouts."""
     report = SupervisionReport()
     results: list = [None] * len(items)
-    for index, (item, key) in enumerate(zip(items, keys, strict=True)):
-        attempts = 0
-        while True:
-            attempts += 1
-            started = time.monotonic()
-            try:
-                result = fn(item, attempts)
-            except Exception as exc:  # supervision boundary: retry or quarantine
-                if attempts > policy.retries:
-                    report.quarantined.append(CellFailure(key, attempts, repr(exc)))
-                    break
-                report.retries += 1
-                delay = backoff_delay(policy.seed, key, attempts, policy.backoff)
-                if delay:
-                    time.sleep(delay)
-                continue
-            if policy.timeout and time.monotonic() - started > policy.timeout:
-                # Inline execution cannot be preempted; the overrun is
-                # recorded but the (already computed) result is kept.
-                report.timeouts += 1
-            results[index] = result
-            if on_complete is not None:
-                on_complete(index, result, attempts)
-            break
+    for index in range(len(items)):
+        _run_inline(fn, items, keys, index, policy, results, report, on_complete)
     return results, report
+
+
+def _run_inline(fn, items, keys, index, policy, results, report, on_complete) -> None:
+    """Run cell ``index`` in this process until it succeeds or exhausts
+    its retry budget (then it is quarantined in ``report``)."""
+    key = keys[index]
+    attempts = 0
+    while True:
+        attempts += 1
+        started = time.monotonic()
+        try:
+            result = fn(items[index], attempts)
+        except Exception as exc:  # supervision boundary: retry or quarantine
+            if attempts > policy.retries:
+                report.quarantined.append(CellFailure(key, attempts, repr(exc)))
+                return
+            report.retries += 1
+            delay = backoff_delay(policy.seed, key, attempts, policy.backoff)
+            if delay:
+                time.sleep(delay)
+            continue
+        if policy.timeout and time.monotonic() - started > policy.timeout:
+            # Inline execution cannot be preempted; the overrun is
+            # recorded but the (already computed) result is kept.
+            report.timeouts += 1
+        results[index] = result
+        if on_complete is not None:
+            on_complete(index, result, attempts)
+        return
 
 
 def run_threaded_supervised(
@@ -145,12 +193,15 @@ def run_threaded_supervised(
     keys: Sequence[str],
     policy: RetryPolicy,
     on_complete: Callable | None = None,
+    groups: Sequence | None = None,
 ) -> tuple[list, SupervisionReport]:
     """Supervised thread-pool map.
 
     Each worker thread runs its own retry loop (failures stay on the
     thread that owns the cell); completion callbacks and report merging
-    happen on the calling thread, in completion order.
+    happen on the calling thread, in completion order.  Cells that share
+    one of ``groups`` run one after another, in input order
+    (:class:`GroupHold`).
     """
     if jobs <= 1 or len(items) <= 1:
         return run_sequential_supervised(fn, items, keys, policy, on_complete)
@@ -177,40 +228,62 @@ def run_threaded_supervised(
                 timeouts += 1
             return result, attempts, None, retries, timeouts
 
+    hold = GroupHold(groups, range(len(items)))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(attempt_loop, i): i for i in range(len(items))}
-        for future in as_completed(futures):
-            index = futures[future]
-            result, attempts, error, retries, timeouts = future.result()
-            report.retries += retries
-            report.timeouts += timeouts
-            if error is not None:
-                report.quarantined.append(CellFailure(keys[index], attempts, error))
-                continue
-            results[index] = result
-            if on_complete is not None:
-                on_complete(index, result, attempts)
+        futures = {pool.submit(attempt_loop, i): i for i in hold.ready}
+        while futures:
+            done, _ = wait(futures, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=futures.__getitem__):
+                index = futures.pop(future)
+                result, attempts, error, retries, timeouts = future.result()
+                report.retries += retries
+                report.timeouts += timeouts
+                if error is not None:
+                    report.quarantined.append(CellFailure(keys[index], attempts, error))
+                else:
+                    results[index] = result
+                    if on_complete is not None:
+                        on_complete(index, result, attempts)
+                for held in hold.release(index):
+                    futures[pool.submit(attempt_loop, held)] = held
     return results, report
 
 
 class ProcessSupervision:
     """Supervised process-pool map with crash detection and respawn.
 
-    Unlike :meth:`ProcessPoolBackend.map`'s chunked ``pool.map`` (the
-    fast path for fault-free bulk dispatch), supervision submits one
-    future per cell: per-cell completion events are what enable crash
-    attribution, per-cell timeouts and per-completion checkpointing.
-    The extra round trips are noise for cold cells, and warm cells
-    never reach a backend at all.
+    Supervision submits one future per cell: per-cell completion events
+    are what enable crash attribution, per-cell timeouts and
+    per-completion checkpointing.  Cells of one group wait in a
+    :class:`GroupHold` until the group's cell in flight settles; after
+    a pool break each fresh pool holds the groups' pending cells again.
+
+    With ``inline_seconds`` (only for an ``fn`` that is safe to run in
+    the calling process) the supervisor first runs cells itself, in
+    input order, while each takes at most :attr:`CHEAP_CELL_SECONDS`
+    and until ``inline_seconds`` of wall time have passed; the pool gets
+    only what is left.  A grid of cheap cells (a warm re-render's
+    cache-exempt cells take about a millisecond each) then costs no
+    pool dispatch at all, and a grid with real work loses one cell's
+    worth of overlap.  Not with a per-cell timeout, which only a worker
+    can enforce.
     """
 
     #: How often the supervisor samples future states (running-worker
     #: attribution and timeout enforcement both ride this clock).
     POLL_SECONDS = 0.05
 
-    def __init__(self, jobs: int, policy: RetryPolicy) -> None:
+    #: An inline cell slower than this shows the grid has work worth
+    #: spreading: the pool takes every cell after it.  Dispatch costs
+    #: under a millisecond per cell, so a cell this long amortises it.
+    CHEAP_CELL_SECONDS = 0.05
+
+    def __init__(
+        self, jobs: int, policy: RetryPolicy, inline_seconds: float = 0.0
+    ) -> None:
         self.jobs = max(1, int(jobs))
         self.policy = policy
+        self.inline_seconds = inline_seconds
 
     def run(
         self,
@@ -218,6 +291,7 @@ class ProcessSupervision:
         items: Sequence,
         keys: Sequence[str],
         on_complete: Callable | None = None,
+        groups: Sequence | None = None,
     ) -> tuple[list, SupervisionReport]:
         """Map with two per-cell counters kept deliberately distinct:
 
@@ -238,14 +312,35 @@ class ProcessSupervision:
         submits = [0] * len(items)
         charged = [0] * len(items)
         pending = set(range(len(items)))
+        pool = None
+        if self.inline_seconds and not self.policy.timeout and len(items) > 1:
+            # Start the workers before the inline cells grow this
+            # process: a fork-started worker would copy on write every
+            # page of the heap it inherits.
+            pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(items)))
+            pool.submit(int)
+            until = time.monotonic() + self.inline_seconds
+            for index in range(len(items)):
+                started = time.monotonic()
+                if started >= until:
+                    break
+                _run_inline(
+                    fn, items, keys, index, self.policy, results, report, on_complete
+                )
+                pending.discard(index)
+                if time.monotonic() - started > self.CHEAP_CELL_SECONDS:
+                    break
+            if not pending:
+                pool.shutdown(wait=False)
         # Backstop: a pool that keeps breaking beyond every cell's
         # combined retry budget is burning, not converging.
         max_respawns = len(items) * (self.policy.retries + 1) + 1
         while pending:
             blamed = self._drain_one_pool(
                 fn, items, keys, results, submits, charged, pending,
-                report, on_complete,
+                report, on_complete, GroupHold(groups, pending), pool,
             )
+            pool = None
             if pending:
                 # The pool broke (worker SIGKILL or timeout kill).
                 report.respawns += 1
@@ -288,26 +383,30 @@ class ProcessSupervision:
         pending: set,
         report: SupervisionReport,
         on_complete: Callable | None,
+        hold: GroupHold,
+        pool: ProcessPoolExecutor | None = None,
     ) -> set:
-        """Run one pool until everything pending finishes or it breaks.
+        """Run one pool (``pool``, else a new one) until everything
+        pending finishes or it breaks.
 
         Returns the set of indices to *blame* for a break (observed
         running, or deliberately timeout-killed); an empty set with
         ``pending`` drained means the pool completed cleanly.
         """
-        workers = min(self.jobs, max(1, len(pending)))
         seen_running: dict[int, float] = {}
         timed_out: set[int] = set()
         futures: dict = {}
         retry_at: dict[int, float] = {}
-        pool = ProcessPoolExecutor(max_workers=workers)
+        if pool is None:
+            pool = ProcessPoolExecutor(max_workers=min(self.jobs, max(1, len(pending))))
 
         def submit(index: int) -> None:
+            future = pool.submit(fn, items[index], submits[index] + 1)
             submits[index] += 1
-            futures[pool.submit(fn, items[index], submits[index])] = index
+            futures[future] = index
 
         try:
-            for index in sorted(pending):
+            for index in hold.ready:
                 submit(index)
             while futures or retry_at:
                 now = time.monotonic()
@@ -358,6 +457,8 @@ class ProcessSupervision:
                                 CellFailure(keys[index], submits[index], repr(exc))
                             )
                             pending.discard(index)
+                            for held in hold.release(index):
+                                submit(held)
                         else:
                             report.retries += 1
                             retry_at[index] = now + backoff_delay(
@@ -370,6 +471,8 @@ class ProcessSupervision:
                     seen_running.pop(index, None)
                     if on_complete is not None:
                         on_complete(index, result, submits[index])
+                    for held in hold.release(index):
+                        submit(held)
             return set()
         except BrokenProcessPool:
             # Raised at submit time when the pool died between drains.

@@ -94,6 +94,7 @@ def requests(
 def coretype_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
     """Executor for ``"coretypes"`` cells: one app on both core types."""
     from repro.api.builder import build_pipeline
+    from repro.exec.stagestore import stage_store_for
     from repro.hw.machines import APM_XGENE, ARMV8_IN_ORDER
     from repro.hw.pmu import CYCLES, INSTRUCTIONS
     from repro.isa.descriptors import ISA
@@ -102,7 +103,8 @@ def coretype_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
     pipeline = build_pipeline(
         create(request.app), request.threads, config=config.pipeline_config()
     ).build()
-    selection = pipeline.discover()[0]
+    # The crossarch cell at this width stores the same discovery.
+    selection = pipeline.discover(stage_store_for(config))[0]
     ooo = pipeline.evaluate(selection, ISA.ARMV8, machine=APM_XGENE)
     io = pipeline.evaluate(selection, ISA.ARMV8, machine=ARMV8_IN_ORDER)
 

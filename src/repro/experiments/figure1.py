@@ -67,6 +67,7 @@ def requests(config: ExperimentConfig) -> list[StudyRequest]:
 def figure1_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
     """Executor for the ``"figure1"`` cell (runs in scheduler workers)."""
     from repro.api.builder import build_pipeline
+    from repro.exec.stagestore import stage_store_for
     from repro.hw.pmu import CYCLES, INSTRUCTIONS, L2D_MISSES
     from repro.isa.descriptors import ISA
     from repro.workloads.registry import create
@@ -84,7 +85,8 @@ def figure1_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
     cpi = cycles / instr
     mpki = 1000.0 * l2d / instr
 
-    selections = pipeline.discover()
+    # The crossarch cell at this width stores the same discovery.
+    selections = pipeline.discover(stage_store_for(config))
     evaluations = pipeline.evaluate_many(selections, ISA.X86_64)
     scored = sorted(
         evaluations, key=lambda ev: ev.report.error_mean[L2D_MISSES]

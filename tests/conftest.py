@@ -24,6 +24,16 @@ def pytest_configure(config: pytest.Config) -> None:
     )
 
 
+@pytest.fixture(autouse=True)
+def _pool_starts_in_workers(monkeypatch):
+    """Tests of the processes backend exercise the pool itself: its
+    first cells run in workers unless a test turns the inline start
+    (``ProcessPoolBackend.INLINE_SECONDS``) back on."""
+    from repro.exec.backends import ProcessPoolBackend
+
+    monkeypatch.setattr(ProcessPoolBackend, "INLINE_SECONDS", 0.0)
+
+
 @pytest.fixture
 def rng_tree() -> RngTree:
     """A deterministic randomness tree for tests."""

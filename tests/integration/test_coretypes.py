@@ -61,3 +61,22 @@ class TestCoreTypeStudy:
         assert row.in_order["cycles"] < 8.0
         rendered = study.render()
         assert "miniFE" in rendered and "CPI ratio" in rendered
+
+    def test_cell_loads_the_crossarch_discovery(self, tmp_path, monkeypatch):
+        # A coretypes cell discovers exactly what the crossarch cell at
+        # its width stored, so on one store it runs no clustering.
+        from repro.api import stages
+        from repro.exec.request import StudyRequest
+        from repro.experiments.config import default_config
+        from repro.experiments.runner import crossarch_cell, crossarch_request
+
+        request = StudyRequest(kind="coretypes", app="miniFE", threads=2)
+        storeless = coretypes.coretype_cell(request, default_config("quick", cache_dir=""))
+        config = default_config("quick", cache_dir=str(tmp_path / "cache"))
+        crossarch_cell(crossarch_request("miniFE", 2), config)
+
+        def no_clustering(*args, **kwargs):
+            raise AssertionError("coretypes re-ran the cluster stage")
+
+        monkeypatch.setattr(stages, "run_simpoint", no_clustering)
+        assert coretypes.coretype_cell(request, config) == storeless

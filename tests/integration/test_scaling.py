@@ -23,7 +23,7 @@ from repro.exec.scheduler import StudyScheduler
 from repro.exec.stagestore import StageStore, stage_store_for
 from repro.experiments.config import default_config
 from repro.experiments.sweep import scaling as scaling_exp, scaling_request
-from repro.hw.machines import APM_XGENE, INTEL_I7_3770
+from repro.hw.machines import APM_XGENE, ARMV8_IN_ORDER, INTEL_I7_3770
 from repro.hw.measure import MeasurementProtocol
 
 FAST = PipelineConfig(
@@ -196,6 +196,45 @@ class TestProcessBackendStageStats:
         # The workers' run timers merge too: none of them re-ran discovery.
         assert sorted(parent_stats.run_seconds) == ["reconstruct", "validate"]
         assert "no stage cache traffic" not in parent_stats.describe()
+
+    def test_pooled_grid_computes_each_discovery_once(self, tmp_path):
+        # Cells that differ only in their machine share one discovery.
+        # Listed group-adjacent, two workers would both start the same
+        # discovery unless the scheduler holds the group's other cells.
+        machines = MACHINES + (ARMV8_IN_ORDER.name,)
+        requests = [
+            scaling_request(app, threads, machine)
+            for app in ("MCB", "miniFE")
+            for threads in (1, 2)
+            for machine in machines
+        ]
+        misses = {}
+        for backend in ("serial", "processes"):
+            config = _grid_config(tmp_path / backend, jobs=2, backend=backend)
+            StudyScheduler(config).run(requests)
+            misses[backend] = dict(stage_store_for(config).stats.misses)
+        assert misses["processes"] == misses["serial"]
+        assert misses["serial"]["cluster"] == 4  # one per (app, width)
+
+    def test_pooled_kinds_share_one_discovery(self, tmp_path):
+        # crossarch, coretypes and scaling cells of one (app, width) read
+        # one scalar x86_64 discovery; three workers would all start it
+        # unless the group spans the kinds.
+        from repro.exec.request import StudyRequest
+        from repro.experiments.runner import crossarch_request
+
+        requests = [
+            crossarch_request("miniFE", 2),
+            StudyRequest(kind="coretypes", app="miniFE", threads=2),
+            *(scaling_request("miniFE", 2, machine) for machine in MACHINES),
+        ]
+        misses = {}
+        for backend in ("serial", "processes"):
+            config = _grid_config(tmp_path / backend, jobs=3, backend=backend)
+            StudyScheduler(config).run(requests)
+            misses[backend] = dict(stage_store_for(config).stats.misses)
+        assert misses["processes"] == misses["serial"]
+        assert misses["serial"]["cluster"] == 2  # scalar and vectorised
 
     def test_serial_backend_not_double_counted(self, tmp_path):
         # Same-pid execution increments the parent store directly; the

@@ -1,8 +1,13 @@
 """Tests for the command-line interface (light experiments only)."""
 
+import os
+
 import pytest
 
-from repro.cli import main
+from repro import cli
+from repro.cli import _build_parser, _config_from_args, main
+from repro.exec.backends import ProcessPoolBackend, SerialBackend
+from repro.exec.scheduler import StudyScheduler
 
 
 class TestCli:
@@ -72,12 +77,89 @@ class TestCli:
         assert config.discovery_runs == 3 and config.repetitions == 5
 
     def test_cli_config_matches_default_factory(self, monkeypatch):
-        from repro.cli import _build_parser, _config_from_args
+        from repro.cli import _default_jobs
         from repro.experiments.config import default_config
 
         monkeypatch.delenv("REPRO_SCALE", raising=False)
+        # The repro command defaults --jobs to _default_jobs(); a Python
+        # caller of main(argv), like ExperimentConfig, defaults to 1.
+        jobs = _default_jobs()
+        args = _build_parser(jobs).parse_args(["table3", "--quick"])
+        assert _config_from_args(args) == default_config("quick", jobs=jobs)
         args = _build_parser().parse_args(["table3", "--quick"])
         assert _config_from_args(args) == default_config("quick")
+        assert default_config("quick").jobs == 1
+
+
+#: More available memory than any test host's CPUs can use.
+AMPLE = 1 << 50
+
+
+class TestJobsDefault:
+    @staticmethod
+    def _command(monkeypatch, capsys, *argv):
+        """Run ``main()`` as the repro command; return its stderr."""
+        monkeypatch.setattr("sys.argv", ["repro", *argv])
+        assert main() == 0
+        return capsys.readouterr().err
+
+    def test_default_is_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(cli, "_available_memory", lambda: AMPLE)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert cli._default_jobs() == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert cli._default_jobs() == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.setattr(cli, "_available_memory", lambda: AMPLE)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert cli._default_jobs() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._default_jobs() == 1
+
+    def test_available_memory_bounds_the_default(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+        peak = cli._WORKER_PEAK_BYTES
+        monkeypatch.setattr(cli, "_available_memory", lambda: 5 * peak // 2)
+        assert cli._default_jobs() == 2
+        monkeypatch.setattr(cli, "_available_memory", lambda: peak // 2)
+        assert cli._default_jobs() == 1
+        monkeypatch.setattr(cli, "_available_memory", lambda: None)
+        assert cli._default_jobs() == 16
+
+    def test_available_memory_reads_meminfo(self):
+        available = cli._available_memory()
+        if os.path.exists("/proc/meminfo"):
+            assert available is not None and available > 0
+        else:
+            assert available is None
+
+    def test_command_pools_and_jobs_one_is_serial(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_available_memory", lambda: AMPLE)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        err = self._command(monkeypatch, capsys, "table2", "--no-cache", "--verbose")
+        assert "[scheduler] processes × 3: 0 requested" in err
+        err = self._command(
+            monkeypatch, capsys, "table2", "--no-cache", "--verbose", "--jobs", "1"
+        )
+        assert "[scheduler] serial × 1: 0 requested" in err
+        config = _config_from_args(
+            _build_parser(3).parse_args(["table3", "--quick", "--no-cache", "--jobs", "1"])
+        )
+        assert isinstance(StudyScheduler(config).backend, SerialBackend)
+        pooled = _config_from_args(
+            _build_parser(3).parse_args(["table3", "--quick", "--no-cache"])
+        )
+        assert isinstance(StudyScheduler(pooled).backend, ProcessPoolBackend)
+
+    def test_python_caller_keeps_the_serial_default(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_available_memory", lambda: AMPLE)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert main(["table2", "--no-cache", "--verbose"]) == 0
+        assert "[scheduler] serial × 1: 0 requested" in capsys.readouterr().err
+        assert main(["table2", "--no-cache", "--verbose", "--jobs", "3"]) == 0
+        assert "[scheduler] processes × 3: 0 requested" in capsys.readouterr().err
 
 
 class TestRegistryListings:
