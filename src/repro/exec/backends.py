@@ -4,7 +4,8 @@ Every cell of the study graph is independent — the paper's methodology
 runs one pipeline per (application, thread count, vectorisation) with no
 shared mutable state, and all randomness is path-addressed — so fanning
 cells out is embarrassingly parallel.  A backend only has to provide an
-order-preserving ``map``:
+order-preserving supervised map, ``map_supervised`` (retries, timeouts
+and quarantine live in :mod:`repro.exec.supervise`):
 
 * ``serial``     — plain loop; the reference the others must match.
 * ``threads``    — :class:`~concurrent.futures.ThreadPoolExecutor`;
@@ -20,14 +21,14 @@ exploits that to carry side-band data across the process boundary —
 each result is a ``(payload, pid, stage_stats_delta)`` triple, so a
 worker's stage-cache hit/miss counters reach the parent even when the
 worker-local :func:`~repro.exec.stagestore.stage_store_for` memo does
-not.  Note a pool with ``jobs == 1`` (or a single item) runs inline in
-the calling process — the pid in the result is how the scheduler tells
-foreign deltas from already-counted local ones, not the backend name.
+not.  Note a pool with ``jobs == 1`` runs inline in the calling process,
+and so do the cheap cells a process pool starts with — the pid in the
+result is how the scheduler tells foreign deltas from already-counted
+local ones, not the backend name.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Protocol, Sequence
 
 __all__ = [
@@ -41,13 +42,21 @@ __all__ = [
 
 
 class ExecutionBackend(Protocol):
-    """Order-preserving map over independent work items."""
+    """Order-preserving supervised map over independent work items."""
 
     name: str
     jobs: int
 
-    def map(self, fn: Callable, items: Sequence) -> list:  # pragma: no cover
-        """Apply ``fn`` to every item, returning results in input order."""
+    def map_supervised(
+        self,
+        fn: Callable,
+        items: Sequence,
+        keys: Sequence[str],
+        policy,
+        on_complete: Callable | None = None,
+        groups: Sequence | None = None,
+    ) -> tuple:  # pragma: no cover
+        """``(results in input order, SupervisionReport)`` under ``policy``."""
         ...
 
 
@@ -58,9 +67,6 @@ class SerialBackend:
 
     def __init__(self, jobs: int = 1) -> None:
         self.jobs = 1
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        return [fn(item) for item in items]
 
     def map_supervised(self, fn, items, keys, policy, on_complete=None, groups=None):
         # Input order already runs each group's first cell first.
@@ -77,12 +83,6 @@ class ThreadPoolBackend:
     def __init__(self, jobs: int) -> None:
         self.jobs = max(1, int(jobs))
 
-    def map(self, fn: Callable, items: Sequence) -> list:
-        if len(items) <= 1 or self.jobs == 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            return list(pool.map(fn, items))
-
     def map_supervised(self, fn, items, keys, policy, on_complete=None, groups=None):
         from repro.exec.supervise import run_threaded_supervised
 
@@ -94,19 +94,14 @@ class ThreadPoolBackend:
 class ProcessPoolBackend:
     """Run cells on a process pool (true CPU parallelism).
 
-    The scheduler always calls :meth:`map_supervised`, which runs a
-    grid's leading cheap cells inline and submits one future per
-    remaining cell (:class:`~repro.exec.supervise.ProcessSupervision`);
-    the chunked :meth:`map` serves only callers without supervision.
-    Large payloads ride a file handle rather than the pipe (see
+    :meth:`map_supervised` runs a grid's leading cheap cells inline and
+    submits one future per remaining cell
+    (:class:`~repro.exec.supervise.ProcessSupervision`).  Large payloads
+    ride a file handle rather than the pipe (see
     :mod:`repro.exec.scheduler`).
     """
 
     name = "processes"
-
-    #: Chunks per worker per map: enough slack for load balancing when
-    #: cell costs are skewed, few enough to amortise the IPC round-trip.
-    DISPATCH_CHUNKS_PER_WORKER = 4
 
     #: At most this many wall seconds of cheap cells run in the calling
     #: process before the pool takes the rest (see
@@ -119,16 +114,6 @@ class ProcessPoolBackend:
 
     def __init__(self, jobs: int) -> None:
         self.jobs = max(1, int(jobs))
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        if len(items) <= 1 or self.jobs == 1:
-            return [fn(item) for item in items]
-        workers = min(self.jobs, len(items))
-        chunksize = max(
-            1, len(items) // (workers * self.DISPATCH_CHUNKS_PER_WORKER)
-        )
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
 
     def map_supervised(self, fn, items, keys, policy, on_complete=None, groups=None):
         from repro.exec.supervise import (

@@ -40,27 +40,19 @@ import numpy as np
 
 __all__ = [
     "MAGIC",
-    "TILE_MAGIC",
     "SEGMENT_ALIGN",
     "write_payload_atomic",
     "read_payload_file",
-    "TraceTileWriter",
-    "TraceTileReader",
     "open_reader_count",
     "unlink_when_closed",
 ]
 
 MAGIC = b"RPB1"
-#: Tiled (chunked, append-only) trace container — see TraceTileWriter.
-TILE_MAGIC = b"RPT1"
-_TILE_TRAILER_MAGIC = b"RPTF"
 #: Segments start on cache-line boundaries so views are alignment-safe
 #: for every dtype the pipeline emits.
 SEGMENT_ALIGN = 64
 
 _HEADER_LEN = struct.Struct("<I")
-#: Tiled-container trailer: footer offset, footer length, magic.
-_TILE_TRAILER = struct.Struct("<QI4s")
 
 
 def _align(offset: int) -> int:
@@ -205,10 +197,10 @@ def read_payload_file(path: Path) -> tuple[object, int] | None:
             arrays.append(view.reshape(shape))
         if any(array.nbytes for array in arrays):
             # The decoded payload aliases the mapping through zero-copy
-            # views.  Register the mapping in the open-reader registry —
-            # exactly like a TraceTileReader — so reclaim/eviction defer
-            # deletion until the last view (and with it the mmap) dies;
-            # the finalizer is the ``.rpb`` reader's implicit close().
+            # views.  Register the mapping in the open-reader registry so
+            # reclaim/eviction defer deletion until the last view (and
+            # with it the mmap) dies; the finalizer is the reader's
+            # implicit close().
             key = os.path.abspath(path)
             _track_reader_open(key)
             weakref.finalize(buffer, _track_reader_close, key)
@@ -233,260 +225,14 @@ def read_payload_file(path: Path) -> tuple[object, int] | None:
         return None
 
 
-# ---------------------------------------------------------------- tile tier
-#
-# The tiled trace container (``.rpt``) is the out-of-core complement to
-# the payload container above.  A ``.rpb`` file is *one* payload written
-# in one shot; a ``.rpt`` file is an **append-only sequence of tiles**
-# — fixed-size chunks of an access/BBV/LDV trace — each a small bundle
-# of named arrays, laid out so a reader can map the file once and walk
-# tiles as zero-copy views without ever materialising the whole trace::
-#
-#     offset 0    magic  b"RPT1"
-#     offset 64   tile 0 segments (64-byte aligned, sorted column order)
-#     ...         tile 1 segments, ...
-#     footer      UTF-8 JSON: container meta + per-tile segment index
-#     trailer     uint64 footer offset, uint32 footer length, b"RPTF"
-#
-# The per-tile index lives in the footer (written once, at close) so
-# appending a tile costs exactly its array bytes — no header rewrites.
-# The trailer is fixed-size and sits at EOF, so opening a container is
-# one seek + one JSON parse regardless of tile count.  Writers stage to
-# a temp file and land via ``os.replace``, so a crash mid-write can
-# never leave a half-visible container; a missing/torn trailer reads as
-# corruption, and the reader deletes the file and reports a miss.
-
-
-class TraceTileWriter:
-    """Append-only writer for the tiled trace container.
-
-    ``append`` takes one tile — a mapping of column name to array — and
-    streams its segments straight to disk; only the (tiny) per-tile
-    descriptor index is held in memory.  ``close`` writes the footer and
-    atomically publishes the container.  Usable as a context manager;
-    an exception before ``close`` discards the temp file, never a torn
-    container.
-    """
-
-    def __init__(self, path: Path | str, meta: dict | None = None) -> None:
-        self._path = Path(path)
-        self._meta = dict(meta or {})
-        self._tiles: list[dict] = []
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        fd, self._tmp_name = tempfile.mkstemp(
-            dir=self._path.parent, prefix=self._path.name, suffix=".tmp"
-        )
-        self._handle = os.fdopen(fd, "wb")
-        self._handle.write(TILE_MAGIC)
-        self._handle.write(b"\x00" * (SEGMENT_ALIGN - len(TILE_MAGIC)))
-        self._offset = SEGMENT_ALIGN
-        self._closed = False
-
-    @property
-    def n_tiles(self) -> int:
-        """Tiles appended so far."""
-        return len(self._tiles)
-
-    def append(self, tile: dict) -> int:
-        """Append one tile of named arrays; returns its tile index."""
-        if self._handle is None:
-            raise ValueError("writer is closed")
-        columns = {}
-        for name in sorted(tile):
-            array = np.ascontiguousarray(tile[name])
-            pad = _align(self._offset) - self._offset
-            if pad:
-                self._handle.write(b"\x00" * pad)
-                self._offset += pad
-            columns[name] = {
-                "dtype": array.dtype.str,
-                "shape": list(array.shape),
-                "offset": self._offset,
-                "nbytes": int(array.nbytes),
-            }
-            if array.nbytes:
-                self._handle.write(memoryview(array).cast("B"))
-                self._offset += array.nbytes
-        self._tiles.append(columns)
-        return len(self._tiles) - 1
-
-    def close(self, durable: bool = False) -> int:
-        """Write footer + trailer and publish the container atomically.
-
-        Returns total bytes written.  ``durable=True`` fsyncs before the
-        rename (trace tiles are normally recomputable cache artifacts,
-        so the default matches the spill path's crash semantics).
-        """
-        if self._closed:
-            return self._offset
-        footer = json.dumps(
-            {"codec": 1, "meta": self._meta, "tiles": self._tiles},
-            sort_keys=True,
-        ).encode("utf-8")
-        self._handle.write(footer)
-        self._handle.write(_TILE_TRAILER.pack(self._offset, len(footer), _TILE_TRAILER_MAGIC))
-        self._offset += len(footer) + _TILE_TRAILER.size
-        if durable:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        self._handle.close()
-        self._handle = None
-        try:
-            os.replace(self._tmp_name, self._path)
-        except BaseException:
-            try:
-                os.unlink(self._tmp_name)
-            except OSError:
-                pass
-            raise
-        self._closed = True
-        return self._offset
-
-    def abort(self) -> None:
-        """Discard the temp file without publishing anything."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-            try:
-                os.unlink(self._tmp_name)
-            except OSError:
-                pass
-        self._closed = True
-
-    def __enter__(self) -> "TraceTileWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
-
-
-class TraceTileReader:
-    """Zero-copy tile iterator over one ``.rpt`` container.
-
-    The file is mapped once; :meth:`tile` and iteration return dicts of
-    read-only array views into that mapping, so walking a multi-GiB
-    trace touches only the pages each tile actually occupies.  Open
-    readers are tracked in a module registry so cache reclamation can
-    defer deletion until the last reader closes (see
-    :func:`unlink_when_closed`).
-
-    A corrupt container (bad magic, missing trailer, truncated segment)
-    is deleted and raises ``FileNotFoundError`` — the same self-healing
-    miss semantics as :func:`read_payload_file`.
-    """
-
-    def __init__(self, path: Path | str) -> None:
-        self._path = Path(path)
-        self._key = os.path.abspath(self._path)
-        try:
-            with open(self._path, "rb") as handle:
-                size = os.fstat(handle.fileno()).st_size
-                if size < SEGMENT_ALIGN + _TILE_TRAILER.size:
-                    raise ValueError("truncated container")
-                self._buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            if self._buffer[:4] != TILE_MAGIC:
-                raise ValueError("bad magic")
-            footer_offset, footer_len, trailer_magic = _TILE_TRAILER.unpack(
-                self._buffer[size - _TILE_TRAILER.size : size]
-            )
-            if trailer_magic != _TILE_TRAILER_MAGIC:
-                raise ValueError("bad trailer")
-            if footer_offset + footer_len + _TILE_TRAILER.size > size:
-                raise ValueError("truncated footer")
-            footer = json.loads(
-                self._buffer[footer_offset : footer_offset + footer_len]
-            )
-            self.meta = footer["meta"]
-            self._tiles = footer["tiles"]
-            self._size = size
-        except FileNotFoundError:
-            raise
-        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError):
-            from repro.exec.health import record_heal
-
-            try:
-                self._path.unlink()
-            except OSError:
-                pass
-            record_heal("tile")
-            raise FileNotFoundError(
-                f"corrupt tiled container: {self._path}"
-            ) from None
-        self._open = True
-        _track_reader_open(self._key)
-
-    def __len__(self) -> int:
-        return len(self._tiles)
-
-    @property
-    def n_tiles(self) -> int:
-        """Number of tiles in the container."""
-        return len(self._tiles)
-
-    def tile(self, index: int) -> dict:
-        """Decode tile ``index`` as ``{name: read-only ndarray view}``."""
-        columns = self._tiles[index]
-        out = {}
-        for name, descriptor in columns.items():
-            dtype = np.dtype(descriptor["dtype"])
-            shape = tuple(descriptor["shape"])
-            nbytes = int(descriptor["nbytes"])
-            offset = int(descriptor["offset"])
-            if nbytes == 0:
-                out[name] = np.empty(shape, dtype=dtype)
-                continue
-            if offset + nbytes > self._size:
-                raise ValueError(f"truncated segment in {self._path}")
-            view = np.frombuffer(
-                self._buffer, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset
-            )
-            out[name] = view.reshape(shape)
-        return out
-
-    def __iter__(self):
-        for index in range(len(self._tiles)):
-            yield self.tile(index)
-
-    def column(self, name: str):
-        """Iterate one named column across all tiles (lazy)."""
-        for index in range(len(self._tiles)):
-            yield self.tile(index)[name]
-
-    def close(self) -> None:
-        """Release the mapping and this reader's deletion hold."""
-        if not self._open:
-            return
-        self._open = False
-        # Views handed out by tile() keep the mmap object alive via
-        # their .base reference even after close(); dropping our
-        # reference here only releases the mapping once they are gone.
-        self._buffer = None
-        _track_reader_close(self._key)
-
-    def __enter__(self) -> "TraceTileReader":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-# Open-reader registry: cache reclamation must not delete a container a
-# live mmap'd reader still iterates (the reader would fault mid-walk on
-# platforms without POSIX unlink-while-open semantics, and on POSIX the
-# store would silently free nothing until the mapping dies anyway).
-# ``unlink_when_closed`` defers deletion to the final ``close()``.  Both
-# container tiers register here: ``.rpt`` readers explicitly
-# (open/close), ``.rpb`` payload reads via a ``weakref.finalize`` on the
-# mapping, which fires once the last zero-copy view dies.
+# Open-reader registry: cache reclamation must not delete a container
+# whose mapping live views still alias (a view would fault on platforms
+# without POSIX unlink-while-open semantics, and on POSIX the store
+# would silently free nothing until the mapping dies anyway).
+# ``unlink_when_closed`` defers deletion to the final close.  Every
+# ``.rpb`` payload read with array segments registers here, and a
+# ``weakref.finalize`` on its mapping closes it once the last zero-copy
+# view dies.
 _OPEN_READERS: dict[str, int] = {}
 _DEFERRED_UNLINKS: set[str] = set()
 
@@ -510,7 +256,7 @@ def _track_reader_close(key: str) -> None:
 
 
 def open_reader_count(path: Path | str) -> int:
-    """Live :class:`TraceTileReader` handles on ``path`` (0 when free)."""
+    """Live mappings of ``path`` still held by payload views (0 when free)."""
     return _OPEN_READERS.get(os.path.abspath(path), 0)
 
 

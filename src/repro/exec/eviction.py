@@ -2,15 +2,15 @@
 
 The serve daemon keeps the cache warm forever, so the store only grows —
 something has to reclaim bytes.  :class:`StoreEvictor` walks the sharded
-``stages/`` and ``cells/`` trees (``.rpb``/``.rpt`` containers and
-``.json`` cell entries alike), orders entries by last use and unlinks
-the coldest until the store fits its byte budget.
+``stages/`` and ``cells/`` trees (``.rpb`` containers and ``.json``
+cell entries alike), orders entries by last use and unlinks the coldest
+until the store fits its byte budget.
 
 Two safety properties:
 
-* **Open readers are never touched.**  Every mmap'd container —
-  ``.rpt`` tile readers and the zero-copy views handed out of ``.rpb``
-  payload reads — is tracked in the columnar open-reader registry
+* **Open readers are never touched.**  Every mmap'd container — the
+  zero-copy views handed out of ``.rpb`` payload reads — is tracked in
+  the columnar open-reader registry
   (:func:`repro.exec.columnar.open_reader_count`); an entry with live
   readers is skipped outright, not even defer-unlinked, because a
   mapped entry is by definition the *hottest* thing in the store.
@@ -36,7 +36,7 @@ __all__ = ["CacheEntry", "EvictionReport", "StoreEvictor"]
 
 #: File suffixes that are store entries (everything else — temp files,
 #: stray artifacts — is left alone).
-_ENTRY_SUFFIXES = (".rpb", ".rpt", ".json")
+_ENTRY_SUFFIXES = (".rpb", ".json")
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,10 @@ class StoreEvictor:
     """
 
     #: Subtrees that hold evictable content-addressed entries: stage
-    #: payloads, cell payloads and tiled trace containers.  The
-    #: ``spill/`` area is deliberately absent: spill files are live
-    #: process-transport hand-offs, not cache.
-    SUBTREES = ("stages", "cells", "traces")
+    #: payloads and cell payloads.  The ``spill/`` area is deliberately
+    #: absent: spill files are live process-transport hand-offs, not
+    #: cache.
+    SUBTREES = ("stages", "cells")
 
     def __init__(self, cache_dir: str | os.PathLike, budget_bytes: int) -> None:
         self._root = Path(cache_dir) if cache_dir else None
@@ -136,7 +136,7 @@ class StoreEvictor:
         return entries
 
     def total_bytes(self) -> int:
-        """Current store size in bytes (stages + cells subtrees)."""
+        """Current store size in bytes: every entry in :attr:`SUBTREES`."""
         return sum(entry.nbytes for entry in self.scan())
 
     def evict(self) -> EvictionReport:

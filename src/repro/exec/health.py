@@ -49,9 +49,8 @@ def register_stats_sink(stats) -> None:
 def record_heal(site: str) -> None:
     """Count one corrupt-entry recovery at a named site.
 
-    Sites: ``"container"`` (torn ``.rpb``), ``"tile"`` (torn ``.rpt``),
-    ``"json"`` (torn JSON cache entry), ``"journal"`` (torn record-log
-    tail).
+    Sites: ``"container"`` (torn ``.rpb``), ``"json"`` (torn JSON cache
+    entry), ``"journal"`` (torn record-log tail).
     """
     if _SINKS:
         for stats in _SINKS:

@@ -193,8 +193,7 @@ class StudyScheduler:
         the protocol (part of every cache address), the default
         backend/jobs choice and the supervision budget.
     backend:
-        Override the backend instance (tests inject doubles here; a
-        double without ``map_supervised`` runs unsupervised).
+        Override the backend instance (tests inject doubles here).
     """
 
     def __init__(self, config, backend: ExecutionBackend | None = None) -> None:
@@ -272,25 +271,17 @@ class StudyScheduler:
                 )
                 self.stats.executed += 1
 
-            supervised = getattr(self.backend, "map_supervised", None)
-            if supervised is not None:
-                keys = [request.describe() for request in missing]
-                groups = [discovery_group(request) for request in missing]
-                _, report = supervised(
-                    _execute_item, items, keys, self._policy(), finish, groups
-                )
-                self.stats.retries += report.retries
-                self.stats.respawns += report.respawns
-                self.stats.timeouts += report.timeouts
-                self.stats.quarantined += len(report.quarantined)
-                if report.quarantined:
-                    raise QuarantinedCellError(report.quarantined)
-            else:
-                # Test doubles (and any external backend) providing only
-                # ``map``: run unsupervised, exactly as before.
-                results = self.backend.map(_execute_item, items)
-                for index, result in enumerate(results):
-                    finish(index, result, 1)
+            keys = [request.describe() for request in missing]
+            groups = [discovery_group(request) for request in missing]
+            _, report = self.backend.map_supervised(
+                _execute_item, items, keys, self._policy(), finish, groups
+            )
+            self.stats.retries += report.retries
+            self.stats.respawns += report.respawns
+            self.stats.timeouts += report.timeouts
+            self.stats.quarantined += len(report.quarantined)
+            if report.quarantined:
+                raise QuarantinedCellError(report.quarantined)
 
         return {request: self._memory[request] for request in unique}
 

@@ -37,8 +37,9 @@ __all__ = [
 
 #: Bump when payload contents or the underlying models change shape, or
 #: when an ambient input to their float bits changes (10: one BLAS
-#: thread per process).
-CACHE_VERSION = 10
+#: thread per process; 11: trace payloads dropped their tile count and
+#: oracle flag).
+CACHE_VERSION = 11
 
 
 def cache_version() -> str:
@@ -315,14 +316,11 @@ class StudyStore:
     def reclaim(self, path: str):
         """Reattach one spilled payload (mmap read) and delete the file.
 
-        Deletion goes through the columnar open-handle guard, which
-        tracks **both** container tiers: a live
-        :class:`~repro.exec.columnar.TraceTileReader` still iterating a
-        tiled ``.rpt`` container, and the zero-copy ``np.frombuffer``
-        views a ``.rpb`` read just handed back (registered via a
-        finalizer on the mapping).  Either way the unlink is deferred
-        until the last mapping dies instead of yanking bytes out from
-        under a reader.
+        Deletion goes through the columnar open-handle guard: the
+        zero-copy ``np.frombuffer`` views the ``.rpb`` read just handed
+        back register their mapping (via a finalizer on it), so the
+        unlink is deferred until the last view dies instead of yanking
+        bytes out from under a reader.
         """
         loaded = read_payload_file(Path(path))
         if loaded is None:

@@ -8,24 +8,15 @@ a concrete address stream, tiles it through the streaming generators
 (:func:`repro.mem.streams.iter_stream_tiles`), and collects the exact
 BBV/LDV/cache signature with the carried-state streaming kernels — one
 tile in memory at a time, peak RSS bounded by ``--trace-tile-size``
-regardless of stream length.
-
-Each cell also writes the tiled trace container
-(:class:`repro.exec.columnar.TraceTileWriter`): per-tile BBV and LDV
-rows plus L1 miss counts always, and the raw access tiles themselves at
-smoke scales (full-scale line tiles would be disk-heavy and are
-regenerable bit-identically from the seed).  At smoke scales the cell
-additionally replays the container through the **monolithic** golden
-oracles and asserts bit-identity — the PR 3/5 pattern of keeping the
-slow path as the checker for the fast one.
+regardless of stream length.  The row is all a cell computes: the
+streamed kernels' bit-identity with the monolithic oracles is a test
+(``tests/unit/test_trace_tier.py``), not a step of every run.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.exec.request import StudyRequest
 from repro.exec.scheduler import StudyScheduler
@@ -50,20 +41,13 @@ __all__ = [
 #: Team width the streamed traces model (the paper's Table IV width).
 TRACE_THREADS = 8
 
-#: Raw access tiles are persisted in the container only below this
-#: stream length; larger streams store the per-tile signature columns
-#: and regenerate lines from the seed when re-walked.
-_STORE_LINES_MAX = 1 << 22
-
 _HEADERS = (
     "App",
     "Accesses",
-    "Tiles",
     "Distinct lines",
     "L1D miss (%)",
     "L2 miss (%)",
     "Hot block share (%)",
-    "Oracle",
 )
 
 
@@ -114,37 +98,17 @@ def _trace_blocks(app: str, threads: int):
     return blocks
 
 
-def _container_path(config: ExperimentConfig, request: StudyRequest):
-    from pathlib import Path
-
-    if not config.cache_dir:
-        return None
-    accesses = request.param("accesses")
-    machine = request.param("machine")
-    suffix = ""
-    if machine is not None:
-        slug = "".join(c if c.isalnum() else "-" for c in str(machine))
-        suffix = f"_m{slug}"
-    return (
-        Path(config.cache_dir)
-        / "traces"
-        / f"{request.app}_t{request.threads}_a{accesses}{suffix}.rpt"
-    )
-
-
 def trace_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
-    """Executor for ``"trace"`` cells: stream, collect, verify, persist."""
-    from repro.exec.columnar import TraceTileWriter
+    """Executor for ``"trace"`` cells: stream the accesses, return the row."""
     from repro.instrumentation.streamed import StreamedSignatureCollector
-    from repro.mem.streams import iter_stream_tiles
 
     started = time.perf_counter()
-    accesses = int(request.param("accesses"))
-    tile_size = int(config.trace_tile_size)
     register_config_machines(config)
     machine_name = request.param("machine")
-    levels = None
-    if machine_name is not None:
+    blocks = _trace_blocks(request.app, request.threads)
+    if machine_name is None:
+        collector = StreamedSignatureCollector(n_blocks=len(blocks))
+    else:
         # Ingested-machine cells stream through that machine's L1D/L2
         # geometry instead of the default hierarchy.
         from repro.api.registry import machine_registry
@@ -154,70 +118,16 @@ def trace_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
             ("L1D", m.l1d.size_bytes, m.l1d.associativity),
             ("L2", m.l2.size_bytes, m.l2.associativity),
         )
-    blocks = _trace_blocks(request.app, request.threads)
-    share = accesses // len(blocks)
-    budgets = [share] * len(blocks)
-    budgets[0] += accesses - share * len(blocks)
-
-    store_lines = accesses <= _STORE_LINES_MAX
-    path = _container_path(config, request)
-    writer = None
-    if path is not None:
-        writer = TraceTileWriter(
-            path,
-            meta={
-                "app": request.app,
-                "threads": request.threads,
-                "accesses": accesses,
-                "seed": config.seed,
-                "blocks": [uid for uid, _, _ in blocks],
-                "stores_lines": store_lines,
-                "machine": machine_name,
-            },
-        )
-
-    if levels is not None:
         collector = StreamedSignatureCollector(n_blocks=len(blocks), levels=levels)
-    else:
-        collector = StreamedSignatureCollector(n_blocks=len(blocks))
-    try:
-        for index, ((_uid, pattern, ipa), budget) in enumerate(
-            zip(blocks, budgets, strict=True)
-        ):
-            if budget <= 0:
-                continue
-            seed = _block_seed(config.seed, request.app, index)
-            for tile in iter_stream_tiles(
-                pattern, budget, seed, tile_size, threads=request.threads
-            ):
-                artifacts = collector.feed(index, tile, instructions_per_access=ipa)
-                if writer is not None:
-                    columns = {
-                        "block": np.array([index], dtype=np.int64),
-                        "bbv": artifacts["bbv"],
-                        "ldv": artifacts["ldv"],
-                        "miss_count": np.array(
-                            [int(artifacts["miss_mask"].sum())], dtype=np.int64
-                        ),
-                    }
-                    if store_lines:
-                        columns["lines"] = tile
-                    writer.append(columns)
-    except BaseException:
-        if writer is not None:
-            writer.abort()
-        raise
-    if writer is not None:
-        writer.close()
+    for index, ipa, tile in _block_tiles(
+        request, blocks, config.seed, int(config.trace_tile_size)
+    ):
+        collector.feed(index, tile, instructions_per_access=ipa)
 
     payload = dict(collector.result())
     payload["app"] = request.app
     payload["threads"] = request.threads
     payload["machine"] = machine_name
-    payload["oracle_checked"] = False
-    if store_lines:
-        _assert_matches_oracles(request, config, blocks, budgets, payload, levels)
-        payload["oracle_checked"] = True
     # The whole point of the tiled kernels is a bounded RSS; record the
     # cell's time and high-water mark under its own stage name so the
     # --profile table carries the evidence (worker deltas merge it back).
@@ -227,53 +137,36 @@ def trace_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
     return payload
 
 
+def _block_tiles(request: StudyRequest, blocks, seed: int, tile_size: int):
+    """Yield the cell's stream as ``(block index, instr/access, tile)``.
+
+    The ``accesses`` budget splits evenly over the blocks (the first
+    takes the remainder); each block streams from its own seed.
+    """
+    from repro.mem.streams import iter_stream_tiles
+
+    accesses = int(request.param("accesses"))
+    share = accesses // len(blocks)
+    budgets = [share] * len(blocks)
+    budgets[0] += accesses - share * len(blocks)
+    for index, ((_uid, pattern, ipa), budget) in enumerate(
+        zip(blocks, budgets, strict=True)
+    ):
+        if budget <= 0:
+            continue
+        block_seed = _block_seed(seed, request.app, index)
+        for tile in iter_stream_tiles(
+            pattern, budget, block_seed, tile_size, threads=request.threads
+        ):
+            yield index, ipa, tile
+
+
 def _block_seed(root_seed: int, app: str, block_index: int) -> int:
     """Deterministic, collision-resistant per-block stream seed."""
     import hashlib
 
     digest = hashlib.sha256(f"{root_seed}/{app}/{block_index}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def _assert_matches_oracles(
-    request, config, blocks, budgets, payload, levels=None
-) -> None:
-    """Replay the whole stream through the monolithic golden kernels."""
-    from repro.instrumentation.streamed import StreamedSignatureCollector
-    from repro.mem.cache import CacheSimulator
-    from repro.mem.ldv import N_DISTANCE_BINS
-    from repro.mem.reuse import reuse_distances, reuse_histogram
-    from repro.mem.streams import iter_stream_tiles
-
-    parts = []
-    for index, ((_, pattern, _), budget) in enumerate(zip(blocks, budgets, strict=True)):
-        if budget <= 0:
-            continue
-        seed = _block_seed(config.seed, request.app, index)
-        parts.extend(
-            iter_stream_tiles(
-                pattern, budget, seed, budget, threads=request.threads
-            )
-        )
-    stream = np.concatenate(parts)
-    ldv = reuse_histogram(reuse_distances(stream), N_DISTANCE_BINS)
-    if not np.allclose(ldv, payload["ldv"]):
-        raise AssertionError(f"streamed LDV diverged from oracle for {request.app}")
-    if levels is not None:
-        level_sims = StreamedSignatureCollector(1, levels=levels)._levels
-    else:
-        level_sims = StreamedSignatureCollector(1)._levels
-    substream = stream
-    for name, sim in level_sims:
-        oracle = CacheSimulator(
-            sim.n_sets * sim.associativity * 64, sim.associativity
-        ).miss_mask(substream)
-        got = payload["levels"][name]
-        if got["accesses"] != substream.size or got["misses"] != int(oracle.sum()):
-            raise AssertionError(
-                f"streamed {name} misses diverged from oracle for {request.app}"
-            )
-        substream = substream[oracle]
 
 
 @dataclass(frozen=True)
@@ -304,12 +197,10 @@ class TraceTable:
                 (
                     label,
                     f"{row['n_accesses']:,}",
-                    row["n_tiles"],
                     f"{row['distinct_lines']:,}",
                     f"{100.0 * l1['misses'] / max(l1['accesses'], 1):.2f}",
                     f"{100.0 * l2['misses'] / max(l2['accesses'], 1):.2f}",
                     f"{hot_share:.1f}",
-                    "checked" if row.get("oracle_checked") else "streamed",
                 )
             )
         return render_table(

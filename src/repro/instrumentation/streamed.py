@@ -5,8 +5,7 @@ The analytic collectors (:mod:`repro.instrumentation.bbv`,
 barrier point and never touch a concrete address.  This module is their
 **out-of-core exact counterpart**: it consumes an address stream one
 tile at a time — as produced by
-:func:`repro.mem.streams.iter_stream_tiles` or replayed from a
-:class:`repro.exec.columnar.TraceTileReader` — and accumulates
+:func:`repro.mem.streams.iter_stream_tiles` — and accumulates
 
 * a per-block BBV (instruction counts attributed to the block whose
   accesses each tile carries),
@@ -51,9 +50,7 @@ class StreamedSignatureCollector:
         LDV histogram bins (defaults to the analytic path's binning, so
         exact and analytic LDVs are directly comparable).
 
-    Feed tiles with :meth:`feed`; each call returns the tile's own
-    per-access artifacts (LDV row, L1 miss flags) so callers can spill
-    them to a tiled container while the totals accumulate here.
+    Feed tiles with :meth:`feed`; :meth:`result` returns the totals.
     """
 
     def __init__(
@@ -79,54 +76,33 @@ class StreamedSignatureCollector:
             for _, sim in self._levels
         ]
         self.n_accesses = 0
-        self.n_tiles = 0
 
     def feed(
         self, block_index: int, tile: np.ndarray, instructions_per_access: float = 1.0
-    ) -> dict:
-        """Consume one tile of accesses attributed to one static block.
-
-        Returns the tile's artifacts: ``bbv`` (instruction counts this
-        tile contributed per block), ``ldv`` (this tile's distance
-        histogram, computed from *global* distances), and ``miss_mask``
-        (per-access L1 miss flags) — ready to append to a
-        :class:`~repro.exec.columnar.TraceTileWriter`.
-        """
+    ) -> None:
+        """Consume one tile of accesses attributed to one static block."""
         tile = np.ascontiguousarray(tile, dtype=np.int64)
-        distances = self._reuse.feed(tile)
-        tile_ldv = reuse_histogram(distances, self.n_bins)
-        self._ldv += tile_ldv
+        self._ldv += reuse_histogram(self._reuse.feed(tile), self.n_bins)
         # Accumulate *accesses* and round to instructions once, at
         # result() time — per-tile rounding would make the totals depend
         # on the tile split, and tile size is an execution-only knob.
         self._block_accesses[block_index] += int(tile.size)
         self._block_ipa[block_index] = float(instructions_per_access)
-        bbv_row = np.zeros(self.n_blocks, dtype=np.int64)
-        bbv_row[block_index] = int(round(tile.size * instructions_per_access))
         substream = tile
-        first_mask = None
-        for (_, _sim), state in zip(self._levels, self._states, strict=True):
+        for (_, sim), state in zip(self._levels, self._states, strict=True):
             if substream.size == 0:
                 # Deeper levels see no traffic this tile; counters and
                 # carried stacks are simply untouched, exactly as the
                 # monolithic cascade would leave them.
                 break
-            mask = _sim.miss_mask_tile(substream, state)
-            if first_mask is None:
-                first_mask = mask
-            substream = substream[mask]
-        if first_mask is None:
-            first_mask = np.zeros(0, dtype=bool)
+            substream = substream[sim.miss_mask_tile(substream, state)]
         self.n_accesses += int(tile.size)
-        self.n_tiles += 1
-        return {"bbv": bbv_row, "ldv": tile_ldv, "miss_mask": first_mask}
 
     def result(self) -> StreamedSignature:
         """The accumulated signature as a JSON-shaped payload."""
         bbv = np.rint(self._block_accesses * self._block_ipa).astype(np.int64)
         return StreamedSignature(
             n_accesses=self.n_accesses,
-            n_tiles=self.n_tiles,
             bbv=[int(v) for v in bbv],
             ldv=[float(v) for v in self._ldv],
             distinct_lines=int(self._reuse.distinct_lines),

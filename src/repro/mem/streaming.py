@@ -330,7 +330,7 @@ def reuse_distances_streamed(
     Bit-identical to :func:`repro.mem.reuse.reuse_distances`; exists so
     benchmarks and tests can compare the engines on one buffer.  True
     out-of-core use goes through :func:`reuse_distance_tiles` over a
-    :class:`~repro.exec.columnar.TraceTileReader`.
+    tile iterator such as :func:`repro.mem.streams.iter_stream_tiles`.
     """
     pieces = list(reuse_distance_tiles(iter_array_tiles(lines, tile_size)))
     if not pieces:

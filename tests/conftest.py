@@ -35,6 +35,17 @@ def _pool_starts_in_workers(monkeypatch):
 
 
 @pytest.fixture
+def scratch_registry():
+    """Unregister any machines a test registers."""
+    from repro.api.registry import machine_registry
+
+    before = set(machine_registry.names())
+    yield
+    for name in set(machine_registry.names()) - before:
+        machine_registry.unregister(name)
+
+
+@pytest.fixture
 def rng_tree() -> RngTree:
     """A deterministic randomness tree for tests."""
     return RngTree(12345)

@@ -10,6 +10,7 @@ import pytest
 from repro.clustering.simpoint import SimPointOptions
 from repro.exec.backends import BACKEND_NAMES
 from repro.exec.scheduler import StudyScheduler
+from repro.exec.supervise import SupervisionReport
 from repro.experiments import figure2, table3, table4
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import StudySummary, crossarch_request, decode_summaries
@@ -238,11 +239,16 @@ class TestReferenceTransport:
         class ForeignBackend:
             name, jobs = "double", 1
 
-            def map(self, fn, items):
+            def map_supervised(
+                self, fn, items, keys, policy, on_complete=None, groups=None
+            ):
                 # Re-tag each item with a fake parent pid so the worker
                 # side takes the reference transport, as a real process
                 # pool would.
-                return [fn((req, cfg, -1)) for req, cfg, _ in items]
+                results = [fn((req, cfg, -1), 1) for req, cfg, _ in items]
+                for index, result in enumerate(results):
+                    on_complete(index, result, 1)
+                return results, SupervisionReport()
 
         config = _config(cache_dir=str(tmp_path))
         scheduler = StudyScheduler(config, backend=ForeignBackend())

@@ -1,24 +1,18 @@
 """Property: a write torn at *any* byte boundary is a clean miss/heal.
 
 The self-healing contract of every durable artifact format — the
-columnar payload container (``.rpb``), the tiled trace container
-(``.rpt``) and the CRC-framed record log (checkpoint + serve journal)
-— is exhaustive, not probabilistic: for **every** prefix of the
-on-disk bytes, reading back must yield a clean miss (payloads, tiles),
-or an exact record *prefix* plus a healed tail (record logs).  Never an
-unhandled exception, and never wrong bytes.  These tests enumerate
-every truncation point of small-but-representative files, which is the
-whole space a torn ``write()`` + crash can produce.
+columnar payload container (``.rpb``) and the CRC-framed record log
+(checkpoint + serve journal) — is exhaustive, not probabilistic: for
+**every** prefix of the on-disk bytes, reading back must yield a clean
+miss (payloads), or an exact record *prefix* plus a healed tail (record
+logs).  Never an unhandled exception, and never wrong bytes.  These
+tests enumerate every truncation point of small-but-representative
+files, which is the whole space a torn ``write()`` + crash can produce.
 """
 
 import numpy as np
 
-from repro.exec.columnar import (
-    TraceTileReader,
-    TraceTileWriter,
-    read_payload_file,
-    write_payload_atomic,
-)
+from repro.exec.columnar import read_payload_file, write_payload_atomic
 from repro.util.recordlog import RECORDLOG_MAGIC, RecordLog
 
 PAYLOAD = {
@@ -50,44 +44,6 @@ class TestPayloadContainerTruncation:
         assert loaded is not None
         payload, _ = loaded
         assert np.array_equal(payload["bbv"], PAYLOAD["bbv"])
-
-
-class TestTraceTileTruncation:
-    def test_every_prefix_heals_to_file_not_found(self, tmp_path):
-        path = tmp_path / "trace.rpt"
-        with TraceTileWriter(path, meta={"app": "MCB"}) as writer:
-            writer.append(
-                {
-                    "addr": np.arange(16, dtype=np.uint64),
-                    "size": np.full(16, 8, dtype=np.uint8),
-                }
-            )
-            writer.append({"addr": np.arange(4, dtype=np.uint64)})
-        blob = path.read_bytes()
-
-        for size in range(len(blob)):
-            path.write_bytes(blob[:size])
-            try:
-                TraceTileReader(path)
-            except FileNotFoundError:
-                pass  # the contract: corrupt → healed miss
-            else:
-                raise AssertionError(
-                    f"truncation at byte {size} opened as a valid container"
-                )
-            assert not path.exists(), (
-                f"corrupt tile container survived heal at byte {size}"
-            )
-
-        path.write_bytes(blob)
-        reader = TraceTileReader(path)
-        try:
-            assert reader.n_tiles == 2
-            assert np.array_equal(
-                reader.tile(0)["addr"], np.arange(16, dtype=np.uint64)
-            )
-        finally:
-            reader.close()
 
 
 class TestRecordLogTruncation:

@@ -41,10 +41,10 @@ class TestScan:
     def test_orders_coldest_first(self, tmp_path):
         _entry(tmp_path, "stages/aa/v7_x_1.rpb", KIB, age=10.0)
         _entry(tmp_path, "cells/bb/v7_y_2.json", KIB, age=30.0)
-        _entry(tmp_path, "traces/v7_z_3.rpt", KIB, age=20.0)
+        _entry(tmp_path, "cells/cc/v7_z_3.json", KIB, age=20.0)
         evictor = StoreEvictor(tmp_path, budget_bytes=10 * KIB)
         names = [entry.path.name for entry in evictor.scan()]
-        assert names == ["v7_y_2.json", "v7_z_3.rpt", "v7_x_1.rpb"]
+        assert names == ["v7_y_2.json", "v7_z_3.json", "v7_x_1.rpb"]
 
     def test_ignores_non_entry_files(self, tmp_path):
         _entry(tmp_path, "stages/aa/v7_x_1.rpb", KIB, age=0.0)

@@ -10,9 +10,10 @@ from repro.exec.backends import (
     create_backend,
 )
 from repro.exec.request import StudyRequest
+from repro.exec.supervise import RetryPolicy
 
 
-def _square(x):
+def _square(x, attempt):
     """Module-level so the process backend can pickle it."""
     return x * x
 
@@ -44,7 +45,13 @@ class TestBackends:
     @pytest.mark.parametrize("name", sorted(BACKEND_NAMES))
     def test_map_preserves_order(self, name):
         backend = create_backend(name, jobs=3)
-        assert backend.map(_square, list(range(10))) == [x * x for x in range(10)]
+        items = list(range(10))
+        keys = [f"cell{x}" for x in items]
+        results, report = backend.map_supervised(
+            _square, items, keys, RetryPolicy(retries=0, backoff=0.0)
+        )
+        assert results == [x * x for x in items]
+        assert report.quarantined == []
 
     def test_serial_is_default_for_one_job(self):
         assert isinstance(create_backend(None, jobs=1), SerialBackend)

@@ -25,15 +25,6 @@ from repro.experiments.config import (
 HOSTS = Path(__file__).resolve().parents[1] / "data" / "hosts"
 
 
-@pytest.fixture
-def scratch_registry():
-    """Unregister any machines a test registers."""
-    before = set(machine_registry.names())
-    yield
-    for name in set(machine_registry.names()) - before:
-        machine_registry.unregister(name)
-
-
 class TestIngestCommand:
     def test_ingest_xeon_registers_104_cpu_machine(self, capsys, scratch_registry):
         assert main(["machines", "ingest", str(HOSTS / "xeon8170m"), "--name", "xeon-t"]) == 0

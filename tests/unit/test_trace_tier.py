@@ -1,14 +1,15 @@
 """Unit tests: the streamed trace tier and its satellites.
 
-Covers the `.rpt` tiled container (writer/reader round trip, torn-file
-self-healing, the open-handle deferred-unlink guard that
-`StudyStore.reclaim` rides), the tile-size-invariant stream generator,
-the streamed signature collector against the monolithic oracles, the
+Covers the open-handle deferred-unlink guard that `StudyStore.reclaim`
+rides, the tile-size-invariant stream generator, the streamed signature
+collector and every trace cell against the monolithic oracles, the
 mini-batch clustering path, the per-stage peak-RSS counter family, and
 the perf gate's missing-metric tolerance.
 """
 
+import gc
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +19,25 @@ from repro.clustering.kmeans import kmeans
 from repro.clustering.minibatch import minibatch_kmeans
 from repro.clustering.simpoint import SimPointOptions, run_simpoint
 from repro.exec.columnar import (
-    TILE_MAGIC,
-    TraceTileReader,
-    TraceTileWriter,
     open_reader_count,
+    read_payload_file,
     unlink_when_closed,
+    write_payload_atomic,
 )
 from repro.exec.stagestore import StageCacheStats
+from repro.experiments.config import default_config
+from repro.experiments.trace import (
+    _block_tiles,
+    _trace_blocks,
+    trace_cell,
+    trace_request,
+)
 from repro.ir.memory import MemoryPattern, PatternKind
+from repro.mem.cache import CacheSimulator
+from repro.mem.ldv import N_DISTANCE_BINS
+from repro.mem.reuse import reuse_distances, reuse_histogram
 from repro.mem.streams import iter_stream_tiles
+from repro.workloads.registry import EVALUATED_APPS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
@@ -40,82 +51,37 @@ def _pattern(kind=PatternKind.STREAM, hot_fraction=0.5):
     )
 
 
-def _write_container(path, n_tiles=4, tile_len=100):
-    with TraceTileWriter(path, meta={"app": "unit", "accesses": n_tiles * tile_len}) as w:
-        for i in range(n_tiles):
-            w.append(
-                {
-                    "lines": np.arange(tile_len, dtype=np.int64) + i,
-                    "miss_count": np.array([i], dtype=np.int64),
-                }
-            )
+def _write_payload(path):
+    write_payload_atomic(path, {"lines": np.arange(100, dtype=np.int64)})
     return path
-
-
-class TestTraceTileContainer:
-    def test_round_trip(self, tmp_path):
-        path = _write_container(tmp_path / "t.rpt")
-        assert path.read_bytes()[:4] == TILE_MAGIC
-        with TraceTileReader(path) as reader:
-            assert reader.n_tiles == len(reader) == 4
-            assert reader.meta["app"] == "unit"
-            for i, tile in enumerate(reader):
-                assert np.array_equal(
-                    tile["lines"], np.arange(100, dtype=np.int64) + i
-                )
-                assert tile["miss_count"][0] == i
-
-    def test_tiles_are_zero_copy_views(self, tmp_path):
-        path = _write_container(tmp_path / "t.rpt")
-        with TraceTileReader(path) as reader:
-            tile = reader.tile(0)
-            assert not tile["lines"].flags.writeable
-            assert not tile["lines"].flags.owndata
-
-    def test_column_concatenates_across_tiles(self, tmp_path):
-        path = _write_container(tmp_path / "t.rpt", n_tiles=3, tile_len=10)
-        with TraceTileReader(path) as reader:
-            counts = np.concatenate(list(reader.column("miss_count")))
-        assert np.array_equal(counts, np.array([0, 1, 2]))
-
-    def test_torn_container_self_heals_as_missing(self, tmp_path):
-        path = _write_container(tmp_path / "t.rpt")
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 9])  # tear the trailer
-        with pytest.raises(FileNotFoundError):
-            TraceTileReader(path)
-        assert not path.exists()  # corrupt file was removed
-
-    def test_abort_leaves_nothing_behind(self, tmp_path):
-        path = tmp_path / "t.rpt"
-        writer = TraceTileWriter(path, meta={})
-        writer.append({"lines": np.arange(5)})
-        writer.abort()
-        assert not path.exists()
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestOpenHandleGuard:
     def test_unlink_defers_until_last_close(self, tmp_path):
-        """The PR's reclaim regression: deleting a container an mmap'd
-        reader still holds open must wait for that reader's close()."""
-        path = _write_container(tmp_path / "t.rpt")
-        reader = TraceTileReader(path)
-        second = TraceTileReader(path)
+        """Deleting a container whose mapping live payload views still
+        alias must wait until the last of those views dies."""
+        path = _write_payload(tmp_path / "t.rpb")
+        first, _ = read_payload_file(path)
+        second, _ = read_payload_file(path)
         assert open_reader_count(path) == 2
         unlink_when_closed(path)
         assert path.exists()  # still mapped: deletion deferred
-        second.close()
+        del second
+        gc.collect()
         assert path.exists()  # one reader left
-        tile = reader.tile(0)  # the mapping stays valid throughout
-        assert tile["lines"][0] == 0
-        reader.close()
-        assert not path.exists()  # last close performs the unlink
+        assert first["lines"][0] == 0  # the mapping stays valid throughout
+        del first
+        gc.collect()
+        assert not path.exists()  # the last view's death performs the unlink
         assert open_reader_count(path) == 0
 
     def test_unlink_immediate_without_readers(self, tmp_path):
-        path = _write_container(tmp_path / "t.rpt")
-        unlink_when_closed(path)
+        path = _write_payload(tmp_path / "t.rpb")
+        payload, _ = read_payload_file(path)
+        del payload
+        gc.collect()
+        assert open_reader_count(path) == 0
+        assert unlink_when_closed(path) is True
         assert not path.exists()
 
     def test_store_reclaim_uses_the_guard(self, tmp_path):
@@ -137,8 +103,6 @@ class TestOpenHandleGuard:
         assert open_reader_count(spilled) == 1
         assert np.array_equal(payload["x"], np.arange(8.0))
         del payload
-        import gc
-
         gc.collect()
         assert open_reader_count(spilled) == 0
         assert not Path(spilled).exists()  # last view gone: deleted
@@ -166,9 +130,6 @@ class TestStreamTileGenerator:
 class TestStreamedCollector:
     def test_matches_monolithic_oracles(self):
         from repro.instrumentation.streamed import StreamedSignatureCollector
-        from repro.mem.cache import CacheSimulator
-        from repro.mem.ldv import N_DISTANCE_BINS
-        from repro.mem.reuse import reuse_distances, reuse_histogram
 
         pattern = _pattern(PatternKind.RANDOM)
         tiles = list(iter_stream_tiles(pattern, 6000, 5, 1024))
@@ -204,35 +165,105 @@ class TestStreamedCollector:
         assert split.result()["bbv"][0] == whole.result()["bbv"][0] == 15
 
 
+#: The default cache hierarchy every cell without a machine streams
+#: through: (name, size in bytes, associativity).
+DEFAULT_LEVELS = (("L1D", 32 * 1024, 8), ("L2", 256 * 1024, 8))
+
+
+def _assert_matches_oracles(request, config, payload, levels=DEFAULT_LEVELS):
+    """Replay a cell's whole stream through the monolithic kernels."""
+    blocks = _trace_blocks(request.app, request.threads)
+    tiles = list(_block_tiles(request, blocks, config.seed, 1 << 30))
+    stream = np.concatenate([tile for _, _, tile in tiles])
+    assert payload["n_accesses"] == stream.size == request.param("accesses")
+    assert payload["distinct_lines"] == np.unique(stream).size
+    want_bbv = np.zeros(len(blocks), dtype=np.int64)
+    for index, ipa, tile in tiles:
+        want_bbv[index] = round(tile.size * ipa)
+    assert payload["bbv"] == want_bbv.tolist()
+    ldv = reuse_histogram(reuse_distances(stream), N_DISTANCE_BINS)
+    assert np.array_equal(payload["ldv"], ldv), request.app
+    substream = stream
+    for name, size, associativity in levels:
+        oracle = CacheSimulator(size, associativity).miss_mask(substream)
+        got = payload["levels"][name]
+        assert got["accesses"] == substream.size, (request.app, name)
+        assert got["misses"] == int(oracle.sum()), (request.app, name)
+        substream = substream[oracle]
+
+
+#: A short stream in small tiles: 69 tiles for the 53 blocks of the
+#: seven apps, so several blocks cross a tile boundary (at the CLI's
+#: default tile size every block's quick stream fits in one tile).
+ORACLE_ACCESSES = 20_000
+ORACLE_TILE = 4_096
+
+
 class TestTraceCell:
-    def test_quick_cell_checks_oracles_and_writes_container(self, tmp_path):
-        from dataclasses import replace
-
-        from repro.experiments.config import default_config
-        from repro.experiments.trace import trace_cell, trace_request
-
-        config = replace(
+    @staticmethod
+    def _config(tmp_path, **overrides):
+        return replace(
             default_config("quick"),
             cache_dir=str(tmp_path),
-            trace_accesses=3000,
+            trace_accesses=ORACLE_ACCESSES,
+            trace_tile_size=ORACLE_TILE,
+            **overrides,
         )
-        request = trace_request("LULESH", 3000)
+
+    @pytest.mark.parametrize("app", EVALUATED_APPS)
+    def test_streamed_signatures_match_the_oracles(self, app, tmp_path):
+        config = self._config(tmp_path)
+        request = trace_request(app, ORACLE_ACCESSES)
+        _assert_matches_oracles(request, config, trace_cell(request, config))
+
+    def test_ingested_machine_cell_matches_the_oracles(
+        self, tmp_path, scratch_registry
+    ):
+        """An ingested machine's own L1D/L2 geometry (the armcortex host:
+        32 KiB 4-way, 1 MiB 16-way) is what the cell streams through;
+        graph500's misses differ from the default hierarchy's at both
+        levels."""
+        from repro.api.registry import machine_registry
+        from repro.hw.ingest import (
+            HostDescriptor,
+            lower_descriptor,
+            machine_to_spec,
+            save_machine_spec,
+        )
+
+        hosts = Path(__file__).resolve().parents[1] / "data" / "hosts"
+        lowered = lower_descriptor(
+            HostDescriptor.from_tree(hosts / "armcortex"), name="grid-arm"
+        )
+        spec = tmp_path / "grid-arm.json"
+        save_machine_spec(machine_to_spec(lowered.machine), spec)
+        config = self._config(
+            tmp_path, machine_specs=(str(spec),), machines=("grid-arm",)
+        )
+        request = trace_request("graph500", ORACLE_ACCESSES, "grid-arm")
         payload = trace_cell(request, config)
-        assert payload["oracle_checked"] is True
-        assert payload["n_accesses"] == 3000
-        containers = list((tmp_path / "traces").glob("*.rpt"))
-        assert len(containers) == 1
-        with TraceTileReader(containers[0]) as reader:
-            assert reader.meta["app"] == "LULESH"
-            total = sum(int(t["lines"].size) for t in reader)
-        assert total == 3000
+        machine = machine_registry.get("grid-arm")
+        levels = (
+            ("L1D", machine.l1d.size_bytes, machine.l1d.associativity),
+            ("L2", machine.l2.size_bytes, machine.l2.associativity),
+        )
+        assert payload["machine"] == "grid-arm"
+        _assert_matches_oracles(request, config, payload, levels)
+        default = trace_cell(trace_request("graph500", ORACLE_ACCESSES), config)
+        for name in ("L1D", "L2"):
+            assert payload["levels"][name] != default["levels"][name], name
+
+    def test_payload_is_tile_size_invariant(self, tmp_path):
+        """``--trace-tile-size`` is execution-only, so a cached cell must
+        not depend on the tile count that filled it."""
+        small = self._config(tmp_path)
+        large = replace(small, trace_tile_size=1 << 20)
+        for app in EVALUATED_APPS:
+            request = trace_request(app, ORACLE_ACCESSES)
+            assert trace_cell(request, small) == trace_cell(request, large), app
 
     def test_cell_records_run_time_and_rss_for_the_profile(self, tmp_path):
-        from dataclasses import replace
-
         from repro.exec.stagestore import stage_store_for
-        from repro.experiments.config import default_config
-        from repro.experiments.trace import trace_cell, trace_request
 
         config = replace(
             default_config("quick"), cache_dir=str(tmp_path), trace_accesses=2000
@@ -296,8 +327,6 @@ class TestMiniBatchKMeans:
         assert stage.overrides["algorithm"] == "minibatch"
 
     def test_full_scale_uses_minibatch_quick_stays_exact(self):
-        from repro.experiments.config import default_config
-
         assert default_config("full").simpoint.algorithm == "minibatch"
         assert default_config("quick").simpoint.algorithm == "exact"
 
