@@ -12,8 +12,9 @@ contract this example demonstrates end to end:
   faults cost retries, never numbers;
 * a cell that exhausts its retry budget quarantines with an
   actionable diagnostic instead of wedging the grid;
-* a killed driver resumes from its append-only checkpoint journal,
-  re-executing only the unfinished cells.
+* running an interrupted grid again resumes it: finished cells
+  rebuild from the stores, and only the unfinished cells compute a
+  discovery.
 
 The same drill is available as a one-shot CLI verdict::
 
@@ -29,6 +30,7 @@ from pathlib import Path
 
 from repro.exec.faults import install_plan, reset_fault_state
 from repro.exec.scheduler import StudyScheduler, _canonical
+from repro.exec.stagestore import stage_store_for
 from repro.exec.supervise import QuarantinedCellError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import crossarch_request
@@ -109,34 +111,36 @@ def main() -> None:
     else:
         raise AssertionError("unbounded faults should have quarantined")
 
-    # 4. Checkpoint/resume: run half a grid, "crash", resume.  Sweep
-    # cells — both axes, thread teams and ranks — are cache-exempt
-    # (their payloads park in the checkpoint journal, written
-    # per-completion), so only the unfinished half executes on resume.
+    # 4. Resume by running again: run half a grid, stop (the simulated
+    # SIGKILL point), then run the whole grid.  Sweep cells — both
+    # axes, thread teams and ranks — are cache-exempt, but the stage
+    # store keeps each cell's selection and measurement as it
+    # completes, so the rerun rebuilds the finished half from them and
+    # computes only the other half's discoveries.
     _fresh_plane()
     cache = str(tmp / "resume")
     grid = [
         scaling_request("MCB", threads, MACHINE) for threads in (1, 2)
     ] + [rank_request("graph500", ranks, MACHINE) for ranks in (1, 2)]
-    first = StudyScheduler(_config(cache_dir=cache))
-    first.run(grid[:2])
-    first.checkpoint.close()  # the simulated SIGKILL point
+    StudyScheduler(_config(cache_dir=cache)).run(grid[:2])
 
-    resumed = StudyScheduler(_config(cache_dir=cache, resume=True))
-    results = resumed.run(grid)
-    print(
-        f"resume      : {resumed.stats.resumed} cells reloaded, "
-        f"{resumed.stats.executed} executed"
-    )
-    assert resumed.stats.resumed == 2 and resumed.stats.executed == 2
+    rerun = StudyScheduler(_config(cache_dir=cache))
+    stage_stats = stage_store_for(rerun.config).stats
+    before = stage_stats.snapshot()
+    results = rerun.run(grid)
+    delta = stage_stats.delta_since(before)
+    loaded = delta["hits"].get("select", 0)
+    computed = delta["misses"].get("select", 0)
+    print(f"rerun       : {loaded} discoveries loaded, {computed} computed")
+    assert loaded == 2 and computed == 2
 
     _fresh_plane()
     uninterrupted = StudyScheduler(_config()).run(grid)
     assert all(
         _canonical(results[request]) == _canonical(uninterrupted[request])
         for request in grid
-    ), "resumed payloads must match an uninterrupted run"
-    print("resumed payloads byte-identical to an uninterrupted run: OK")
+    ), "rerun payloads must match an uninterrupted run"
+    print("rerun payloads byte-identical to an uninterrupted run: OK")
 
 
 if __name__ == "__main__":

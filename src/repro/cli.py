@@ -207,12 +207,6 @@ def _build_parser(jobs_default: int = 1) -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="disable the on-disk study cache"
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip cells a crashed run already finished (consults the "
-        "study checkpoint journal; cleared on full success)",
-    )
-    parser.add_argument(
         "--faults",
         default=None,
         metavar="SPEC",
@@ -277,8 +271,6 @@ def _config_from_args(args: argparse.Namespace):
         overrides["machines"] = tuple(
             name.strip() for name in args.machines.split(",") if name.strip()
         )
-    if getattr(args, "resume", False):
-        overrides["resume"] = True
     if getattr(args, "faults", None):
         from repro.exec.faults import FaultPlan
 
@@ -459,9 +451,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.profile:
             print()
             print(stats.profile_table())
-    # The command rendered everything it was asked for; a future
-    # --resume should start fresh rather than trust stale progress.
-    scheduler.checkpoint.clear()
     return 0
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-__all__ = ["record_heal", "record_fault", "register_stats_sink", "reset_pending"]
+__all__ = ["record_heal", "record_fault", "register_stats_sink"]
 
 #: Stats objects receiving heal/fault increments (one per StageStore).
 _SINKS: list = []
@@ -66,9 +66,3 @@ def record_fault(site: str) -> None:
             stats.faults[site] += 1
     else:
         _PENDING_FAULTS[site] += 1
-
-
-def reset_pending() -> None:
-    """Drop buffered increments (test isolation)."""
-    _PENDING_HEALS.clear()
-    _PENDING_FAULTS.clear()

@@ -4,16 +4,20 @@
 table and figure obtains its study cells.  One ``run`` call:
 
 1. deduplicates the requested cells (preserving first-seen order),
-2. satisfies what it can from the in-process memo, the on-disk
-   :class:`~repro.exec.store.StudyStore` and — under ``--resume`` —
-   the crash-safe :class:`~repro.exec.checkpoint.StudyCheckpoint`,
+2. satisfies what it can from the in-process memo and the on-disk
+   :class:`~repro.exec.store.StudyStore`,
 3. fans the remaining misses out over the configured
    :mod:`backend <repro.exec.backends>` under per-cell supervision
    (:mod:`repro.exec.supervise`: bounded retries, timeouts, crashed
    worker respawn, quarantine), one cell of each discovery group
    (:func:`~repro.exec.cells.discovery_group`) at a time, and
-4. persists and checkpoints fresh results *as each cell completes*
-   before handing the full request → payload mapping back.
+4. persists fresh results *as each cell completes* before handing the
+   full request → payload mapping back.
+
+Re-running an interrupted command is how it resumes: cacheable cells
+load from the :class:`~repro.exec.store.StudyStore`, and each
+cache-exempt sweep cell rebuilds in a millisecond or two from the
+``select``/``measure`` entries the stage store kept as they completed.
 
 Determinism: cell executors draw all randomness from
 :class:`~repro.util.rng.RngTree` paths derived from the configuration
@@ -36,7 +40,6 @@ from typing import Iterable
 
 from repro.exec.backends import ExecutionBackend, create_backend
 from repro.exec.cells import CELL_LEVEL_UNCACHED, discovery_group, execute_request
-from repro.exec.checkpoint import StudyCheckpoint
 from repro.exec.faults import active_plan, install_plan
 from repro.exec.request import StudyRequest
 from repro.exec.stagestore import stage_store_for
@@ -58,9 +61,6 @@ class SchedulerStats:
         Duplicate requests coalesced away.
     memo_hits / cache_hits:
         Cells served from process memory / the disk store.
-    resumed:
-        Uncacheable cells reloaded from the study checkpoint
-        (``--resume`` after a crash).
     executed:
         Cells actually computed.
     retries / respawns / timeouts / quarantined:
@@ -80,7 +80,6 @@ class SchedulerStats:
     deduplicated: int = 0
     memo_hits: int = 0
     cache_hits: int = 0
-    resumed: int = 0
     executed: int = 0
     retries: int = 0
     respawns: int = 0
@@ -99,7 +98,6 @@ class SchedulerStats:
         extras = [
             f"{value} {name}"
             for name, value in (
-                ("resumed", self.resumed),
                 ("retries", self.retries),
                 ("respawns", self.respawns),
                 ("timeouts", self.timeouts),
@@ -200,7 +198,6 @@ class StudyScheduler:
         self.config = config
         self.backend = backend or create_backend(config.backend, config.jobs)
         self.store = StudyStore(config.cache_dir, config)
-        self.checkpoint = StudyCheckpoint(config.cache_dir, config)
         self.stats = SchedulerStats()
         self._memory: dict[StudyRequest, object] = {}
         plan = active_plan(config)
@@ -223,7 +220,7 @@ class StudyScheduler:
         Returns a mapping with one entry per *unique* request; duplicate
         requests are deduplicated before any work is scheduled.  Raises
         :class:`~repro.exec.supervise.QuarantinedCellError` — *after*
-        finishing and checkpointing every other cell — when any cell
+        finishing and persisting every other cell — when any cell
         exhausts its retry budget.
         """
         ordered = list(requests)
@@ -236,29 +233,18 @@ class StudyScheduler:
         self.stats.requested += len(ordered)
         self.stats.deduplicated += len(ordered) - len(unique)
 
-        resume = bool(self.config.resume) and self.checkpoint.enabled
         missing: list[StudyRequest] = []
         for request in unique:
             if request in self._memory:
                 self.stats.memo_hits += 1
                 continue
-            if request.kind in CELL_LEVEL_UNCACHED:
-                payload = None
-                if resume and self.checkpoint.completed(self.checkpoint.digest(request)):
-                    # A crashed run already finished this uncacheable
-                    # cell; reload its parked payload instead of
-                    # recomputing the whole stage pipeline.
-                    payload = self.checkpoint.load_payload(request)
-                    if payload is not None:
-                        self.stats.resumed += 1
-            else:
+            if request.kind not in CELL_LEVEL_UNCACHED:
                 payload = self.store.load(request)
                 if payload is not None:
                     self.stats.cache_hits += 1
-            if payload is not None:
-                self._memory[request] = payload
-            else:
-                missing.append(request)
+                    self._memory[request] = payload
+                    continue
+            missing.append(request)
 
         if missing:
             parent_pid = os.getpid()
@@ -293,7 +279,7 @@ class StudyScheduler:
         parent_pid: int,
         parent_stats,
     ) -> None:
-        """Absorb one completed cell: merge counters, persist, journal."""
+        """Absorb one completed cell: merge counters, persist, memoise."""
         (transport, value), pid, delta = result
         if pid != parent_pid:
             # Cell ran in a worker process: fold its stage-cache
@@ -333,15 +319,6 @@ class StudyScheduler:
                 # A full or failing disk degrades caching, not the run.
                 self.stats.store_failures += 1
         self._memory[request] = payload
-        if self.checkpoint.enabled:
-            try:
-                self.checkpoint.record(
-                    request, payload if not cacheable else None
-                )
-            except OSError:
-                # An unjournaled completion only costs a re-execution
-                # on resume; never fail a finished cell over it.
-                self.stats.store_failures += 1
 
     def result(self, request: StudyRequest):
         """Execute (or fetch) a single cell and return its payload."""

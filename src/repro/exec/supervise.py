@@ -30,7 +30,8 @@ This module wraps each backend's map with a supervisor that
 
 Completion callbacks fire in the *supervisor's* process as each cell
 finishes (never from a pool thread), which is what lets the scheduler
-journal per-completion checkpoints that survive a driver SIGKILL.
+persist each cell as it completes, so a driver SIGKILL loses at most
+the cells in flight.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ class QuarantinedCellError(RuntimeError):
         super().__init__(
             f"{len(self.failures)} cell(s) quarantined after exhausting "
             f"their retry budget:\n{lines}\n"
-            "Completed cells were checkpointed; rerun with --resume after "
-            "addressing the cause to execute only the quarantined cells."
+            "Finished cells are in the cache; after addressing the cause, run "
+            "the same command again to compute only the quarantined cells."
         )
 
 
@@ -254,7 +255,7 @@ class ProcessSupervision:
 
     Supervision submits one future per cell: per-cell completion events
     are what enable crash attribution, per-cell timeouts and
-    per-completion checkpointing.  Cells of one group wait in a
+    per-completion persistence.  Cells of one group wait in a
     :class:`GroupHold` until the group's cell in flight settles; after
     a pool break each fresh pool holds the groups' pending cells again.
 

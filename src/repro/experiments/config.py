@@ -85,12 +85,8 @@ class ExperimentConfig:
         Per-cell supervision budget (see :mod:`repro.exec.supervise`):
         retries after the first attempt, per-attempt wall-clock seconds
         (0 disables) and the base backoff delay.  Execution-only.
-    resume:
-        Consult the study checkpoint (:mod:`repro.exec.checkpoint`)
-        before scheduling, skipping cells a crashed run already
-        finished.  Execution-only.
 
-    All six resilience knobs are deliberately outside
+    All four resilience knobs are deliberately outside
     :meth:`pipeline_config`, so they never enter the cache fingerprint:
     a chaos run and a fault-free run address the *same* cells.
     """
@@ -112,7 +108,6 @@ class ExperimentConfig:
     cell_retries: int = 2
     cell_timeout: float = 0.0
     retry_backoff: float = 0.05
-    resume: bool = False
 
     def pipeline_config(self) -> PipelineConfig:
         """The per-configuration pipeline parameters."""

@@ -14,9 +14,9 @@ Results themselves are **not** journaled: the content-addressed store
 already holds the durable payloads, so a restored record re-hydrates
 lazily from disk on its first hit.
 
-The journal is fsync-per-append (``durable=True``): it is the daemon's
-only restart state, and one fsync per cell completion is noise next to
-the cell's execution.  On graceful drain the journal is *compacted* —
+The journal is fsync-per-append: it is the daemon's only restart
+state, and one fsync per cell completion is noise next to the cell's
+execution.  On graceful drain the journal is *compacted* —
 rewritten with exactly one summary frame per terminal cell, dropping
 the submitted/failed chatter — so a long-lived daemon's journal scales
 with its distinct completed cells, not its request history.
@@ -43,12 +43,8 @@ class ServeJournal:
     restart cannot deliver.
     """
 
-    def __init__(self, cache_dir: str, durable: bool = True) -> None:
-        self._log = (
-            RecordLog(Path(cache_dir) / JOURNAL_NAME, durable=durable)
-            if cache_dir
-            else None
-        )
+    def __init__(self, cache_dir: str) -> None:
+        self._log = RecordLog(Path(cache_dir) / JOURNAL_NAME) if cache_dir else None
         #: Bytes truncated by the last replay's torn-tail self-heal.
         self.healed_bytes = 0
 

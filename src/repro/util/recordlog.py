@@ -1,9 +1,8 @@
 """Crash-safe append-only record log (CRC-framed JSON records).
 
-Both durability journals in the repository — the scheduler's study
-checkpoint (:mod:`repro.exec.checkpoint`) and the serve daemon's
-restart journal (:mod:`repro.serve.journal`) — share this one framing
-so there is a single torn-tail recovery path to test byte-by-byte.
+The serve daemon's restart journal (:mod:`repro.serve.journal`) is
+written in this framing; its one torn-tail recovery path is tested at
+every byte boundary (``tests/properties/test_torn_writes.py``).
 
 Frame layout, repeated until EOF::
 
@@ -21,10 +20,8 @@ two replays disagree.  Healed byte counts are reported to
 :func:`repro.exec.health.record_heal` so the recovery is observable
 (``--profile``, ``/v1/status``) instead of silent.
 
-Appends are buffered through one ``'ab'`` handle and flushed per
-record; ``durable=True`` additionally fsyncs (the serve journal does,
-the study checkpoint does not — a lost checkpoint record only costs a
-re-execution).  :meth:`RecordLog.compact` atomically rewrites the log
+Appends go through one ``'ab'`` handle and are flushed and fsynced
+per record.  :meth:`RecordLog.compact` atomically rewrites the log
 with a caller-chosen subset of records (temp file + ``os.replace``).
 """
 
@@ -65,15 +62,10 @@ class RecordLog:
     ----------
     path:
         Log file location (parent directories are created lazily).
-    durable:
-        fsync after every append.  Choose per journal: the serve
-        journal is the daemon's only restart state so it pays the
-        fsync; the study checkpoint shadows recomputable work.
     """
 
-    def __init__(self, path: Path | str, durable: bool = False) -> None:
+    def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
-        self.durable = durable
         self._handle = None
         self._lock = threading.Lock()
 
@@ -155,8 +147,7 @@ class RecordLog:
             try:
                 handle.write(frame)
                 handle.flush()
-                if self.durable:
-                    os.fsync(handle.fileno())
+                os.fsync(handle.fileno())
             except OSError:
                 # A full or failing disk must degrade the journal, not
                 # the run it shadows; the next replay simply sees fewer
@@ -230,14 +221,6 @@ class RecordLog:
         """Close the append handle (reopened lazily by the next append)."""
         with self._lock:
             self.close_locked()
-
-    def delete(self) -> None:
-        """Remove the log file entirely (checkpoint clear)."""
-        self.close()
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
 
     def __enter__(self) -> "RecordLog":
         return self

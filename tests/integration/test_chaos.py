@@ -4,8 +4,8 @@ The contract under test: a seeded :class:`~repro.exec.faults.FaultPlan`
 may cost retries, pool respawns and self-heals, but the study's
 payloads must stay byte-identical to a fault-free run; a cell that
 exhausts its budget quarantines with an actionable diagnostic instead
-of wedging the grid; and a killed driver resumes from its checkpoint
-executing only the unfinished cells.
+of wedging the grid; and running an interrupted grid again resumes it
+from the stores, recomputing only the unfinished discoveries.
 """
 
 import pytest
@@ -13,10 +13,11 @@ import pytest
 from repro.exec.chaos import chaos_main
 from repro.exec.faults import install_plan, reset_fault_state
 from repro.exec.scheduler import StudyScheduler, _canonical
+from repro.exec.stagestore import stage_store_for
 from repro.exec.supervise import QuarantinedCellError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import crossarch_request
-from repro.experiments.sweep import rank_request, scaling_request
+from repro.experiments.sweep import rank_request, scaling, scaling_request
 
 APPS = ("MCB", "graph500")
 MACHINE = "Intel Core i7-3770"
@@ -146,7 +147,8 @@ class TestQuarantine:
             scheduler.run([crossarch_request("MCB", 1)])
         message = str(err.value)
         assert "quarantined" in message
-        assert "--resume" in message
+        assert "run the same command again" in message
+        assert "--resume" not in message
         assert scheduler.stats.quarantined == 1
         assert scheduler.stats.retries == 1
 
@@ -176,56 +178,52 @@ class TestQuarantine:
         assert healthy in scheduler._memory  # the grid finished around it
 
 
-class TestCheckpointResume:
+class TestResumeFromStore:
+    """Running the same grid again is how an interrupted run resumes."""
+
     @pytest.mark.parametrize(
         "make_request", [scaling_request, rank_request], ids=["scaling", "ranks"]
     )
-    def test_resume_executes_only_unfinished_cells(self, make_request, tmp_path):
-        """Simulated mid-grid crash: finished cells reload, rest run."""
+    def test_rerun_rebuilds_finished_cells(self, make_request, tmp_path):
+        """Finished cells rebuild from stored stages; the rest compute."""
         cache = str(tmp_path / "cache")
         requests = [
             make_request(app, width, MACHINE) for app in APPS for width in (1, 2)
         ]
 
-        # "Crash" after two cells: the checkpoint journal is written
-        # per-completion and only a fully successful CLI command clears
-        # it, so stopping here leaves exactly the post-SIGKILL state.
+        # Scheduler A stops after the two MCB cells, as a driver killed
+        # mid-grid would: the stage store already holds their stages.
         first = StudyScheduler(_config(cache_dir=cache))
         first.run(requests[:2])
         assert first.stats.executed == 2
-        first.checkpoint.close()
 
-        resumed = StudyScheduler(_config(cache_dir=cache, resume=True))
-        results = resumed.run(requests)
-        assert resumed.stats.resumed == 2
-        assert resumed.stats.executed == 2
+        second = StudyScheduler(_config(cache_dir=cache))
+        stats = stage_store_for(second.config).stats
+        before = stats.snapshot()
+        results = second.run(requests)
+        delta = stats.delta_since(before)
         assert set(results) == set(requests)
+        # Sweep cells are cache-exempt, so all four execute, but only
+        # graph500's two widths compute a discovery: each MCB cell
+        # loads its stored selection and measurement and looks up
+        # nothing upstream of them.
+        assert second.stats.executed == 4
+        assert delta["misses"].get("cluster") == 2
+        assert delta["hits"].get("measure") == 2
+        assert delta["misses"].get("measure") == 2
 
-        # Resumed payloads are byte-identical to an uninterrupted run.
+        # The resumed payloads are byte-identical to an uninterrupted run.
         expected = StudyScheduler(_config()).run(requests)
         assert _canonical_results(results) == _canonical_results(expected)
 
-    def test_without_resume_flag_uncacheable_cells_recompute(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        request = scaling_request("MCB", 2, MACHINE)
-        StudyScheduler(_config(cache_dir=cache)).run([request])
-
-        fresh = StudyScheduler(_config(cache_dir=cache))  # no resume=True
-        fresh.run([request])
-        assert fresh.stats.resumed == 0
-        assert fresh.stats.executed == 1
-
-    def test_checkpoint_clear_forgets_progress(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        request = scaling_request("MCB", 1, MACHINE)
-        first = StudyScheduler(_config(cache_dir=cache))
-        first.run([request])
-        first.checkpoint.clear()
-
-        resumed = StudyScheduler(_config(cache_dir=cache, resume=True))
-        resumed.run([request])
-        assert resumed.stats.resumed == 0
-        assert resumed.stats.executed == 1
+    def test_repeated_runs_leave_no_checkpoint_directory(self, tmp_path):
+        """The stores are the only state a run leaves behind."""
+        cache = tmp_path / "cache"
+        requests = scaling.requests_for(("MCB",), (MACHINE,))
+        for _ in range(2):
+            StudyScheduler(_config(cache_dir=str(cache))).run(requests)
+        assert (cache / "stages").is_dir()
+        assert not (cache / "checkpoints").exists()
 
 
 class TestChaosCli:

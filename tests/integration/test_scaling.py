@@ -136,8 +136,8 @@ class TestScalingStudyApi:
 
         cell = run_scaling_cell("MCB", INTEL_I7_3770.name, 2, FAST)
         assert SweepCell.from_payload(cell.to_payload()) == cell
-        # Served and checkpointed payloads keep their shape: no rank
-        # fields leak into a thread-axis cell.
+        # Served payloads keep their shape: no rank fields leak into a
+        # thread-axis cell.
         assert list(cell.to_payload()) == [
             "app", "machine", "threads", "k", "total_barrier_points",
             "wall_mcycles", "instructions", "cpi_true", "cpi_estimate",

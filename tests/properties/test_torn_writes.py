@@ -2,7 +2,7 @@
 
 The self-healing contract of every durable artifact format — the
 columnar payload container (``.rpb``) and the CRC-framed record log
-(checkpoint + serve journal) — is exhaustive, not probabilistic: for
+(the serve journal) — is exhaustive, not probabilistic: for
 **every** prefix of the on-disk bytes, reading back must yield a clean
 miss (payloads), or an exact record *prefix* plus a healed tail (record
 logs).  Never an unhandled exception, and never wrong bytes.  These
@@ -48,7 +48,7 @@ class TestPayloadContainerTruncation:
 
 class TestRecordLogTruncation:
     def test_every_prefix_replays_an_exact_record_prefix(self, tmp_path):
-        path = tmp_path / "cells.journal"
+        path = tmp_path / "serve.journal"
         log = RecordLog(path)
         records = [{"i": i, "pad": "x" * (3 * i)} for i in range(8)]
         for record in records:
@@ -81,7 +81,7 @@ class TestRecordLogTruncation:
 
     def test_corrupted_middle_frame_stops_at_last_good_record(self, tmp_path):
         """A bit-flip (not just truncation) can never smuggle bytes."""
-        path = tmp_path / "cells.journal"
+        path = tmp_path / "serve.journal"
         log = RecordLog(path)
         records = [{"i": i} for i in range(4)]
         for record in records:
