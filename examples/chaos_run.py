@@ -58,7 +58,12 @@ def _fresh_plane() -> None:
 
 
 def main() -> None:
-    tmp = Path(tempfile.mkdtemp(prefix="repro-chaos-example-"))
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-example-") as tmp:
+        drill(Path(tmp))
+
+
+def drill(tmp: Path) -> None:
+    """Run the four steps with their caches under ``tmp``."""
     requests = [
         crossarch_request(app, threads)
         for app in ("MCB", "graph500")

@@ -38,8 +38,13 @@ from repro.serve.server import ReproServer
 
 
 def main() -> None:
-    tmp = tempfile.mkdtemp(prefix="repro-serve-example-")
+    # The cache directory is removed once the server has shut down.
+    with tempfile.TemporaryDirectory(prefix="repro-serve-example-") as tmp:
+        serve(tmp)
 
+
+def serve(tmp: str) -> None:
+    """Boot the daemon over a cache under ``tmp`` and drive its API."""
     # Boot the daemon: asyncio loop on a background thread, port 0
     # picks a free ephemeral port (readable after start()).
     loop = asyncio.new_event_loop()

@@ -43,7 +43,6 @@ __all__ = [
     "payload_to_jsonable",
     "payload_from_jsonable",
     "payload_nbytes",
-    "payload_has_arrays",
 ]
 
 #: The binary columnar codec (metadata JSON + little-endian segments).
@@ -186,18 +185,3 @@ def payload_nbytes(payload) -> int:
     if isinstance(payload, (list, tuple)):
         return sum(payload_nbytes(value) for value in payload)
     return 0
-
-
-def payload_has_arrays(payload) -> bool:
-    """Whether any :class:`numpy.ndarray` (even empty) is in the tree.
-
-    Distinct from ``payload_nbytes(payload) > 0``: an all-empty-array
-    payload carries zero bytes but still cannot ride a plain-JSON plane.
-    """
-    if isinstance(payload, np.ndarray):
-        return True
-    if isinstance(payload, dict):
-        return any(payload_has_arrays(value) for value in payload.values())
-    if isinstance(payload, (list, tuple)):
-        return any(payload_has_arrays(value) for value in payload)
-    return False

@@ -48,6 +48,8 @@ import sys
 
 from repro.exec.backends import BACKEND_NAMES
 from repro.exec.scheduler import StudyScheduler
+from repro.exec.store import ArtifactStore
+from repro.exec.supervise import QuarantinedCellError
 from repro.experiments import (
     coalesce,
     coretypes,
@@ -407,30 +409,42 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {message}", file=sys.stderr)
             return 2
 
-    scheduler = StudyScheduler(config)
+    if config.cache_dir:
+        stale = ArtifactStore(config.cache_dir).prune()
+        if stale and args.verbose:
+            print("[cache] removed stale layouts:", *(f"{name}/" for name in stale),
+                  file=sys.stderr)
 
-    if args.experiment == "all":
-        # One deduplicated scheduled pass over every artefact's cells,
-        # then render each artefact from the shared results.
-        requests = []
-        for module in _EXPERIMENTS.values():
-            if hasattr(module, "requests"):
-                requests.extend(module.requests(config))
-        scheduler.run(requests)
-        renders = [
-            module.run(config, scheduler=scheduler)
-            if hasattr(module, "requests")
-            else module.run(config)
-            for module in _EXPERIMENTS.values()
-        ]
-        print("\n\n".join(result.render() for result in renders))
-    else:
-        module = _EXPERIMENTS[args.experiment]
-        if hasattr(module, "requests"):
-            result = module.run(config, scheduler=scheduler)
+    scheduler = StudyScheduler(config)
+    code = 0
+    try:
+        if args.experiment == "all":
+            # One deduplicated scheduled pass over every artefact's
+            # cells, then render each artefact from the shared results.
+            requests = []
+            for module in _EXPERIMENTS.values():
+                if hasattr(module, "requests"):
+                    requests.extend(module.requests(config))
+            scheduler.run(requests)
+            renders = [
+                module.run(config, scheduler=scheduler)
+                if hasattr(module, "requests")
+                else module.run(config)
+                for module in _EXPERIMENTS.values()
+            ]
+            print("\n\n".join(result.render() for result in renders))
         else:
-            result = module.run(config)
-        print(result.render())
+            module = _EXPERIMENTS[args.experiment]
+            if hasattr(module, "requests"):
+                result = module.run(config, scheduler=scheduler)
+            else:
+                result = module.run(config)
+            print(result.render())
+    except QuarantinedCellError as exc:
+        # Every other cell finished and is stored; the counters below
+        # say how the run got here.
+        print(f"error: {exc}", file=sys.stderr)
+        code = 1
 
     if args.verbose or args.profile:
         from repro.exec.stagestore import stage_store_for
@@ -451,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.profile:
             print()
             print(stats.profile_table())
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,10 +18,10 @@ rebuilds every array as a zero-copy ``np.frombuffer`` view into the
 mapping — decoding cost is one JSON header parse regardless of how many
 megabytes of arrays the payload carries.
 
-Durability and corruption behave like the JSON store: writes go to a
-temp file in the same directory, are fsynced, and land via
-``os.replace``; a torn or truncated file is treated as a miss and
-deleted so the next write heals the slot.  Decoded arrays are
+Writes go to a temp file in the same directory, are fsynced unless
+the caller opts out, and land via ``os.replace``; a torn or truncated
+file is treated as a miss and deleted so the next write heals the
+slot.  Decoded arrays are
 **read-only** (they alias the shared mapping); consumers that want to
 mutate must copy, which none of the pipeline stages do.
 """
@@ -162,8 +162,7 @@ def read_payload_file(path: Path) -> tuple[object, int] | None:
     The file is mapped read-only and every array in the payload is a
     view into that mapping (``np.frombuffer``); the mapping stays alive
     for as long as any view does.  A corrupt container (bad magic,
-    truncated, undecodable header) is deleted and treated as a miss,
-    exactly like a torn JSON cache entry.
+    truncated, undecodable header) is deleted and treated as a miss.
     """
     from repro.api.codec import decode_payload  # lazy: see write side
 

@@ -1,10 +1,10 @@
 """Size-budgeted LRU eviction over the sharded artifact store.
 
 The serve daemon keeps the cache warm forever, so the store only grows —
-something has to reclaim bytes.  :class:`StoreEvictor` walks the sharded
-``stages/`` and ``cells/`` trees (``.rpb`` containers and ``.json``
-cell entries alike), orders entries by last use and unlinks the coldest
-until the store fits its byte budget.
+something has to reclaim bytes.  :class:`StoreEvictor` walks the cell
+and stage entries of the current version
+(:meth:`~repro.exec.store.ArtifactStore.entries`), orders them by last
+use and unlinks the coldest until the store fits its byte budget.
 
 Two safety properties:
 
@@ -19,9 +19,9 @@ Two safety properties:
   byte-identical to what was dropped, never a wrong answer.  The serve
   integration tests assert exactly that round trip.
 
-Recency comes from ``max(st_atime, st_mtime)``: the stores bump mtime on
-every cache hit (see ``repro.exec.store._touch``), so the clock works on
-``noatime`` mounts too.
+Recency comes from ``max(st_atime, st_mtime)``: the store bumps mtime on
+every cache hit (see :meth:`repro.exec.store.ArtifactStore.read`), so
+the clock works on ``noatime`` mounts too.
 """
 
 from __future__ import annotations
@@ -31,12 +31,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exec.columnar import open_reader_count
+from repro.exec.store import ArtifactStore
 
 __all__ = ["CacheEntry", "EvictionReport", "StoreEvictor"]
-
-#: File suffixes that are store entries (everything else — temp files,
-#: stray artifacts — is left alone).
-_ENTRY_SUFFIXES = (".rpb", ".json")
 
 
 @dataclass(frozen=True)
@@ -88,55 +85,41 @@ class StoreEvictor:
     ----------
     cache_dir:
         The store root (the directory ``ExperimentConfig.cache_dir``
-        names); its ``stages/`` and ``cells/`` shard trees are scanned.
+        names).
     budget_bytes:
         Target size.  ``0`` or negative disables eviction entirely
         (:meth:`evict` becomes a scan-only no-op).
     """
 
-    #: Subtrees that hold evictable content-addressed entries: stage
-    #: payloads and cell payloads.  The ``spill/`` area is deliberately
-    #: absent: spill files are live process-transport hand-offs, not
-    #: cache.
-    SUBTREES = ("stages", "cells")
-
     def __init__(self, cache_dir: str | os.PathLike, budget_bytes: int) -> None:
-        self._root = Path(cache_dir) if cache_dir else None
+        self.artifacts = ArtifactStore(cache_dir)
         self.budget_bytes = int(budget_bytes)
 
     @property
     def enabled(self) -> bool:
         """Whether this evictor can ever unlink anything."""
-        return self._root is not None and self.budget_bytes > 0
+        return self.artifacts.enabled and self.budget_bytes > 0
 
     def scan(self) -> list[CacheEntry]:
         """Every store entry, coldest (least recently used) first."""
-        if self._root is None:
-            return []
         entries: list[CacheEntry] = []
-        for subtree in self.SUBTREES:
-            base = self._root / subtree
-            if not base.is_dir():
-                continue
-            for path in base.rglob("*"):
-                if path.suffix not in _ENTRY_SUFFIXES:
-                    continue
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue  # raced away mid-scan
-                entries.append(
-                    CacheEntry(
-                        path=path,
-                        nbytes=stat.st_size,
-                        last_used=max(stat.st_atime, stat.st_mtime),
-                    )
+        for path in self.artifacts.entries():
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # raced away mid-scan
+            entries.append(
+                CacheEntry(
+                    path=path,
+                    nbytes=stat.st_size,
+                    last_used=max(stat.st_atime, stat.st_mtime),
                 )
+            )
         entries.sort(key=lambda entry: (entry.last_used, str(entry.path)))
         return entries
 
     def total_bytes(self) -> int:
-        """Current store size in bytes: every entry in :attr:`SUBTREES`."""
+        """Current store size in bytes: every entry :meth:`scan` sees."""
         return sum(entry.nbytes for entry in self.scan())
 
     def evict(self) -> EvictionReport:

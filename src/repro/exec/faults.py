@@ -27,11 +27,12 @@ Sites:
     driver — a scheduled kill degrades to a raised
     :class:`InjectedWorkerKill`, so the retry path is still exercised.
 ``write``
-    Consulted by the atomic writers (:func:`repro.exec.store
-    .write_json_atomic`, :func:`repro.exec.columnar
-    .write_payload_atomic`).  ``torn`` publishes a deliberately
-    truncated entry (the self-heal path must recover it as a miss);
-    ``enospc`` raises ``OSError(ENOSPC)`` before any byte lands.
+    Consulted by the atomic container writer
+    (:func:`repro.exec.columnar.write_payload_atomic`), which every
+    :class:`~repro.exec.store.ArtifactStore` entry goes through.
+    ``torn`` publishes a deliberately truncated entry (the self-heal
+    path must recover it as a miss); ``enospc`` raises
+    ``OSError(ENOSPC)`` before any byte lands.
 
 Every firing is counted through :func:`repro.exec.health.record_fault`,
 so it ships across the ``processes`` boundary with the stage-cache

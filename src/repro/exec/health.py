@@ -1,9 +1,8 @@
 """Self-heal and fault-injection observability.
 
 The stores heal torn artifacts by design — a truncated ``.rpb``
-container, a half-written JSON entry or a torn journal tail reads as a
-clean miss and the slot is repaired (deleted or truncated) so the next
-write recovers it.  Healing *silently*, however, hides real trouble: a
+container or a torn journal tail reads as a clean miss and the slot is
+repaired (deleted or truncated) so the next write recovers it.  Healing *silently*, however, hides real trouble: a
 disk that tears one write a day looks exactly like a cold cache.  This
 module is the process-wide tally of those recoveries (and, during chaos
 runs, of injected faults), folded into the same
@@ -12,7 +11,8 @@ already ships worker increments back to the parent process — so heals
 observed inside a ``processes``-backend worker still reach the
 ``--profile`` report and ``/v1/status``.
 
-The heal sites (:mod:`repro.exec.store`, :mod:`repro.exec.columnar`,
+The heal sites (:mod:`repro.exec.columnar`, under every
+:class:`~repro.exec.store.ArtifactStore` read, and
 :mod:`repro.util.recordlog`) have no stage or configuration context, so
 they report through the free functions here; every
 :class:`StageCacheStats` constructed in the process registers itself as
@@ -49,8 +49,8 @@ def register_stats_sink(stats) -> None:
 def record_heal(site: str) -> None:
     """Count one corrupt-entry recovery at a named site.
 
-    Sites: ``"container"`` (torn ``.rpb``), ``"json"`` (torn JSON cache
-    entry), ``"journal"`` (torn record-log tail).
+    Sites: ``"container"`` (torn ``.rpb`` cache entry or spill file),
+    ``"journal"`` (torn record-log tail).
     """
     if _SINKS:
         for stats in _SINKS:

@@ -112,13 +112,13 @@ class SchedulerStats:
         return text
 
 
-#: Payloads whose array mass exceeds this ride back from worker
-#: processes as a file handle (content-addressed store or spill area)
-#: instead of pickled bytes over the result pipe.
+#: Payloads of the cache-exempt kinds whose array mass exceeds this
+#: ride back from worker processes as a spill file instead of pickled
+#: bytes over the result pipe.
 LARGE_PAYLOAD_BYTES = 64 * 1024
 
 #: Result markers for the reference transport.
-_INLINE, _STORED, _SPILLED = "inline", "stored", "spilled"
+_INLINE, _SPILLED = "inline", "spilled"
 
 
 def _execute_item(item: tuple[StudyRequest, object, int], attempt: int = 1):
@@ -136,15 +136,13 @@ def _execute_item(item: tuple[StudyRequest, object, int], attempt: int = 1):
       they land in a worker-local :func:`stage_store_for` memo the
       parent can't see — the pid lets the scheduler recognise (and skip
       re-merging) deltas produced in its own process;
-    * a *large* payload computed in a foreign process does not ride the
-      pickle pipe.  Cacheable cells are written to the content-addressed
-      :class:`~repro.exec.store.StudyStore` (where the scheduler would
-      persist them anyway) and announced as ``("stored", None)``;
-      uncacheable kinds spill to a columnar hand-off file announced as
-      ``("spilled", path)``.  The scheduler reattaches either via mmap.
-      If the store itself fails (a real or injected ``ENOSPC``), the
-      payload degrades to the inline pickle transport — slower, never
-      wrong.
+    * a *large* payload of a cache-exempt kind computed in a foreign
+      process does not ride the pickle pipe: it spills to a columnar
+      hand-off file announced as ``("spilled", path)``, which the
+      scheduler reattaches via mmap.  If the spill fails (a real or
+      injected ``ENOSPC``), the payload degrades to the inline pickle
+      transport — slower, never wrong.  Every other payload comes back
+      ``("inline", payload)``; the scheduler alone writes cell entries.
     """
     from repro.api.codec import payload_nbytes  # lazy: avoids api↔exec cycle
 
@@ -160,17 +158,17 @@ def _execute_item(item: tuple[StudyRequest, object, int], attempt: int = 1):
     before = stats.snapshot()
     payload = execute_request(request, config)
     result = (_INLINE, payload)
-    if in_worker and payload_nbytes(payload) > LARGE_PAYLOAD_BYTES:
-        store = StudyStore(config.cache_dir, config)
-        if store.enabled:
-            try:
-                if request.kind in CELL_LEVEL_UNCACHED:
-                    result = (_SPILLED, store.spill(request, payload))
-                else:
-                    store.store(request, payload)
-                    result = (_STORED, None)
-            except OSError:
-                result = (_INLINE, payload)
+    if (
+        in_worker
+        and request.kind in CELL_LEVEL_UNCACHED
+        and payload_nbytes(payload) > LARGE_PAYLOAD_BYTES
+    ):
+        try:
+            path = StudyStore(config.cache_dir, config).spill(request, payload)
+        except OSError:
+            path = None
+        if path is not None:
+            result = (_SPILLED, path)
     return result, os.getpid(), stats.delta_since(before)
 
 
@@ -286,19 +284,8 @@ class StudyScheduler:
             # traffic into this process's counters so --verbose
             # sees it.  Same-pid cells already incremented them.
             parent_stats.merge(delta)
-        if transport == _STORED:
-            # Worker persisted the payload content-addressed;
-            # reattach via mmap.  A torn entry (killed worker)
-            # degrades to recomputing the cell here.
-            payload = self.store.load(request)
-            if payload is None:  # pragma: no cover - crash path
-                payload = execute_request(request, self.config)
-        elif transport == _SPILLED:
-            payload = self.store.reclaim(value)
-        else:
-            payload = value
-        cacheable = request.kind not in CELL_LEVEL_UNCACHED
-        if cacheable and transport != _STORED and self.store.enabled:
+        payload = self.store.reclaim(value) if transport == _SPILLED else value
+        if request.kind not in CELL_LEVEL_UNCACHED and self.store.enabled:
             if attempts > 1:
                 # The cache-consistency proof: a retried cell must
                 # produce the same bytes as any attempt that already

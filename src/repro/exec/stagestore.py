@@ -9,10 +9,11 @@ cluster/select/measure entries while the profile entry keeps its
 address — a re-run reuses it, re-derives the signatures and clusters
 onward.
 
-Payloads are stored as binary columnar containers
-(:mod:`repro.exec.columnar`): the JSON-shaped metadata stays JSON inside
-the header while every array rides as contiguous little-endian segments,
-decoded zero-copy through one mmap.
+Payloads are entries of the ``stages`` namespace of the
+:class:`~repro.exec.store.ArtifactStore`: binary columnar containers
+whose JSON-shaped metadata stays JSON inside the header while every
+array rides as contiguous little-endian segments, decoded zero-copy
+through one mmap.
 
 Hit/miss counters are kept per stage name (:class:`StageCacheStats`),
 now alongside profiling counters: bytes encoded/decoded and wall time
@@ -38,10 +39,8 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.exec.columnar import read_payload_file, write_payload_atomic
-from repro.exec.store import _touch, cache_version
+from repro.exec.store import STAGES, ArtifactStore, cache_version
 
 __all__ = [
     "StageCacheStats",
@@ -316,18 +315,18 @@ def _human_bytes(n: int) -> str:
 
 
 class StageStore:
-    """Digest-addressed columnar payload cache with per-stage counters.
+    """Digest-addressed stage payload cache with per-stage counters.
 
     Parameters
     ----------
     cache_dir:
-        Root cache directory; stage entries live in a ``stages/``
-        subdirectory next to the cell entries.  '' disables the store
-        (every load misses, stores are no-ops, counters stay zero).
+        The cache root shared with the cell entries.  '' disables the
+        store (every load misses, stores are no-ops, counters stay
+        zero).
     """
 
     def __init__(self, cache_dir: str | os.PathLike) -> None:
-        self._dir = Path(cache_dir) / "stages" if cache_dir else None
+        self.artifacts = ArtifactStore(cache_dir)
         self.stats = StageCacheStats()
         # Heal/fault increments from the store and columnar layers (which
         # have no stage context) land in these counters via the sink
@@ -339,25 +338,7 @@ class StageStore:
     @property
     def enabled(self) -> bool:
         """Whether a cache directory is configured."""
-        return self._dir is not None
-
-    #: Digest-prefix directory fanout (mirrors ``StudyStore.SHARD_PREFIX``).
-    SHARD_PREFIX = 2
-
-    def path(self, digest: str, stage_name: str) -> Path | None:
-        """Cache file for one stage digest (None when disabled).
-
-        Entries shard over ``stages/<digest prefix>/`` directories —
-        digest-prefix fanout keeps each directory small under served
-        traffic and gives the eviction scan natural units.  Every entry
-        is an ``.rpb`` container, and the filename embeds
-        :func:`~repro.exec.store.cache_version`, so a codec bump can
-        never address (or half-decode) an older format's entries.
-        """
-        if self._dir is None:
-            return None
-        shard = digest[: self.SHARD_PREFIX]
-        return self._dir / shard / f"v{cache_version()}_{stage_name}_{digest[:24]}.rpb"
+        return self.artifacts.enabled
 
     def load(self, digest: str, stage_name: str):
         """Stored payload for a stage digest, or None on miss/corruption.
@@ -366,11 +347,10 @@ class StageStore:
         read-only mmap views, so the payload tree carries plain
         ``np.ndarray`` leaves.
         """
-        path = self.path(digest, stage_name)
         payload = None
-        if path is not None:
+        if self.enabled:
             started = time.perf_counter()
-            loaded = read_payload_file(path)
+            loaded = self.artifacts.read(STAGES, stage_name, digest)
             if loaded is not None:
                 payload, nbytes = loaded
                 self.stats.bytes_decoded[stage_name] += nbytes
@@ -379,27 +359,21 @@ class StageStore:
             self.stats.misses[stage_name] += 1
         else:
             self.stats.hits[stage_name] += 1
-            _touch(path)  # refresh the eviction loop's LRU clock
         return payload
 
     def store(self, digest: str, stage_name: str, payload) -> None:
         """Atomically persist one stage payload as a columnar container."""
-        path = self.path(digest, stage_name)
-        if path is None:
+        if not self.enabled:
             return
         started = time.perf_counter()
         try:
-            # durable=False: a torn container self-heals as a cache miss
-            # on the next read, so stage entries trade the fsync (which
-            # would dominate cold writes at hundreds of MiB) for speed.
-            nbytes = write_payload_atomic(path, payload, durable=False)
+            self.stats.bytes_encoded[stage_name] += self.artifacts.write(
+                STAGES, stage_name, digest, payload
+            )
         except OSError:
             # A full or failing disk degrades the cache, never the run:
             # the payload is already in memory, the slot stays a miss.
             self.stats.store_errors[stage_name] += 1
-            self.stats.store_seconds[stage_name] += time.perf_counter() - started
-            return
-        self.stats.bytes_encoded[stage_name] += nbytes
         self.stats.store_seconds[stage_name] += time.perf_counter() - started
 
 

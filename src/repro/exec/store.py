@@ -1,16 +1,27 @@
-"""Content-addressed, atomically-written study cache.
+"""The content-addressed artifact store.
 
-A cache keyed by a hand-picked subset of the protocol (seed, discovery
-runs, repetitions) would silently serve stale summaries after a change
-to ``maxK``, ``bbv_weight`` or the measurement overhead.
-:class:`StudyStore` instead hashes the *full* serialized pipeline
-configuration together with the request identity, so any knob that can
-change a number changes the address.
+One layout holds every cache entry, and only :class:`ArtifactStore`
+knows it::
 
-Writes go to a temporary file in the same directory followed by
-:func:`os.replace`, so a crashed or concurrently-writing process can
-never leave a torn JSON file behind; a corrupt entry (truncated file,
-bad JSON) is treated as a miss and deleted so the next write heals it.
+    <cache_dir>/v<schema>.<codec>/cells/<xx>/<name>_<digest>.rpb
+                                 /stages/<xx>/<name>_<digest>.rpb
+                                 /spill/<xx>/<name>_<digest>.rpb
+
+``<xx>`` is the first two hex characters of the digest.  Every entry is
+a binary columnar container (:mod:`repro.exec.columnar`), written to a
+temporary file in the same directory and published with
+:func:`os.replace`, so a crashed or concurrent writer never leaves a
+torn entry behind; a corrupt entry reads as a miss and is deleted so
+the next write heals it.  The version is one directory level, so a
+version bump leaves the old entries in one sibling directory that
+:meth:`ArtifactStore.prune` removes with one ``rmtree``.
+
+:class:`StudyStore` derives the cell keys.  It hashes the *full*
+serialized pipeline configuration together with the request identity,
+so any knob that can change a number changes the address: a key built
+from a hand-picked subset of the protocol (seed, discovery runs,
+repetitions) would silently serve stale summaries after a change to
+``maxK``, ``bbv_weight`` or the measurement overhead.
 """
 
 from __future__ import annotations
@@ -18,21 +29,25 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import re
+import shutil
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterator
 
 from repro.exec.columnar import read_payload_file, unlink_when_closed, write_payload_atomic
 from repro.exec.request import StudyRequest
 
 __all__ = [
     "CACHE_VERSION",
+    "CELLS",
+    "STAGES",
+    "SPILL",
+    "ArtifactStore",
     "cache_version",
     "config_fingerprint",
     "request_digest",
     "StudyStore",
-    "read_json",
-    "write_json_atomic",
 ]
 
 #: Bump when payload contents or the underlying models change shape, or
@@ -41,93 +56,161 @@ __all__ = [
 #: oracle flag).
 CACHE_VERSION = 11
 
+#: The store's namespaces: cell payloads, stage payloads, and the
+#: one-shot hand-off files of the ``processes`` backend.
+CELLS, STAGES, SPILL = "cells", "stages", "spill"
+
 
 def cache_version() -> str:
     """The full cache version: payload schema **and** codec.
 
-    Both halves are part of every cache filename and digest, so a codec
-    bump relocates every entry instead of asking the new reader to decode
-    an old format — stale entries are simply never addressed again.
+    Both halves name the store's version directory and seed every
+    digest, so a codec bump relocates every entry instead of asking the
+    new reader to decode an old format.
     """
     from repro.api.codec import CODEC_VERSION  # lazy: avoids api↔exec cycle
 
     return f"{CACHE_VERSION}.{CODEC_VERSION}"
 
 
-def read_json(path: Path):
-    """Read one JSON cache entry; None on miss or corruption.
+class ArtifactStore:
+    """The on-disk layout of one cache directory.
 
-    A corrupt entry (truncated file, bad JSON) is removed so the slot
-    can be rewritten cleanly by the next write.
+    Entries are addressed by ``(namespace, name, digest)``: ``name`` is
+    a readable label (a stage name, a cell's kind/app/threads) and
+    ``digest`` a hex content address.  Cell entries are fsynced before
+    they are published; stage and spill entries are not, because a torn
+    one self-heals as a miss and fsyncing hundreds of MiB of stage
+    payloads would dominate the cold path the cache exists to speed up.
+
+    Parameters
+    ----------
+    cache_dir:
+        The cache root ('' disables the store: reads miss, writes are
+        no-ops, nothing is pruned).
     """
-    if not path.exists():
-        return None
-    try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        from repro.exec.health import record_heal
 
+    #: Hex digits of the digest prefix used for directory fanout.  256
+    #: shards keep per-directory entry counts flat even for stores with
+    #: hundreds of thousands of entries, which is what the serve
+    #: daemon's eviction scan and digest lookups walk.
+    SHARD_PREFIX = 2
+    SUFFIX = ".rpb"
+
+    #: What older versions wrote straight under the cache root, before
+    #: the version became a directory level.
+    UNVERSIONED = (CELLS, STAGES, "traces", "checkpoints", SPILL)
+    _VERSION_DIR = re.compile(r"v\d+\.\d+")
+
+    def __init__(self, cache_dir: str | os.PathLike) -> None:
+        self.cache_dir = Path(cache_dir) if cache_dir else None
+
+    @property
+    def enabled(self) -> bool:
+        """Whether a cache directory is configured."""
+        return self.cache_dir is not None
+
+    @property
+    def root(self) -> Path | None:
+        """The current version's directory (None when disabled).
+
+        Read on every use, so a process that sees the version change
+        addresses the new directory.
+        """
+        if self.cache_dir is None:
+            return None
+        return self.cache_dir / f"v{cache_version()}"
+
+    def path(self, namespace: str, name: str, digest: str) -> Path | None:
+        """File of one entry (None when the store is disabled)."""
+        root = self.root
+        if root is None:
+            return None
+        shard = digest[: self.SHARD_PREFIX]
+        return root / namespace / shard / f"{name}_{digest}{self.SUFFIX}"
+
+    def write(self, namespace: str, name: str, digest: str, payload) -> int:
+        """Atomically persist one payload; returns the bytes written.
+
+        Raises ``OSError`` when the disk refuses the write (a real or an
+        injected ``ENOSPC``); callers decide whether that degrades the
+        cache or fails the call.
+        """
+        path = self.path(namespace, name, digest)
+        if path is None:
+            return 0
+        return write_payload_atomic(path, payload, durable=namespace == CELLS)
+
+    def read(self, namespace: str, name: str, digest: str) -> tuple[object, int] | None:
+        """``(payload, nbytes)`` of one entry, or None on miss/corruption."""
+        path = self.path(namespace, name, digest)
+        return None if path is None else self._read(path)
+
+    def find(self, namespace: str, digest: str) -> tuple[object, int] | None:
+        """Read the entry of ``namespace`` with this full digest, whatever
+        its name (None on miss).  Scans one shard directory."""
+        root = self.root
+        if root is None:
+            return None
+        shard = root / namespace / digest[: self.SHARD_PREFIX]
+        suffix = f"_{digest}{self.SUFFIX}"
         try:
-            path.unlink()
+            names = sorted(os.listdir(shard))
         except OSError:
-            pass
-        record_heal("json")
+            return None
+        for name in names:
+            if name.endswith(suffix):
+                return self._read(shard / name)
         return None
 
+    @staticmethod
+    def _read(path: Path) -> tuple[object, int] | None:
+        loaded = read_payload_file(path)
+        if loaded is not None:
+            # A hit bumps the mtime, the evictor's LRU clock: reads are
+            # invisible to a stat scan on ``noatime`` mounts.
+            try:
+                os.utime(path)
+            except OSError:  # pragma: no cover - entry raced away
+                pass
+        return loaded
 
-def write_json_atomic(path: Path, payload) -> None:
-    """Atomically persist one JSON payload (temp file + fsync + rename).
+    def entries(self) -> Iterator[Path]:
+        """Every cell and stage entry of the current version.
 
-    Consults the fault plane first: an injected ``enospc`` raises
-    before any byte lands; an injected ``torn`` write publishes a
-    deliberately truncated entry, which the next :func:`read_json`
-    must recover as a clean miss (the self-heal path under test).
-    """
-    from repro.exec.faults import active_plan
+        Spill files are live hand-offs between processes, not cache, so
+        eviction never sees them.
+        """
+        root = self.root
+        if root is None:
+            return
+        for namespace in (CELLS, STAGES):
+            yield from (root / namespace).glob(f"*/*{self.SUFFIX}")
 
-    fault = active_plan().on_write(path.name)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, indent=1, sort_keys=True)
-    if fault == "torn":
-        torn = text[: max(1, len(text) // 2)]
+    def prune(self) -> list[str]:
+        """Delete every stale layout under the cache root; the names removed.
+
+        Stale are the sibling version directories (``v<int>.<int>``)
+        and the unversioned layout older versions wrote at the root.
+        Anything else there, such as ``serve/``, is left alone.
+        """
+        root = self.root
+        if root is None:
+            return []
         try:
-            json.loads(torn)
-        except json.JSONDecodeError:
-            text = torn
-        else:
-            # A prefix of a scalar payload can still be valid JSON; a
-            # torn entry must read as *corrupt*, never as wrong bytes,
-            # so fall back to trailing frame garbage instead.
-            text = text + "\x00"
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            # fsync before rename: os.replace is atomic in the namespace
-            # but only durable once the temp file's data has hit disk —
-            # without it a power cut can leave the *renamed* entry empty.
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
+            children = sorted(root.parent.iterdir())
         except OSError:
-            pass
-        raise
-
-
-def _touch(path: Path) -> None:
-    """Bump a cache entry's mtime — the eviction loop's LRU clock.
-
-    Filesystems are routinely mounted ``noatime``, so reads would be
-    invisible to a pure-stat recency scan; an explicit utime on every
-    hit makes the serve daemon's size-budgeted eviction a true LRU.
-    """
-    try:
-        os.utime(path)
-    except OSError:  # pragma: no cover - entry raced away
-        pass
+            return []
+        removed = []
+        for child in children:
+            stale = child.name in self.UNVERSIONED or (
+                child != root and self._VERSION_DIR.fullmatch(child.name)
+            )
+            if stale and child.is_dir():
+                # A concurrent run may be removing the same directory.
+                shutil.rmtree(child, ignore_errors=True)
+                removed.append(child.name)
+        return removed
 
 
 def config_fingerprint(config) -> str:
@@ -164,32 +247,26 @@ def request_digest(request: StudyRequest, fingerprint: str) -> str:
 
 
 class StudyStore:
-    """Disk cache of JSON cell payloads under one configuration.
+    """Cell payloads under one configuration, over an :class:`ArtifactStore`.
 
     Parameters
     ----------
     cache_dir:
-        Directory holding the entries ('' disables the store — every
-        ``load`` misses and ``store`` is a no-op).
+        The cache root ('' disables the store — every ``load`` misses
+        and ``store`` is a no-op).
     config:
         Experiment configuration; folded into every entry's address via
         :func:`config_fingerprint`.
     """
 
     def __init__(self, cache_dir: str | os.PathLike, config) -> None:
-        self._dir = Path(cache_dir) if cache_dir else None
+        self.artifacts = ArtifactStore(cache_dir)
         self.fingerprint = config_fingerprint(config)
 
     @property
     def enabled(self) -> bool:
         """Whether a cache directory is configured."""
-        return self._dir is not None
-
-    #: Hex digits of the digest prefix used for directory fanout.  256
-    #: shards keep per-directory entry counts flat even for stores with
-    #: hundreds of thousands of cells, which is what the serve daemon's
-    #: eviction scan and warm ``GET`` lookups walk.
-    SHARD_PREFIX = 2
+        return self.artifacts.enabled
 
     def digest(self, request: StudyRequest) -> str:
         """Content digest of one request under this configuration.
@@ -199,118 +276,50 @@ class StudyStore:
         """
         return request_digest(request, self.fingerprint)
 
+    @staticmethod
+    def _name(request: StudyRequest) -> str:
+        return f"{request.kind}_{request.app}_t{request.threads}"
+
     def path(self, request: StudyRequest) -> Path | None:
-        """Cache file for one request (None when the store is disabled).
-
-        Entries fan out over ``cells/<digest prefix>/`` shard
-        directories so the store scales to served traffic: lookups stay
-        O(1) directory walks and the eviction scan can budget per shard.
-        """
-        if self._dir is None:
-            return None
-        digest = self.digest(request)
-        name = (
-            f"v{cache_version()}_{request.kind}_{request.app}"
-            f"_t{request.threads}_{digest[:20]}.json"
-        )
-        return self._dir / "cells" / digest[: self.SHARD_PREFIX] / name
-
-    def find_by_digest(self, digest: str) -> Path | None:
-        """Locate one persisted cell entry by its full request digest.
-
-        The serve daemon answers ``GET /v1/cells/{digest}`` for cells it
-        has no in-memory record of (e.g. after a restart) by scanning
-        the digest's shard directory — 256-way fanout keeps that scan a
-        handful of entries.  Returns the JSON or container path, or
-        None when nothing matching this configuration's cache version is
-        on disk.
-        """
-        if self._dir is None or len(digest) < 20:
-            return None
-        shard = self._dir / "cells" / digest[: self.SHARD_PREFIX]
-        marker = f"_{digest[:20]}"
-        prefix = f"v{cache_version()}_"
-        try:
-            candidates = sorted(shard.iterdir())
-        except OSError:
-            return None
-        for path in candidates:
-            if path.name.startswith(prefix) and marker in path.stem:
-                return path
-        return None
-
-    def load_by_digest(self, digest: str):
-        """Decode one persisted cell payload by digest (None on miss)."""
-        path = self.find_by_digest(digest)
-        return None if path is None else self._read(path.with_suffix(".json"))
+        """Cache file for one request (None when the store is disabled)."""
+        return self.artifacts.path(CELLS, self._name(request), self.digest(request))
 
     def load(self, request: StudyRequest):
-        """Stored payload for a request, or None on miss/corruption.
+        """Stored payload for a request, or None on miss/corruption."""
+        loaded = self.artifacts.read(CELLS, self._name(request), self.digest(request))
+        return None if loaded is None else loaded[0]
 
-        Scalar payloads live in the JSON plane; an array-bearing payload
-        (written by :meth:`store` or a worker's reference transport)
-        lives in a columnar container next to it and decodes zero-copy.
-        A corrupt entry is removed so the slot can be rewritten cleanly.
+    def load_by_digest(self, digest: str):
+        """Decode one persisted cell payload by its full digest (None on miss).
+
+        The serve daemon answers ``GET /v1/cells/{digest}`` for cells it
+        has no in-memory record of (e.g. after a restart) this way.
         """
-        path = self.path(request)
-        return None if path is None else self._read(path)
-
-    @staticmethod
-    def _read(path: Path):
-        """Read the JSON entry at ``path``, else its ``.rpb`` container,
-        and refresh the hit's LRU clock (None on miss or corruption)."""
-        payload = read_json(path)
-        if payload is None:
-            path = path.with_suffix(".rpb")
-            loaded = read_payload_file(path)
-            if loaded is None:
-                return None
-            payload = loaded[0]
-        _touch(path)
-        return payload
+        loaded = self.artifacts.find(CELLS, digest)
+        return None if loaded is None else loaded[0]
 
     def store(self, request: StudyRequest, payload) -> None:
-        """Atomically persist one cell payload (temp file + rename).
-
-        JSON for scalar/metadata payloads; any :class:`numpy.ndarray`
-        in the tree routes the whole payload to a binary columnar
-        container instead.
-        """
-        path = self.path(request)
-        if path is None:
-            return
-        from repro.api.codec import payload_has_arrays
-
-        if payload_has_arrays(payload):
-            write_payload_atomic(path.with_suffix(".rpb"), payload)
-        else:
-            write_json_atomic(path, payload)
+        """Atomically persist one cell payload (fsynced, then renamed)."""
+        self.artifacts.write(CELLS, self._name(request), self.digest(request), payload)
 
     # ------------------------------------------------- process transport
-    def spill_path(self, request: StudyRequest) -> Path | None:
-        """Hand-off file for one uncacheable cell's payload (see below)."""
-        if self._dir is None:
-            return None
-        digest = request_digest(request, self.fingerprint)
-        return self._dir / "spill" / f"{request.kind}_{digest[:24]}_{os.getpid()}.rpb"
-
     def spill(self, request: StudyRequest, payload) -> str | None:
         """Write one payload to the spill area; returns the path.
 
-        The ``processes`` backend ships large payloads as file handles
-        instead of pickled bytes: the worker spills (columnar container,
-        so arrays stay binary), the scheduler reattaches via
+        The ``processes`` backend ships large payloads of the
+        :data:`~repro.exec.cells.CELL_LEVEL_UNCACHED` kinds as file
+        handles instead of pickled bytes: the worker spills (columnar
+        container, so arrays stay binary), the scheduler reattaches via
         :meth:`reclaim` — an mmap read plus one unlink, not a pickle of
-        megabytes over a pipe.  Cacheable cells don't need this (they
-        travel through :meth:`store`/:meth:`load`); the spill area
-        serves the :data:`~repro.exec.cells.CELL_LEVEL_UNCACHED` kinds.
+        megabytes over a pipe.  The worker's pid is part of the name, so
+        two runs spilling the same cell never share a file.
         """
-        path = self.spill_path(request)
+        name = f"{request.kind}_{os.getpid()}"
+        digest = self.digest(request)
+        path = self.artifacts.path(SPILL, name, digest)
         if path is None:
             return None
-        # durable=False: a spill file lives for one scheduler round trip
-        # within one machine boot; crash-durability buys nothing.
-        write_payload_atomic(path, payload, durable=False)
+        self.artifacts.write(SPILL, name, digest, payload)
         return str(path)
 
     def reclaim(self, path: str):

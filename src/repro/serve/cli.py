@@ -119,6 +119,9 @@ def serve_main(argv: list[str] | None = None) -> int:
             drain_seconds=args.drain_seconds,
         )
         await server.start()
+        if server.pruned:
+            print("[cache] removed stale layouts:", *(f"{name}/" for name in server.pruned),
+                  file=sys.stderr)
         print(
             f"repro serve: listening on http://{server.host}:{server.port} "
             f"(cache {args.cache_dir!r}, {args.jobs} jobs"

@@ -118,6 +118,8 @@ class ReproServer:
         self.coalescer = Coalescer(journal=self.journal)
         self.limiter = RateLimiter(rate, burst)
         self.evictor = StoreEvictor(cache_dir, budget_bytes)
+        #: Stale cache layouts :meth:`start` removed from the cache root.
+        self.pruned: list[str] = []
 
         self.started = time.monotonic()
         self.counters: dict[str, int] = {
@@ -168,9 +170,13 @@ class ReproServer:
         self.counters["journal_healed_bytes"] += self.journal.healed_bytes
 
     async def start(self) -> None:
-        """Bind the listener and start the background loops."""
+        """Remove stale cache layouts, bind the listener and start the
+        background loops."""
         self._executor = ThreadPoolExecutor(
             max_workers=self.jobs, thread_name_prefix="repro-serve"
+        )
+        self.pruned = await asyncio.get_running_loop().run_in_executor(
+            self._executor, self.evictor.artifacts.prune
         )
         self._replay_journal()
         self._server = await asyncio.start_server(
@@ -554,7 +560,8 @@ class ReproServer:
     async def _get_status(self) -> tuple[int, dict]:
         # Both scales share one stage store per cache_dir, so either
         # config reaches the same counters.  The eviction scan walks
-        # every shard directory on disk — executor work, not loop work.
+        # the current version's cell and stage shards on disk —
+        # executor work, not loop work.
         stats = stage_store_for(self.configs["quick"]).stats.snapshot()
         loop = asyncio.get_running_loop()
         entries = await loop.run_in_executor(self._executor, self.evictor.scan)
@@ -572,8 +579,8 @@ class ReproServer:
                 "hits": stats.get("hits", {}),
                 "misses": stats.get("misses", {}),
                 # Self-heal observability: corrupt-entry recoveries
-                # (torn containers, tiles, JSON entries, journal tails)
-                # and — during chaos runs — injected-fault firings.
+                # (torn containers, journal tails) and — during chaos
+                # runs — injected-fault firings.
                 "heals": stats.get("heals", {}),
                 "faults": stats.get("faults", {}),
             },

@@ -14,6 +14,7 @@ from repro.exec.chaos import chaos_main
 from repro.exec.faults import install_plan, reset_fault_state
 from repro.exec.scheduler import StudyScheduler, _canonical
 from repro.exec.stagestore import stage_store_for
+from repro.exec.store import STAGES, ArtifactStore
 from repro.exec.supervise import QuarantinedCellError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import crossarch_request
@@ -222,7 +223,7 @@ class TestResumeFromStore:
         requests = scaling.requests_for(("MCB",), (MACHINE,))
         for _ in range(2):
             StudyScheduler(_config(cache_dir=str(cache))).run(requests)
-        assert (cache / "stages").is_dir()
+        assert (ArtifactStore(cache).root / STAGES).is_dir()
         assert not (cache / "checkpoints").exists()
 
 

@@ -29,6 +29,10 @@ def test_examples_exist():
 def test_example_runs_clean(script, tmp_path):
     env = dict(os.environ)
     env["REPRO_SCALE"] = "quick"
+    # Whatever a script puts in the temp directory, it must remove.
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    env["TMPDIR"] = str(temp)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -47,3 +51,4 @@ def test_example_runs_clean(script, tmp_path):
         f"--- stderr ---\n{result.stderr[-2000:]}"
     )
     assert result.stdout.strip(), f"{script.name} printed nothing"
+    assert not list(temp.iterdir()), f"{script.name} left temp files behind"

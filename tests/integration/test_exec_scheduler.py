@@ -144,8 +144,9 @@ class TestCrossarchSummaries:
 
 
 class TestReferenceTransport:
-    """Large payloads computed in worker processes ride back as file
-    handles (content-addressed store or spill area), not pickled bytes."""
+    """Large payloads of cache-exempt cells computed in worker processes
+    ride back as spill files, not pickled bytes; every other payload
+    comes back inline and only the scheduler writes cell entries."""
 
     def _item(self, request, tmp_path, parent_pid):
         return (request, _config(cache_dir=str(tmp_path)), parent_pid)
@@ -188,7 +189,7 @@ class TestReferenceTransport:
         gc.collect()
         assert not os.path.exists(value)
 
-    def test_large_cacheable_payload_rides_the_store(self, tmp_path, monkeypatch):
+    def test_large_cacheable_payload_is_inline(self, tmp_path, monkeypatch):
         import numpy as np
 
         from repro.exec import cells, scheduler as sched
@@ -199,10 +200,8 @@ class TestReferenceTransport:
         (transport, value), pid, _ = sched._execute_item(
             self._item(request, tmp_path, -1)
         )
-        assert transport == "stored" and value is None
-        config = _config(cache_dir=str(tmp_path))
-        store = sched.StudyStore(config.cache_dir, config)
-        assert np.array_equal(store.load(request)["big"], big["big"])
+        assert transport == "inline" and value is big
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]  # worker wrote nothing
 
     def test_small_or_local_payloads_stay_inline(self, tmp_path, monkeypatch):
         import os
@@ -227,14 +226,22 @@ class TestReferenceTransport:
         )
         assert transport == "inline"
 
-    def test_scheduler_reattaches_stored_payloads(self, tmp_path, monkeypatch):
-        """End-to-end: a backend double returning 'stored' results."""
+    def test_scheduler_stores_payloads_once(self, tmp_path, monkeypatch):
+        """End-to-end: a backend double running cells as a foreign worker."""
         import numpy as np
 
         from repro.exec import cells, scheduler as sched
 
         big = {"big": np.arange(50_000, dtype=np.float64)}
         monkeypatch.setattr(cells, "_RESOLVED", {"crossarch": lambda r, c: big})
+        writes = []
+        store = sched.StudyStore.store
+        monkeypatch.setattr(
+            sched.StudyStore,
+            "store",
+            lambda self, request, payload: writes.append(request)
+            or store(self, request, payload),
+        )
 
         class ForeignBackend:
             name, jobs = "double", 1
@@ -243,8 +250,7 @@ class TestReferenceTransport:
                 self, fn, items, keys, policy, on_complete=None, groups=None
             ):
                 # Re-tag each item with a fake parent pid so the worker
-                # side takes the reference transport, as a real process
-                # pool would.
+                # side runs as in a real process pool.
                 results = [fn((req, cfg, -1), 1) for req, cfg, _ in items]
                 for index, result in enumerate(results):
                     on_complete(index, result, 1)
@@ -255,3 +261,7 @@ class TestReferenceTransport:
         request = crossarch_request("MCB", 2)
         results = scheduler.run([request])
         assert np.array_equal(results[request]["big"], big["big"])
+        assert writes == [request]
+        (entry,) = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert entry == scheduler.store.path(request)
+        assert np.array_equal(scheduler.store.load(request)["big"], big["big"])

@@ -61,7 +61,7 @@ class TestCrossarchCells:
         second = _study(fresh, "MCB", 4)
         assert fresh.stats.cache_hits == 1 and fresh.stats.executed == 0
         assert second == first
-        assert list(tmp_path.rglob("*.json"))
+        assert list(tmp_path.rglob("*.rpb"))
 
 
 class TestDropInsignificant:

@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.api.service import CellSubmission
+from repro.exec.store import CELLS, ArtifactStore
 from repro.serve.client import RateLimited, ServeClient, ServeError
 from repro.serve.server import ReproServer
 
@@ -435,6 +436,32 @@ class TestJournalRestart:
         finally:
             fresh.stop()
 
+    def test_boot_prunes_stale_layouts_and_keeps_the_journal(self, tmp_path):
+        cache = tmp_path / "cache"
+        handle = DaemonHandle(str(cache))
+        try:
+            with handle.client() as client:
+                digest = client.submit(_submission(), wait=True).digest
+        finally:
+            handle.stop()
+        for rel in ("v0.1/cells/aa/x.rpb", "stages/aa/v10.2_x.rpb", "traces/x.rpt"):
+            (cache / rel).parent.mkdir(parents=True)
+            (cache / rel).write_bytes(b"stale")
+
+        fresh = DaemonHandle(str(cache))
+        try:
+            assert fresh.server.pruned == ["stages", "traces", "v0.1"]
+            assert sorted(p.name for p in cache.iterdir()) == [
+                "serve", ArtifactStore(cache).root.name
+            ]
+            with fresh.client() as client:
+                body = client.cell(digest)
+                counters = client.status().counters
+            assert body["state"] == "done"
+            assert counters["journal_replayed"] == 1
+        finally:
+            fresh.stop()
+
     def test_compaction_folds_journal_to_terminal_summaries(self, tmp_path):
         from pathlib import Path
 
@@ -490,7 +517,6 @@ class TestJournalRestart:
 
     def test_restored_record_with_evicted_payload_reexecutes(self, tmp_path):
         import shutil
-        from pathlib import Path
 
         cache = str(tmp_path / "cache")
         handle = DaemonHandle(cache)
@@ -501,8 +527,7 @@ class TestJournalRestart:
             handle.stop()
 
         # Simulate eviction taking the payload but not the journal.
-        for shard in Path(cache).glob("cells*"):
-            shutil.rmtree(shard, ignore_errors=True)
+        shutil.rmtree(ArtifactStore(cache).root / CELLS)
 
         fresh = DaemonHandle(cache)
         try:

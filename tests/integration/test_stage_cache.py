@@ -140,7 +140,7 @@ class TestStageCache:
 
     def test_corrupt_entry_treated_as_miss(self, store):
         cold = _payload(_run(FAST, store))
-        corrupted = list(store._dir.rglob("*_select_*.rpb"))
+        corrupted = list(store.artifacts.root.rglob("select_*.rpb"))
         assert corrupted, "select stage should persist a columnar container"
         for path in corrupted:
             path.write_bytes(b"RPB1\xff\xff\xff\xfftorn")

@@ -183,3 +183,94 @@ class TestRegistryListings:
         assert main(["machines"]) == 0
         out = capsys.readouterr().out
         assert "i7-3770" in out and "X-Gene" in out and "in-order" in out
+
+
+class TestQuarantinedRun:
+    def test_exits_one_with_the_diagnostic_and_verbose_lines(self, capsys):
+        from repro.exec.faults import install_plan, reset_fault_state
+
+        argv = [
+            "figure1", "--quick", "--no-cache", "--jobs", "1", "--verbose",
+            "--faults", "seed=1,exc=1.0,max=0", "--cell-retries", "0",
+        ]
+        try:
+            assert main(argv) == 1
+        finally:
+            install_plan(None)
+            reset_fault_state()
+        err = capsys.readouterr().err
+        assert "error: 1 cell(s) quarantined" in err
+        assert "[scheduler] serial × 1: " in err and "1 quarantined" in err
+        assert "[stage-cache]" in err
+        assert "Traceback" not in err
+
+
+class TestCacheLayout:
+    """A cached run keeps one version directory under the cache root."""
+
+    STALE = (
+        "v0.1/stages/aa/x.rpb",
+        "cells/ab/v10.2_crossarch_MCB_t4_x.json",
+        "stages/aa/v10.2_profile_x.rpb",
+        "traces/v10.2_trace_x.rpt",
+        "checkpoints/study.json",
+    )
+    KEPT = ("serve/serve.journal", "notes.txt")
+
+    def _fill(self, cache, paths):
+        for rel in paths:
+            (cache / rel).parent.mkdir(parents=True, exist_ok=True)
+            (cache / rel).write_bytes(b"x")
+
+    def test_cold_run_writes_only_versioned_containers(self, tmp_path, monkeypatch):
+        from repro.exec.store import cache_version
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["figure1", "--quick"]) == 0
+        cache = tmp_path / ".repro-cache"
+        namespaces = set()
+        for path in (p for p in cache.rglob("*") if p.is_file()):
+            version, namespace, shard, name = path.relative_to(cache).parts
+            assert version == f"v{cache_version()}" and path.suffix == ".rpb"
+            assert len(shard) == 2 and path.stem.rsplit("_", 1)[1].startswith(shard)
+            namespaces.add(namespace)
+        assert namespaces == {"cells", "stages"}
+
+    def test_cached_run_prunes_stale_layouts(self, tmp_path, monkeypatch, capsys):
+        from repro.exec.store import cache_version
+
+        cache = tmp_path / ".repro-cache"
+        self._fill(cache, self.STALE + self.KEPT)
+        monkeypatch.chdir(tmp_path)
+        assert main(["figure1", "--quick", "--verbose"]) == 0
+        assert sorted(p.name for p in cache.iterdir()) == [
+            "notes.txt", "serve", f"v{cache_version()}"
+        ]
+        assert (cache / "serve" / "serve.journal").read_bytes() == b"x"
+        err = capsys.readouterr().err
+        assert "[cache] removed stale layouts: cells/ checkpoints/ stages/" in err
+
+    def test_uncached_run_deletes_nothing(self, tmp_path, monkeypatch):
+        cache = tmp_path / ".repro-cache"
+        self._fill(cache, self.STALE + self.KEPT)
+        monkeypatch.chdir(tmp_path)
+        assert main(["figure1", "--quick", "--no-cache"]) == 0
+        assert all((cache / rel).exists() for rel in self.STALE + self.KEPT)
+
+    def test_version_bump_leaves_no_byte_of_the_old_version(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.exec import store
+
+        monkeypatch.chdir(tmp_path)
+        cache = tmp_path / ".repro-cache"
+        assert main(["figure1", "--quick"]) == 0
+        old = cache / f"v{store.cache_version()}"
+        assert list(old.rglob("*.rpb"))
+        self._fill(cache, self.KEPT)
+
+        monkeypatch.setattr(store, "CACHE_VERSION", store.CACHE_VERSION + 1)
+        assert main(["figure1", "--quick"]) == 0
+        new = cache / f"v{store.cache_version()}"
+        assert not old.exists() and list(new.rglob("*.rpb"))
+        assert sorted(p.name for p in cache.iterdir()) == ["notes.txt", "serve", new.name]

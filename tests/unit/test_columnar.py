@@ -162,7 +162,7 @@ class TestStageStoreCodecs:
     def test_binary_entries_are_containers(self, tmp_path):
         store = StageStore(tmp_path)
         store.store("d" * 64, "profile", PAYLOAD)
-        (entry,) = (tmp_path / "stages").rglob("*.*")
+        (entry,) = store.artifacts.root.rglob("*.*")
         assert entry.suffix == ".rpb"
         _assert_payload_equal(store.load("d" * 64, "profile"), PAYLOAD)
         assert store.stats.bytes_encoded["profile"] > 0
@@ -178,9 +178,12 @@ class TestStudyStoreArrays:
     def test_array_payloads_roundtrip_binary(self, tmp_path):
         store = StudyStore(tmp_path, self._config())
         store.store(self.REQUEST, PAYLOAD)
-        assert not list(tmp_path.rglob("*.json"))  # routed to a container
+        (entry,) = store.artifacts.root.rglob("*.*")
+        assert entry.suffix == ".rpb" and entry.read_bytes()[:4] == MAGIC
         _assert_payload_equal(store.load(self.REQUEST), PAYLOAD)
 
+    # "json": a JSON-shaped payload without arrays, like every cell
+    # payload of a quick run; "container": one with array segments.
     @pytest.mark.parametrize("payload", [{"k": 7}, PAYLOAD], ids=["json", "container"])
     @pytest.mark.parametrize("read", ["load", "load_by_digest"])
     def test_read_refreshes_lru_clock(self, tmp_path, payload, read):
@@ -189,7 +192,7 @@ class TestStudyStoreArrays:
         # eviction scan (mtime is its clock on noatime mounts).
         store = StudyStore(tmp_path, self._config())
         store.store(self.REQUEST, payload)
-        (entry,) = (tmp_path / "cells").rglob("*.*")
+        (entry,) = store.artifacts.root.rglob("*.*")
         os.utime(entry, (1000.0, 1000.0))
         if read == "load":
             loaded = store.load(self.REQUEST)
@@ -199,8 +202,8 @@ class TestStudyStoreArrays:
         assert entry.stat().st_mtime > 1000.0
 
     def test_all_empty_arrays_still_route_to_a_container(self, tmp_path):
-        # payload_nbytes is 0 but a plain-JSON write would choke on the
-        # ndarray leaves: presence, not byte mass, picks the format.
+        # payload_nbytes is 0, yet the leaves must come back as arrays,
+        # not as the lists a JSON round trip would make of them.
         store = StudyStore(tmp_path, self._config())
         payload = {"x": np.array([]), "n": 1}
         store.store(self.REQUEST, payload)

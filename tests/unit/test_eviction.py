@@ -23,13 +23,16 @@ from repro.exec.columnar import (
     write_payload_atomic,
 )
 from repro.exec.eviction import StoreEvictor
+from repro.exec.store import CELLS, SPILL, STAGES, ArtifactStore
 
 KIB = 1024
 
 
-def _entry(root: Path, rel: str, nbytes: int, age: float) -> Path:
+def _entry(
+    root: Path, namespace: str, name: str, nbytes: int, age: float, shard: str = "aa"
+) -> Path:
     """Create one fake store entry `age` seconds cold."""
-    path = root / rel
+    path = ArtifactStore(root).path(namespace, name, shard + "0" * 62)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(b"\0" * nbytes)
     stamp = 1_700_000_000.0 - age
@@ -39,19 +42,19 @@ def _entry(root: Path, rel: str, nbytes: int, age: float) -> Path:
 
 class TestScan:
     def test_orders_coldest_first(self, tmp_path):
-        _entry(tmp_path, "stages/aa/v7_x_1.rpb", KIB, age=10.0)
-        _entry(tmp_path, "cells/bb/v7_y_2.json", KIB, age=30.0)
-        _entry(tmp_path, "cells/cc/v7_z_3.json", KIB, age=20.0)
+        x = _entry(tmp_path, STAGES, "x", KIB, age=10.0)
+        y = _entry(tmp_path, CELLS, "y", KIB, age=30.0, shard="bb")
+        z = _entry(tmp_path, CELLS, "z", KIB, age=20.0, shard="cc")
         evictor = StoreEvictor(tmp_path, budget_bytes=10 * KIB)
-        names = [entry.path.name for entry in evictor.scan()]
-        assert names == ["v7_y_2.json", "v7_z_3.json", "v7_x_1.rpb"]
+        assert [entry.path for entry in evictor.scan()] == [y, z, x]
 
     def test_ignores_non_entry_files(self, tmp_path):
-        _entry(tmp_path, "stages/aa/v7_x_1.rpb", KIB, age=0.0)
-        _entry(tmp_path, "stages/aa/v7_x_1.rpb.tmp-123", KIB, age=0.0)
-        _entry(tmp_path, "spill/payload.rpb", KIB, age=0.0)  # not a SUBTREE
+        entry = _entry(tmp_path, STAGES, "x", KIB, age=0.0)
+        temp = entry.with_name(entry.name + "123.tmp")  # a write in flight
+        temp.write_bytes(b"\0" * KIB)
+        _entry(tmp_path, SPILL, "payload", KIB, age=0.0)  # a hand-off, not cache
         evictor = StoreEvictor(tmp_path, budget_bytes=1)
-        assert [e.path.suffix for e in evictor.scan()] == [".rpb"]
+        assert [e.path for e in evictor.scan()] == [entry]
 
     def test_disabled_without_budget(self, tmp_path):
         assert not StoreEvictor(tmp_path, budget_bytes=0).enabled
@@ -61,9 +64,9 @@ class TestScan:
 
 class TestEvict:
     def test_lru_until_under_budget(self, tmp_path):
-        cold = _entry(tmp_path, "stages/aa/v7_cold.rpb", 4 * KIB, age=100.0)
-        mid = _entry(tmp_path, "stages/bb/v7_mid.rpb", 4 * KIB, age=50.0)
-        hot = _entry(tmp_path, "cells/cc/v7_hot.json", 4 * KIB, age=1.0)
+        cold = _entry(tmp_path, STAGES, "cold", 4 * KIB, age=100.0)
+        mid = _entry(tmp_path, STAGES, "mid", 4 * KIB, age=50.0, shard="bb")
+        hot = _entry(tmp_path, CELLS, "hot", 4 * KIB, age=1.0, shard="cc")
         evictor = StoreEvictor(tmp_path, budget_bytes=8 * KIB)
         report = evictor.evict()
         assert not cold.exists() and mid.exists() and hot.exists()
@@ -72,25 +75,26 @@ class TestEvict:
         assert report.remaining_bytes <= 8 * KIB
 
     def test_noop_when_under_budget(self, tmp_path):
-        path = _entry(tmp_path, "stages/aa/v7_x.rpb", KIB, age=100.0)
+        path = _entry(tmp_path, STAGES, "x", KIB, age=100.0)
         report = StoreEvictor(tmp_path, budget_bytes=64 * KIB).evict()
         assert path.exists() and report.evicted_files == 0
 
     def test_hit_refreshes_lru_clock(self, tmp_path):
-        """A _touch'd (recently hit) entry outlives an untouched one."""
-        from repro.exec.store import _touch
-
-        touched = _entry(tmp_path, "stages/aa/v7_touched.rpb", 4 * KIB, age=100.0)
-        other = _entry(tmp_path, "stages/bb/v7_other.rpb", 4 * KIB, age=50.0)
-        _touch(touched)  # the cache hit: now newer than `other`
-        StoreEvictor(tmp_path, budget_bytes=4 * KIB).evict()
+        """A recently hit entry outlives an untouched one."""
+        store = ArtifactStore(tmp_path)
+        digest = "aa" + "0" * 62
+        store.write(STAGES, "touched", digest, {"k": 1})
+        touched = store.path(STAGES, "touched", digest)
+        os.utime(touched, (1_700_000_000.0 - 100.0,) * 2)
+        other = _entry(tmp_path, STAGES, "other", touched.stat().st_size, age=50.0)
+        assert store.read(STAGES, "touched", digest)  # the hit: now newer
+        StoreEvictor(tmp_path, budget_bytes=touched.stat().st_size).evict()
         assert touched.exists() and not other.exists()
 
     def test_open_reader_is_never_evicted(self, tmp_path):
         """The 64 MiB-budget property: mapped containers are untouchable."""
         payload = {"big": np.arange(32 * KIB, dtype=np.int64)}
-        target = tmp_path / "stages" / "aa" / "v7_mapped.rpb"
-        target.parent.mkdir(parents=True)
+        target = ArtifactStore(tmp_path).path(STAGES, "mapped", "aa" + "0" * 62)
         write_payload_atomic(target, payload)
         os.utime(target, (1.0, 1.0))  # coldest possible
         loaded, _ = read_payload_file(target)  # zero-copy views hold the mmap
@@ -119,8 +123,7 @@ class TestEvict:
             "counts": np.arange(4096, dtype=np.int64),
             "meta": {"k": 7},
         }
-        target = tmp_path / "stages" / "aa" / "v7_roundtrip.rpb"
-        target.parent.mkdir(parents=True)
+        target = ArtifactStore(tmp_path).path(STAGES, "roundtrip", "aa" + "0" * 62)
         write_payload_atomic(target, payload)
         before = target.read_bytes()
 

@@ -6,7 +6,15 @@ import pytest
 
 from repro.clustering.simpoint import SimPointOptions
 from repro.exec.request import StudyRequest
-from repro.exec.store import StudyStore, config_fingerprint
+from repro.exec.store import (
+    CELLS,
+    SPILL,
+    STAGES,
+    ArtifactStore,
+    StudyStore,
+    cache_version,
+    config_fingerprint,
+)
 from repro.experiments.config import ExperimentConfig
 
 REQUEST = StudyRequest("crossarch", "MCB", 4)
@@ -68,7 +76,7 @@ class TestStudyStore:
         store.store(REQUEST, {"x": 2})  # overwrite in place
         assert store.load(REQUEST) == {"x": 2}
         assert not list(tmp_path.rglob("*.tmp"))
-        assert len(list(tmp_path.rglob("*.json"))) == 1
+        assert len(list(tmp_path.rglob("*.rpb"))) == 1
 
     def test_config_change_misses(self, tmp_path):
         StudyStore(tmp_path, _config()).store(REQUEST, {"x": 1})
@@ -86,7 +94,7 @@ class TestStudyStore:
         store = StudyStore(tmp_path, _config())
         store.store(REQUEST, {"x": 1})
         path = store.path(REQUEST)
-        path.write_text("{ not json")
+        path.write_bytes(path.read_bytes()[:10])  # a torn container
         assert store.load(REQUEST) is None
         assert not path.exists()
         store.store(REQUEST, {"x": 3})  # slot is writable again
@@ -109,3 +117,55 @@ class TestStudyStore:
         assert json.dumps(loaded, sort_keys=True) == json.dumps(
             payload, sort_keys=True
         )
+
+
+class TestArtifactStore:
+    DIGEST = "ab" + "0" * 62
+
+    def test_layout_is_one_versioned_root(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.write(STAGES, "profile", self.DIGEST, {"k": 1})
+        (entry,) = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert entry.relative_to(tmp_path).parts == (
+            f"v{cache_version()}", STAGES, "ab", f"profile_{self.DIGEST}.rpb"
+        )
+        assert store.read(STAGES, "profile", self.DIGEST)[0] == {"k": 1}
+
+    def test_find_matches_the_full_digest_only(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.write(CELLS, "crossarch_MCB_t4", self.DIGEST, {"k": 2})
+        assert store.find(CELLS, self.DIGEST)[0] == {"k": 2}
+        assert store.find(CELLS, self.DIGEST[:20]) is None
+        assert store.find(STAGES, self.DIGEST) is None
+
+    def test_entries_are_cells_and_stages_not_spill(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        for namespace in (CELLS, STAGES, SPILL):
+            store.write(namespace, namespace, self.DIGEST, {"k": 3})
+        names = sorted(path.name.split("_")[0] for path in store.entries())
+        assert names == [CELLS, STAGES]
+
+    def test_prune_removes_stale_layouts_only(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.write(CELLS, "current", self.DIGEST, {"k": 4})
+        stale = ["v0.1", "v10.2", "cells", "stages", "traces", "checkpoints", "spill"]
+        for name in stale:
+            (tmp_path / name / "aa").mkdir(parents=True)
+            (tmp_path / name / "aa" / "entry").write_bytes(b"old")
+        (tmp_path / "serve").mkdir()
+        (tmp_path / "serve" / "serve.journal").write_bytes(b"journal")
+        (tmp_path / "v1.x").mkdir()  # not a version: an unknown name
+        (tmp_path / "notes.txt").write_text("mine")
+        assert store.prune() == sorted(stale)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "notes.txt", "serve", "v1.x", f"v{cache_version()}"
+        ]
+        assert store.read(CELLS, "current", self.DIGEST)[0] == {"k": 4}
+        assert store.prune() == []
+
+    def test_disabled_store_touches_nothing(self):
+        store = ArtifactStore("")
+        assert not store.enabled and store.root is None
+        assert store.write(CELLS, "x", self.DIGEST, {"k": 5}) == 0
+        assert store.read(CELLS, "x", self.DIGEST) is None
+        assert list(store.entries()) == [] and store.prune() == []
