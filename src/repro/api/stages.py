@@ -53,7 +53,6 @@ __all__ = [
     "ProfileStage",
     "SignatureStage",
     "ClusterStage",
-    "MiniBatchClusterStage",
     "SelectStage",
     "MeasureStage",
     "ReconstructStage",
@@ -274,27 +273,6 @@ class ClusterStage(Stage):
                 for row in payload["clusterings"]
             ],
         )
-
-
-@register_stage
-class MiniBatchClusterStage(ClusterStage):
-    """Step 2½ (streaming): the SimPoint sweep on mini-batch k-means.
-
-    A drop-in replacement for :class:`ClusterStage` behind the same
-    registry: it forces ``algorithm="minibatch"`` into the effective
-    options, so at paper scale each k in the sweep touches a bounded
-    number of signatures per step instead of the whole matrix per Lloyd
-    iteration.  Everything else — cache key, payload codec, the
-    BIC-scored model selection — is inherited, and the exact solver
-    remains the golden oracle the quick-scale protocol uses.
-    """
-
-    name = "cluster-minibatch"
-    description = "SimPoint sweep on seeded mini-batch k-means"
-
-    def __init__(self, options: SimPointOptions | None = None, **overrides) -> None:
-        super().__init__(options, **overrides)
-        self.overrides.setdefault("algorithm", "minibatch")
 
 
 @register_stage

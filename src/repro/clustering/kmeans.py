@@ -68,7 +68,7 @@ def _draw(cdf: np.ndarray, gen: np.random.Generator) -> int:
 
 
 def _squared_distances(
-    data: np.ndarray, centers: np.ndarray, data_sq: np.ndarray | None = None
+    data: np.ndarray, centers: np.ndarray, data_sq: np.ndarray
 ) -> np.ndarray:
     """``(n, k)`` squared Euclidean distances (BLAS-friendly form).
 
@@ -82,8 +82,6 @@ def _squared_distances(
     result matches ``a - (2·data)·centersᵀ + c`` without its ``(n, k)``
     temporaries.
     """
-    if data_sq is None:
-        data_sq = (data**2).sum(axis=1)
     d2 = data @ centers.T
     d2 *= -2.0
     d2 += data_sq[:, None]
@@ -96,8 +94,8 @@ def _kmeanspp_init(
     weights: np.ndarray,
     k: int,
     gen: np.random.Generator,
-    data_sq: np.ndarray | None = None,
-    first_cdf: np.ndarray | None = None,
+    data_sq: np.ndarray,
+    first_cdf: np.ndarray,
 ) -> np.ndarray:
     """k-means++ seeding with probability ∝ weight × squared distance.
 
@@ -108,10 +106,6 @@ def _kmeanspp_init(
     summation order changes the distance bits.
     """
     n = data.shape[0]
-    if data_sq is None:
-        data_sq = (data**2).sum(axis=1)
-    if first_cdf is None:
-        first_cdf = _cdf(weights / weights.sum())
     centers = np.empty((k, data.shape[1]))
     centers[0] = data[_draw(first_cdf, gen)]
     closest = _squared_distances(data, centers[:1], data_sq)[:, 0]

@@ -49,14 +49,9 @@ class SimPointOptions:
         wasteful; SimPoint itself supports sub-sampled k grids).
     k_dense:
         All k up to this value are always examined.
-    algorithm:
-        ``"exact"`` (Lloyd, the golden oracle) or ``"minibatch"``
-        (:func:`repro.clustering.minibatch.minibatch_kmeans` — seeded,
-        deterministic batch order; the full-scale default, where
-        touching every signature per Lloyd iteration dominates the
-        stage).
-    batch_size:
-        Mini-batch size when ``algorithm="minibatch"``.
+
+    Every scale runs the one exact solver,
+    :func:`~repro.clustering.kmeans.kmeans`, on these options.
     """
 
     max_k: int = 20
@@ -66,20 +61,12 @@ class SimPointOptions:
     max_iter: int = 30
     k_stride: int = 2
     k_dense: int = 8
-    algorithm: str = "exact"
-    batch_size: int = 1024
 
     def __post_init__(self) -> None:
         if self.max_k < 1:
             raise ValueError(f"max_k must be >= 1, got {self.max_k}")
         if not 0.0 < self.bic_threshold <= 1.0:
             raise ValueError(f"bic_threshold must be in (0, 1], got {self.bic_threshold}")
-        if self.algorithm not in ("exact", "minibatch"):
-            raise ValueError(
-                f"algorithm must be 'exact' or 'minibatch', got {self.algorithm!r}"
-            )
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def k_grid(self, n_points: int) -> list[int]:
         """The cluster counts to examine for ``n_points`` signatures.
@@ -160,26 +147,14 @@ def run_simpoint(
     results: dict[int, KMeansResult] = {}
     bic_by_k: dict[int, float] = {}
     for k in grid:
-        if options.algorithm == "minibatch":
-            from repro.clustering.minibatch import minibatch_kmeans
-
-            result = minibatch_kmeans(
-                projected,
-                k,
-                gen,
-                weights=weights,
-                batch_size=options.batch_size,
-                n_init=options.n_init,
-            )
-        else:
-            result = kmeans(
-                projected,
-                k,
-                gen,
-                weights=weights,
-                n_init=options.n_init,
-                max_iter=options.max_iter,
-            )
+        result = kmeans(
+            projected,
+            k,
+            gen,
+            weights=weights,
+            n_init=options.n_init,
+            max_iter=options.max_iter,
+        )
         results[k] = result
         bic_by_k[k] = bic_score(projected, result, weights)
 

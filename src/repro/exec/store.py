@@ -53,8 +53,9 @@ __all__ = [
 #: Bump when payload contents or the underlying models change shape, or
 #: when an ambient input to their float bits changes (10: one BLAS
 #: thread per process; 11: trace payloads dropped their tile count and
-#: oracle flag).
-CACHE_VERSION = 11
+#: oracle flag; 12: full scale clusters with the exact solver, and the
+#: SimPoint options lost ``algorithm`` and ``batch_size``).
+CACHE_VERSION = 12
 
 #: The store's namespaces: cell payloads, stage payloads, and the
 #: one-shot hand-off files of the ``processes`` backend.

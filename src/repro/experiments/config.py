@@ -152,10 +152,11 @@ def default_config(scale: str | None = None, **overrides) -> ExperimentConfig:
         ``"full"`` (paper protocol) or ``"quick"`` (3 discovery runs,
         5 repetitions, thread counts 1 and 8).  None reads
         ``REPRO_SCALE`` from the environment, defaulting to ``full``.
+        Both scales cluster with the same :class:`SimPointOptions`.
     overrides:
         Any :class:`ExperimentConfig` field, applied on top of the
         scale's base values (e.g. ``seed=7``, ``jobs=4``,
-        ``cache_dir=''``).
+        ``cache_dir=''``, ``simpoint=SimPointOptions(max_k=10)``).
     """
     if scale is None:
         scale = os.environ.get("REPRO_SCALE", "full")
@@ -168,14 +169,7 @@ def default_config(scale: str | None = None, **overrides) -> ExperimentConfig:
             trace_accesses=200_000,
         )
     elif scale == "full":
-        # Paper-scale signature matrices make Lloyd's full-data passes
-        # the clustering bottleneck; the full protocol clusters with
-        # seeded mini-batch k-means while quick scale keeps the exact
-        # solver as the golden oracle (tests bound one against the
-        # other on shared inputs).
-        base = ExperimentConfig(
-            simpoint=SimPointOptions(algorithm="minibatch"),
-        )
+        base = ExperimentConfig()
     else:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     return replace(base, **overrides) if overrides else base

@@ -39,6 +39,7 @@ from repro.api.service import (
     ServerStatus,
     SubmissionError,
 )
+from repro.clustering.simpoint import SimPointOptions
 from repro.exec.cells import CELL_LEVEL_UNCACHED, execute_request
 from repro.exec.eviction import StoreEvictor
 from repro.exec.stagestore import stage_store_for
@@ -106,7 +107,8 @@ class ReproServer:
         self.evict_interval = evict_interval
 
         #: One configuration (and store) per protocol scale; built once
-        #: so every digest computation reuses the fingerprint.
+        #: so every digest computation without a ``max_k`` reuses the
+        #: fingerprint.
         self.configs = {
             scale: default_config(scale, cache_dir=cache_dir) for scale in SCALES
         }
@@ -376,9 +378,21 @@ class ReproServer:
             )
 
     def _lower(self, submission: CellSubmission):
-        """Submission → (config, store, request, digest)."""
-        config = self.configs[submission.scale]
-        store = self.stores[submission.scale]
+        """Submission → (config, store, request, digest).
+
+        A ``max_k`` lowers the way the CLI's ``--max-k`` does, so the
+        served digest equals the batch run's.
+        """
+        if submission.max_k is None:
+            config = self.configs[submission.scale]
+            store = self.stores[submission.scale]
+        else:
+            config = default_config(
+                submission.scale,
+                cache_dir=self.cache_dir,
+                simpoint=SimPointOptions(max_k=submission.max_k),
+            )
+            store = StudyStore(self.cache_dir, config)
         study_request = submission.to_request(config)
         return config, store, study_request, store.digest(study_request)
 
@@ -491,16 +505,24 @@ class ReproServer:
         """
         if record.result is not None or record.state != "done":
             return True
+        payload = await self._load_by_digest(record.digest)
+        if payload is None:
+            return False
+        record.result = payload
+        self.counters["rehydrated"] += 1
+        return True
+
+    async def _load_by_digest(self, digest: str):
+        """One persisted cell payload by digest (None on miss).
+
+        A digest already names its configuration, so one lookup covers
+        every scale and ``max_k``.  It reads disk, so it runs on the
+        executor.
+        """
         loop = asyncio.get_running_loop()
-        for store in self.stores.values():
-            payload = await loop.run_in_executor(
-                self._executor, store.load_by_digest, record.digest
-            )
-            if payload is not None:
-                record.result = payload
-                self.counters["rehydrated"] += 1
-                return True
-        return False
+        return await loop.run_in_executor(
+            self._executor, self.stores["quick"].load_by_digest, digest
+        )
 
     def _cell_body(self, record, include_result: bool = False) -> dict:
         body = record.status().to_json()
@@ -526,22 +548,16 @@ class ReproServer:
             return 202, self._cell_body(record)
         # Unknown to this process: probe the sharded store by digest —
         # cells computed by the batch CLI (or before a restart) answer
-        # straight from their mmap'd container.  Container probes read
-        # disk, so they run on the executor.
-        loop = asyncio.get_running_loop()
-        for store in self.stores.values():
-            payload = await loop.run_in_executor(
-                self._executor, store.load_by_digest, digest
-            )
-            if payload is not None:
-                self.counters["warm_disk"] += 1
-                status = CellStatus(digest=digest, state="done", source="disk")
-                body = status.to_json()
-                from repro.api.codec import payload_to_jsonable
+        # straight from their mmap'd container.
+        payload = await self._load_by_digest(digest)
+        if payload is None:
+            raise HttpError(404, f"unknown cell digest {digest[:16]}...")
+        self.counters["warm_disk"] += 1
+        body = CellStatus(digest=digest, state="done", source="disk").to_json()
+        from repro.api.codec import payload_to_jsonable
 
-                body["result"] = payload_to_jsonable(payload)
-                return 200, body
-        raise HttpError(404, f"unknown cell digest {digest[:16]}...")
+        body["result"] = payload_to_jsonable(payload)
+        return 200, body
 
     async def _stream_events(
         self, digest: str, writer: asyncio.StreamWriter

@@ -134,6 +134,29 @@ class TestEndToEnd:
                 client.cell("f" * 64)
             assert err.value.status == 404
 
+    def test_unknown_digest_lists_its_shard_once(self, tmp_path, monkeypatch):
+        import os
+
+        cache = tmp_path / "cache"
+        listed = []
+        listdir = os.listdir
+
+        def spy(path="."):
+            listed.append(str(path))
+            return listdir(path)
+
+        fresh = DaemonHandle(str(cache))
+        try:
+            monkeypatch.setattr(os, "listdir", spy)
+            with fresh.client() as client:
+                with pytest.raises(ServeError) as err:
+                    client.cell("ab" + "f" * 62)
+            assert err.value.status == 404
+        finally:
+            monkeypatch.undo()
+            fresh.stop()
+        assert listed.count(str(ArtifactStore(cache).root / CELLS / "ab")) == 1
+
     def test_unknown_route_is_404_and_method_405(self, daemon):
         conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=10)
         try:

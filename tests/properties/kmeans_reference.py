@@ -9,7 +9,7 @@ these in through :func:`reference_kernels` and compares.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -109,8 +109,7 @@ def _lloyd(
 
 @contextmanager
 def reference_kernels() -> Iterator[None]:
-    """Run :func:`~repro.clustering.kmeans.kmeans`,
-    :func:`~repro.clustering.minibatch.minibatch_kmeans` and
+    """Run :func:`~repro.clustering.kmeans.kmeans` and
     :func:`~repro.clustering.simpoint.run_simpoint` on the reference
     kernels above instead of the production ones."""
 
@@ -118,12 +117,5 @@ def reference_kernels() -> Iterator[None]:
         # The reference recomputes what production kmeans() hands in.
         return _lloyd(data, weights, k, gen, max_iter, tol)
 
-    targets = (
-        ("repro.clustering.kmeans._lloyd", lloyd),
-        ("repro.clustering.minibatch._kmeanspp_init", _kmeanspp_init),
-        ("repro.clustering.minibatch._squared_distances", _squared_distances),
-    )
-    with ExitStack() as stack:
-        for target, replacement in targets:
-            stack.enter_context(mock.patch(target, replacement))
+    with mock.patch("repro.clustering.kmeans._lloyd", lloyd):
         yield

@@ -1,11 +1,10 @@
 """The production k-means kernels reproduce the reference kernels exactly.
 
-Every public entry point that runs the kernels — :func:`kmeans`,
-:func:`run_simpoint` and :func:`minibatch_kmeans` — is run twice on the
-same input and seed: once as shipped, once with the reference kernels
-of ``kmeans_reference.py`` swapped in.  Labels, centers, inertia,
-iteration counts, BIC scores and the generator state after the call
-must all be equal, not merely close.
+Every public entry point that runs the kernels — :func:`kmeans` and
+:func:`run_simpoint` — is run twice on the same input and seed: once as
+shipped, once with the reference kernels of ``kmeans_reference.py``
+swapped in.  Labels, centers, inertia, iteration counts, BIC scores and
+the generator state after the call must all be equal, not merely close.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from kmeans_reference import _kmeanspp_init, _squared_distances, reference_kernels
 
 from repro.clustering.kmeans import KMeansResult, _cdf, _draw, kmeans
-from repro.clustering.minibatch import minibatch_kmeans
 from repro.clustering.simpoint import SimPointOptions, run_simpoint
 
 pytestmark = pytest.mark.properties
@@ -110,19 +108,6 @@ def test_run_simpoint_matches_reference(points, max_k):
     )
 
 
-@given(clustered_points(max_n=80), st.integers(1, 6), st.integers(1, 4))
-@settings(max_examples=60, deadline=None)
-def test_minibatch_matches_reference(points, k, batch_size):
-    data, weights, seed = points
-    k = min(k, data.shape[0])
-    _assert_matches_reference(
-        lambda gen: minibatch_kmeans(
-            data, k, gen, weights=weights, batch_size=batch_size, max_batches=20
-        ),
-        seed,
-    )
-
-
 def _edge_case(name: str) -> tuple[np.ndarray, np.ndarray | None, int]:
     """``(data, weights, k)`` of one named corner of the kernels."""
     gen = np.random.default_rng(7)
@@ -165,12 +150,6 @@ def test_edge_cases_match_reference(name, seed):
     full = np.ones(n) if weights is None else weights
     options = SimPointOptions(max_k=k, projected_dims=2)
     _assert_matches_reference(lambda gen: run_simpoint(data, full, gen, options), seed)
-    _assert_matches_reference(
-        lambda gen: minibatch_kmeans(
-            data, k, gen, weights=weights, batch_size=1, max_batches=10
-        ),
-        seed,
-    )
 
 
 def test_edge_cases_reach_their_branches():
@@ -195,6 +174,21 @@ def test_paper_sized_sweep_matches_reference():
     weights = gen.integers(1_000, 50_000, size=1500).astype(float)
     _assert_matches_reference(
         lambda g: run_simpoint(signatures, weights, g, SimPointOptions()), 11
+    )
+
+
+def test_lulesh_sized_sweep_matches_reference():
+    """One default exact sweep on ``bench_simpoint_kernel``'s seeded
+    LULESH-shaped input: 9,840 barrier points × 352 signature columns,
+    the size full-scale LULESH clusters at."""
+    gen = np.random.default_rng(2017)
+    archetypes = gen.random((16, 352))
+    signatures = archetypes[gen.integers(0, 16, size=9840)] * gen.lognormal(
+        0.0, 0.1, (9840, 352)
+    )
+    weights = gen.integers(1_000, 100_000, size=9840).astype(float)
+    _assert_matches_reference(
+        lambda g: run_simpoint(signatures, weights, g, SimPointOptions()), 0
     )
 
 

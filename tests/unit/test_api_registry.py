@@ -87,14 +87,12 @@ class TestBuiltinRegistries:
         assert "ARMv8 in-order (A53-class)" in machine_registry
 
     def test_builtin_stages_registered(self):
-        # The seven canonical shared-memory stages, the mini-batch
-        # clustering variant, plus the two distributed-memory stages
-        # (rankify / coalesce_ranks).
+        # The seven canonical shared-memory stages plus the two
+        # distributed-memory stages (rankify / coalesce_ranks).
         assert stage_registry.names() == (
             "profile",
             "signature",
             "cluster",
-            "cluster-minibatch",
             "select",
             "measure",
             "reconstruct",

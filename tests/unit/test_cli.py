@@ -90,6 +90,26 @@ class TestCli:
         assert _config_from_args(args) == default_config("quick")
         assert default_config("quick").jobs == 1
 
+    def test_both_scales_share_the_simpoint_options(self):
+        from repro.clustering.simpoint import SimPointOptions
+        from repro.experiments.config import default_config
+
+        assert (
+            default_config("full").simpoint
+            == default_config("quick").simpoint
+            == SimPointOptions()
+        )
+
+    @pytest.mark.parametrize("scale", ["quick", "full"])
+    def test_max_k_is_a_plain_simpoint_override(self, scale):
+        from repro.clustering.simpoint import SimPointOptions
+        from repro.experiments.config import default_config
+
+        args = _build_parser().parse_args(["table3", "--scale", scale, "--max-k", "5"])
+        assert _config_from_args(args) == default_config(
+            scale, simpoint=SimPointOptions(max_k=5)
+        )
+
 
 #: More available memory than any test host's CPUs can use.
 AMPLE = 1 << 50

@@ -199,19 +199,27 @@ class TestSubmissionModels:
         assert CellSubmission.from_json(wire) == submission
 
     def test_digest_matches_batch_scheduler(self, tmp_path):
-        """The served digest IS the exec engine's dedup address."""
+        """The served digest IS the exec engine's dedup address of the
+        same cell, with and without ``max_k`` (``repro --max-k``)."""
+        from repro.cli import _build_parser, _config_from_args
         from repro.exec.store import StudyStore
-        from repro.experiments.config import default_config
         from repro.experiments.runner import crossarch_request
+        from repro.serve.server import ReproServer
 
-        config = default_config("quick", cache_dir=str(tmp_path))
-        store = StudyStore(str(tmp_path), config)
-        submission = CellSubmission(
-            kind="crossarch", app="GRAPH500", threads=8, scale="quick"
-        )
-        served = store.digest(submission.to_request(config))
-        batch = store.digest(crossarch_request("graph500", 8))
-        assert served == batch  # case-insensitive app, same address
+        server = ReproServer(cache_dir=str(tmp_path))
+        for max_k in (None, 5):
+            argv = ["table4", "--quick"]
+            if max_k is not None:
+                argv += ["--max-k", str(max_k)]
+            config = _config_from_args(_build_parser().parse_args(argv))
+            batch = StudyStore(str(tmp_path), config).digest(
+                crossarch_request("graph500", 8)
+            )
+            submission = CellSubmission(
+                kind="crossarch", app="GRAPH500", threads=8, scale="quick", max_k=max_k
+            )
+            _, _, _, served = server._lower(submission)
+            assert served == batch, max_k  # case-insensitive app, same address
 
     def test_cell_status_roundtrip(self):
         status = CellStatus(

@@ -3,8 +3,8 @@
 Covers the open-handle deferred-unlink guard that `StudyStore.reclaim`
 rides, the tile-size-invariant stream generator, the streamed signature
 collector and every trace cell against the monolithic oracles, the
-mini-batch clustering path, the per-stage peak-RSS counter family, and
-the perf gate's missing-metric tolerance.
+per-stage peak-RSS counter family, and the perf gate's missing-metric
+tolerance.
 """
 
 import gc
@@ -15,9 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.clustering.kmeans import kmeans
-from repro.clustering.minibatch import minibatch_kmeans
-from repro.clustering.simpoint import SimPointOptions, run_simpoint
 from repro.exec.columnar import (
     open_reader_count,
     read_payload_file,
@@ -272,63 +269,6 @@ class TestTraceCell:
         stats = stage_store_for(config).stats
         assert stats.run_seconds["trace"] > 0
         assert stats.rss_peak_kib["trace"] > 0
-
-
-class TestMiniBatchKMeans:
-    @staticmethod
-    def _blobs(n=6000, seed=42):
-        rng = np.random.default_rng(seed)
-        centers = rng.normal(size=(3, 8)) * 6
-        return np.concatenate(
-            [centers[i] + rng.normal(size=(n // 3, 8)) for i in range(3)]
-        )
-
-    def test_deterministic_from_seed(self):
-        data = self._blobs()
-        a = minibatch_kmeans(data, 3, np.random.default_rng(7), batch_size=512)
-        b = minibatch_kmeans(data, 3, np.random.default_rng(7), batch_size=512)
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.centers, b.centers)
-        assert a.inertia == b.inertia
-
-    def test_inertia_close_to_exact_oracle(self):
-        data = self._blobs()
-        mb = minibatch_kmeans(data, 3, np.random.default_rng(7), batch_size=512)
-        exact = kmeans(data, 3, np.random.default_rng(7))
-        assert mb.inertia <= 1.10 * exact.inertia
-
-    def test_small_inputs_fall_back_to_exact(self):
-        data = self._blobs(n=300)
-        mb = minibatch_kmeans(data, 3, np.random.default_rng(9), n_init=2)
-        exact = kmeans(data, 3, np.random.default_rng(9), n_init=2)
-        assert np.array_equal(mb.labels, exact.labels)
-        assert mb.inertia == exact.inertia
-
-    def test_simpoint_dispatch_and_options_validation(self):
-        rng = np.random.default_rng(0)
-        sig = rng.random((6000, 24))
-        weights = rng.random(6000) + 0.1
-        opts = SimPointOptions(algorithm="minibatch", max_k=3, batch_size=512)
-        a = run_simpoint(sig, weights, np.random.default_rng(3), opts)
-        b = run_simpoint(sig, weights, np.random.default_rng(3), opts)
-        assert a.k == b.k
-        assert np.array_equal(a.result.labels, b.result.labels)
-        with pytest.raises(ValueError, match="algorithm"):
-            SimPointOptions(algorithm="approximate")
-        with pytest.raises(ValueError, match="batch_size"):
-            SimPointOptions(batch_size=0)
-
-    def test_minibatch_stage_registered(self):
-        from repro.api.registry import stage_registry
-        from repro.api.stages import MiniBatchClusterStage
-
-        stage = stage_registry.get("cluster-minibatch")()
-        assert isinstance(stage, MiniBatchClusterStage)
-        assert stage.overrides["algorithm"] == "minibatch"
-
-    def test_full_scale_uses_minibatch_quick_stays_exact(self):
-        assert default_config("full").simpoint.algorithm == "minibatch"
-        assert default_config("quick").simpoint.algorithm == "exact"
 
 
 class TestRssCounters:
