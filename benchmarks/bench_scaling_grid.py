@@ -64,12 +64,7 @@ BENCH_SCALES = {
 def bench_grid(scale: str, jobs: int, cache_dir: str) -> dict:
     """Time the scheduled scaling grid, cold and stage-cached."""
     protocol, apps, machines, thread_counts = BENCH_SCALES[scale]
-    config = default_config(
-        protocol,
-        cache_dir=cache_dir,
-        jobs=jobs,
-        backend="serial" if jobs == 1 else "processes",
-    )
+    config = default_config(protocol, cache_dir=cache_dir, jobs=jobs)
     requests = SweepGrid(ThreadAxis(), thread_counts).requests_for(apps, machines)
 
     t0 = time.perf_counter()

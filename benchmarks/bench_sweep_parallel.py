@@ -26,11 +26,7 @@ _THREAD_COUNTS = (1, 8)
 
 def _sweep_config(jobs):
     return default_config(
-        "quick",
-        cache_dir="",
-        thread_counts=_THREAD_COUNTS,
-        jobs=jobs,
-        backend="serial" if jobs == 1 else "processes",
+        "quick", cache_dir="", thread_counts=_THREAD_COUNTS, jobs=jobs
     )
 
 

@@ -30,14 +30,13 @@ Regenerates any of the paper's tables/figures from the terminal::
 reproduces the paper's 10 × 20 protocol.  Independent study cells fan
 out over one worker process per CPU the process may run on, as many as
 the available memory holds at full scale's per-worker peak; ``--jobs
-N`` sets the worker count (``--jobs 1`` runs serially) and
-``--backend`` picks serial/threads/processes.  That default belongs to
-the ``repro`` command: a Python caller of :func:`main` that passes
-``argv`` runs serially unless it passes ``--jobs``.  Results are
-bit-identical regardless of backend and worker count.  ``repro all``
-deduplicates cells shared between artefacts — Table III, Table IV and
-Figure 2 reuse the same studies — and renders everything from a single
-scheduled pass.
+N`` sets the worker count (``--jobs 1`` runs serially, in this
+process).  That default belongs to the ``repro`` command: a Python
+caller of :func:`main` that passes ``argv`` runs serially unless it
+passes ``--jobs``.  Results are bit-identical regardless of worker
+count.  ``repro all`` deduplicates cells shared between artefacts —
+Table III, Table IV and Figure 2 reuse the same studies — and renders
+everything from a single scheduled pass.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import argparse
 import os
 import sys
 
-from repro.exec.backends import BACKEND_NAMES
 from repro.exec.scheduler import StudyScheduler
 from repro.exec.store import ArtifactStore
 from repro.exec.supervise import QuarantinedCellError
@@ -157,10 +155,10 @@ def _build_parser(jobs_default: int = 1) -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=sorted(BACKEND_NAMES),
-        default=None,
-        help="execution backend (default: processes when --jobs > 1, "
-        "else serial)",
+        choices=("processes", "serial"),
+        default="processes",
+        help="'serial' is shorthand for --jobs 1; 'processes' (the "
+        "default) leaves --jobs as it is",
     )
     parser.add_argument(
         "--max-k",
@@ -171,15 +169,6 @@ def _build_parser(jobs_default: int = 1) -> argparse.ArgumentParser:
         "thanks to stage-granular caching, changing this re-runs "
         "clustering onward while discovery is served by the cached "
         "profile payloads",
-    )
-    parser.add_argument(
-        "--trace-tile-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="accesses per streamed-trace tile (default 1048576); "
-        "execution-only — bounds the streaming kernels' peak memory "
-        "without changing any computed number",
     )
     parser.add_argument(
         "--trace-accesses",
@@ -250,17 +239,12 @@ def _config_from_args(args: argparse.Namespace):
     if args.quick and args.scale == "full":
         raise SystemExit("error: --quick conflicts with --scale full")
     scale = "quick" if args.quick else args.scale
-    overrides: dict[str, object] = {"jobs": args.jobs, "backend": args.backend}
+    jobs = 1 if args.backend == "serial" else args.jobs
+    overrides: dict[str, object] = {"jobs": jobs}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.no_cache:
         overrides["cache_dir"] = ""
-    if getattr(args, "trace_tile_size", None) is not None:
-        if args.trace_tile_size < 1:
-            raise SystemExit(
-                f"error: --trace-tile-size must be >= 1, got {args.trace_tile_size}"
-            )
-        overrides["trace_tile_size"] = args.trace_tile_size
     if getattr(args, "trace_accesses", None) is not None:
         if args.trace_accesses < 0:
             raise SystemExit(
@@ -448,8 +432,7 @@ def main(argv: list[str] | None = None) -> int:
 
         # Worker-process counter deltas are merged back into this
         # process's store by the scheduler, so the stage-cache summary
-        # and the profile table are accurate on every backend,
-        # processes included.
+        # and the profile table are accurate at every worker count.
         stats = stage_store_for(config).stats
         if args.verbose:
             backend = scheduler.backend

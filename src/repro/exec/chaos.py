@@ -34,7 +34,6 @@ DEFAULT_FAULTS = "seed=2017,kill=0.4,exc=0.4,torn=0.4,enospc=0.2,max=1"
 
 def _build_parser() -> argparse.ArgumentParser:
     from repro.cli import _EXPERIMENTS  # lazy: repro.cli dispatches to us
-    from repro.exec.backends import BACKEND_NAMES
     from repro.experiments.config import SCALES
 
     parser = argparse.ArgumentParser(
@@ -61,9 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="protocol seed")
     parser.add_argument("--jobs", type=int, default=1, metavar="N")
-    parser.add_argument(
-        "--backend", choices=sorted(BACKEND_NAMES), default=None
-    )
     parser.add_argument(
         "--cell-retries", type=int, default=None, metavar="N",
         help="retries per failed cell before quarantine (default 2)",
@@ -112,6 +108,15 @@ def chaos_main(argv: list[str] | None = None) -> int:
     if args.quick and args.scale == "full":
         print("error: --quick conflicts with --scale full", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
+    if args.cell_retries is not None and args.cell_retries < 0:
+        print(
+            f"error: --cell-retries must be >= 0, got {args.cell_retries}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         plan = FaultPlan.parse(args.faults)
     except ValueError as exc:
@@ -122,7 +127,7 @@ def chaos_main(argv: list[str] | None = None) -> int:
         return 2
 
     scale = "quick" if args.quick else args.scale
-    overrides: dict[str, object] = {"jobs": args.jobs, "backend": args.backend}
+    overrides: dict[str, object] = {"jobs": args.jobs}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.cell_retries is not None:

@@ -9,23 +9,20 @@ through SHA-256, so a chaos run is replayable from its seed (exactly
 under the ``serial`` backend, distributionally under parallel ones,
 where per-site occurrence order depends on scheduling).
 
-The plan travels two ways:
-
-* through :class:`~repro.experiments.config.ExperimentConfig.faults`
-  (a compact spec string, e.g. ``"seed=7,kill=0.3,torn=0.2"``) — the
-  config is pickled to worker processes, so the plan follows the cells;
-* through the ``REPRO_FAULTS`` environment variable, which lets CI
-  inject chaos underneath an unmodified test suite or CLI invocation.
+The plan travels through
+:class:`~repro.experiments.config.ExperimentConfig.faults` (a compact
+spec string, e.g. ``"seed=7,kill=0.3,torn=0.2"``): the config is
+pickled to worker processes, so the plan follows the cells.
 
 Sites:
 
 ``cell``
     Consulted by the scheduler's worker entry point before a cell
     executes.  May sleep (``latency``), raise :class:`InjectedFault`
-    (``exc``), or SIGKILL the *worker* process (``kill``).  In the
-    serial/threads backends — where a SIGKILL would take down the
-    driver — a scheduled kill degrades to a raised
-    :class:`InjectedWorkerKill`, so the retry path is still exercised.
+    (``exc``), or SIGKILL the *worker* process (``kill``).  In a cell
+    run inline in the driver — where a SIGKILL would take it down — a
+    scheduled kill degrades to a raised :class:`InjectedWorkerKill`,
+    so the retry path is still exercised.
 ``write``
     Consulted by the atomic container writer
     (:func:`repro.exec.columnar.write_payload_atomic`), which every
@@ -76,7 +73,7 @@ class InjectedWorkerKill(InjectedFault):
     """A scheduled worker SIGKILL degraded to an exception.
 
     Raised instead of killing the process when the cell runs in the
-    driver itself (serial backend, inline thread) — taking down the
+    driver itself (one worker, or a pool's inline start) — taking down the
     process under supervision test would kill the supervisor too.
     """
 
@@ -272,7 +269,7 @@ _ACTIVE: FaultPlan | None = None
 
 
 def install_plan(plan: FaultPlan | None) -> None:
-    """Set this process's active plan (None reverts to env/inert)."""
+    """Set this process's active plan (None reverts to config/inert)."""
     global _ACTIVE
     _ACTIVE = plan
 
@@ -281,15 +278,13 @@ def active_plan(config=None) -> FaultPlan:
     """The plan in effect for this process.
 
     Precedence: an explicitly installed plan, then the ``faults`` field
-    of ``config`` (when given), then ``$REPRO_FAULTS``, then inert.
+    of ``config`` (when given), then inert.
     The scheduler's worker entry point passes its pickled config here,
     which is how a plan follows cells into the ``processes`` backend.
     """
     if _ACTIVE is not None:
         return _ACTIVE
     spec = getattr(config, "faults", "") if config is not None else ""
-    if not spec:
-        spec = os.environ.get("REPRO_FAULTS", "")
     if not spec:
         return _INERT
     return FaultPlan.parse(spec)

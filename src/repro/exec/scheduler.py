@@ -6,8 +6,8 @@ table and figure obtains its study cells.  One ``run`` call:
 1. deduplicates the requested cells (preserving first-seen order),
 2. satisfies what it can from the in-process memo and the on-disk
    :class:`~repro.exec.store.StudyStore`,
-3. fans the remaining misses out over the configured
-   :mod:`backend <repro.exec.backends>` under per-cell supervision
+3. fans the remaining misses out over ``config.jobs`` workers
+   (:mod:`repro.exec.backends`) under per-cell supervision
    (:mod:`repro.exec.supervise`: bounded retries, timeouts, crashed
    worker respawn, quarantine), one cell of each discovery group
    (:func:`~repro.exec.cells.discovery_group`) at a time, and
@@ -22,7 +22,7 @@ cache-exempt sweep cell rebuilds in a millisecond or two from the
 Determinism: cell executors draw all randomness from
 :class:`~repro.util.rng.RngTree` paths derived from the configuration
 seed, never from global state, so the payloads are bit-identical across
-backends, worker counts and execution order.  The determinism test suite
+worker counts and execution order.  The determinism test suite
 (`tests/integration/test_exec_scheduler.py`) asserts exactly that, and
 the chaos suite (`tests/integration/test_chaos.py`) extends it across
 injected faults: a cell that succeeds on its second attempt must be
@@ -38,7 +38,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.exec.backends import ExecutionBackend, create_backend
+from repro.exec.backends import ExecutionBackend, ProcessPoolBackend
 from repro.exec.cells import CELL_LEVEL_UNCACHED, discovery_group, execute_request
 from repro.exec.faults import active_plan, install_plan
 from repro.exec.request import StudyRequest
@@ -180,21 +180,21 @@ def _canonical(payload) -> str:
 
 
 class StudyScheduler:
-    """Deduplicating, multi-backend executor of study cells.
+    """Deduplicating executor of study cells.
 
     Parameters
     ----------
     config:
         :class:`~repro.experiments.config.ExperimentConfig`; supplies
-        the protocol (part of every cache address), the default
-        backend/jobs choice and the supervision budget.
+        the protocol (part of every cache address), the worker count
+        and the supervision budget.
     backend:
         Override the backend instance (tests inject doubles here).
     """
 
     def __init__(self, config, backend: ExecutionBackend | None = None) -> None:
         self.config = config
-        self.backend = backend or create_backend(config.backend, config.jobs)
+        self.backend = backend or ProcessPoolBackend(config.jobs)
         self.store = StudyStore(config.cache_dir, config)
         self.stats = SchedulerStats()
         self._memory: dict[StudyRequest, object] = {}

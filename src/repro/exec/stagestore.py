@@ -21,12 +21,12 @@ spent running, loading and storing each stage.  ``--verbose`` prints the
 hit summary and ``--profile`` the full table after a run.
 :func:`stage_store_for` memoises one store per cache directory within a
 process so those counters are observable wherever cells execute
-in-process (serial/thread backends).  Under the ``processes`` backend
-the counters increment in *worker* processes; the scheduler ships each
-cell's counter delta (:meth:`StageCacheStats.snapshot` →
+in-process (at one worker, or a pool's inline start).  In a process
+pool the counters increment in *worker* processes; the scheduler ships
+each cell's counter delta (:meth:`StageCacheStats.snapshot` →
 :meth:`StageCacheStats.delta_since`) back with the cell payload and
 merges it into the parent's store (:meth:`StageCacheStats.merge`), so
-both reports are accurate regardless of backend.
+both reports are accurate at every worker count.
 """
 
 from __future__ import annotations
@@ -159,9 +159,9 @@ class StageCacheStats:
 
     def snapshot(self) -> dict:
         """JSON-shaped copy of the current counters."""
-        # Under the threads backend several workers share these
-        # counters; dict(...) is an atomic C-level copy, so a concurrent
-        # insert can't resize a dict under a Python-level loop.
+        # repro serve's executor threads share these counters;
+        # dict(...) is an atomic C-level copy, so a concurrent insert
+        # can't resize a dict under a Python-level loop.
         return {name: dict(getattr(self, name)) for name in _COUNTER_NAMES}
 
     def delta_since(self, snapshot: dict) -> dict:

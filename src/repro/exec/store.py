@@ -221,9 +221,9 @@ def config_fingerprint(config) -> str:
     the fingerprint covers its full :class:`~repro.api.types.PipelineConfig`
     (discovery runs, every SimPoint option, the measurement protocol
     including the per-read overhead model, ``bbv_weight`` and the seed).
-    Execution-only settings — ``thread_counts``, ``cache_dir``, ``jobs``,
-    ``backend`` — are deliberately excluded: they change *how* cells run,
-    never what they compute.
+    Execution-only settings — ``thread_counts``, ``cache_dir``, ``jobs``
+    — are deliberately excluded: they change *how* cells run, never what
+    they compute.
     """
     blob = json.dumps(
         {"cache_version": cache_version(), "pipeline": asdict(config.pipeline_config())},

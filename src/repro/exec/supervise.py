@@ -4,15 +4,15 @@ The scheduler's fan-out used to assume every cell either returns or
 raises; a worker that dies (OOM killer, segfaulting native extension,
 an injected SIGKILL from the :mod:`fault plane <repro.exec.faults>`)
 took the whole ``ProcessPoolExecutor`` — and the study — down with it.
-This module wraps each backend's map with a supervisor that
+This module wraps the backend's map with a supervisor that
 
 * retries a failed cell up to :attr:`RetryPolicy.retries` times, with
   exponential backoff and deterministic jitter
   (:func:`repro.exec.faults.backoff_delay` — replayable by seed);
-* enforces a per-cell wall-clock timeout.  On the ``processes``
-  backend an overrunning cell's workers are killed and the pool is
-  respawned; inline execution (serial/threads) cannot be preempted, so
-  there the overrun is recorded post-hoc and the result kept;
+* enforces a per-cell wall-clock timeout.  In a process pool an
+  overrunning cell's workers are killed and the pool is respawned; a
+  cell run inline (at one worker) cannot be preempted, so there the
+  overrun is recorded post-hoc and the result kept;
 * detects a crashed worker (``BrokenProcessPool``), respawns the pool,
   and charges the retry budget only to the cells that were *observed
   running* when it broke — innocent queued cells are resubmitted for
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -52,7 +52,6 @@ __all__ = [
     "QuarantinedCellError",
     "GroupHold",
     "run_sequential_supervised",
-    "run_threaded_supervised",
     "ProcessSupervision",
 ]
 
@@ -185,69 +184,6 @@ def _run_inline(fn, items, keys, index, policy, results, report, on_complete) ->
         if on_complete is not None:
             on_complete(index, result, attempts)
         return
-
-
-def run_threaded_supervised(
-    jobs: int,
-    fn: Callable,
-    items: Sequence,
-    keys: Sequence[str],
-    policy: RetryPolicy,
-    on_complete: Callable | None = None,
-    groups: Sequence | None = None,
-) -> tuple[list, SupervisionReport]:
-    """Supervised thread-pool map.
-
-    Each worker thread runs its own retry loop (failures stay on the
-    thread that owns the cell); completion callbacks and report merging
-    happen on the calling thread, in completion order.  Cells that share
-    one of ``groups`` run one after another, in input order
-    (:class:`GroupHold`).
-    """
-    if jobs <= 1 or len(items) <= 1:
-        return run_sequential_supervised(fn, items, keys, policy, on_complete)
-    report = SupervisionReport()
-    results: list = [None] * len(items)
-
-    def attempt_loop(index: int):
-        item, key = items[index], keys[index]
-        attempts, retries, timeouts = 0, 0, 0
-        while True:
-            attempts += 1
-            started = time.monotonic()
-            try:
-                result = fn(item, attempts)
-            except Exception as exc:  # supervision boundary: retry or quarantine
-                if attempts > policy.retries:
-                    return None, attempts, repr(exc), retries, timeouts
-                retries += 1
-                delay = backoff_delay(policy.seed, key, attempts, policy.backoff)
-                if delay:
-                    time.sleep(delay)
-                continue
-            if policy.timeout and time.monotonic() - started > policy.timeout:
-                timeouts += 1
-            return result, attempts, None, retries, timeouts
-
-    hold = GroupHold(groups, range(len(items)))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(attempt_loop, i): i for i in hold.ready}
-        while futures:
-            done, _ = wait(futures, return_when=FIRST_COMPLETED)
-            for future in sorted(done, key=futures.__getitem__):
-                index = futures.pop(future)
-                result, attempts, error, retries, timeouts = future.result()
-                report.retries += retries
-                report.timeouts += timeouts
-                if error is not None:
-                    report.quarantined.append(CellFailure(keys[index], attempts, error))
-                else:
-                    results[index] = result
-                    if on_complete is not None:
-                        on_complete(index, result, attempts)
-                for held in hold.release(index):
-                    futures[pool.submit(attempt_loop, held)] = held
-    return results, report
 
 
 class ProcessSupervision:

@@ -5,8 +5,8 @@ Each driver regenerates one table or figure from the paper's evaluation
 an ASCII table/series.  Drivers *declare* the study cells they need
 (:func:`requests`) and assemble artefacts from executed payloads
 (:func:`build`); the :class:`~repro.exec.scheduler.StudyScheduler`
-deduplicates cells shared between artefacts, executes them on a
-serial/threads/processes backend and caches the payloads on disk.
+deduplicates cells shared between artefacts, executes them inline or
+on a process pool and caches the payloads on disk.
 """
 
 from repro.exec.request import StudyRequest

@@ -48,23 +48,17 @@ class ExperimentConfig:
         Clustering options and BBV/LDV signature balance — part of the
         cache fingerprint, so changing e.g. ``max_k`` can never serve a
         stale summary.
-    jobs / backend:
-        Study-graph execution: worker count and backend name
-        (``serial``, ``threads``, ``processes``; None picks
-        ``processes`` when ``jobs > 1``).  Execution-only — neither
-        affects any computed number nor the cache fingerprint.
+    jobs:
+        Study-graph execution: worker processes (1 runs every cell
+        inline, see :class:`repro.exec.backends.ProcessPoolBackend`).
+        Execution-only — it affects neither any computed number nor the
+        cache fingerprint.
     trace_accesses:
         Accesses per streamed-trace cell (the ``trace`` artefact).  Part
         of each trace request's identity (cache-addressed through the
         request params), scaled with the protocol: the quick grid stays
         smoke-test sized, the full grid runs paper-scale 10⁷-access
         streams out of core.
-    trace_tile_size:
-        Tile length the streaming kernels consume.  Execution-only:
-        every streamed kernel is bit-identical across tile sizes (the
-        stream itself is generated in fixed granules — see
-        :data:`repro.mem.streams.GEN_BLOCK`), so this knob bounds peak
-        memory without entering the cache fingerprint.
     machine_specs:
         Paths of ingested machine spec files (``repro machines ingest
         --save``; see :mod:`repro.hw.ingest`).  Loaded and registered by
@@ -99,9 +93,7 @@ class ExperimentConfig:
     simpoint: SimPointOptions = field(default_factory=SimPointOptions)
     bbv_weight: float = 0.5
     jobs: int = 1
-    backend: str | None = None
     trace_accesses: int = 10_000_000
-    trace_tile_size: int = 1 << 20
     machine_specs: tuple[str, ...] = ()
     machines: tuple[str, ...] = ()
     faults: str = ""

@@ -7,7 +7,7 @@ evaluated application it expands each static block's memory pattern into
 a concrete address stream, tiles it through the streaming generators
 (:func:`repro.mem.streams.iter_stream_tiles`), and collects the exact
 BBV/LDV/cache signature with the carried-state streaming kernels — one
-tile in memory at a time, peak RSS bounded by ``--trace-tile-size``
+tile of :data:`TILE_ACCESSES` in memory at a time, peak RSS bounded
 regardless of stream length.  The row is all a cell computes: the
 streamed kernels' bit-identity with the monolithic oracles is a test
 (``tests/unit/test_trace_tier.py``), not a step of every run.
@@ -30,6 +30,7 @@ from repro.workloads.registry import EVALUATED_APPS
 
 __all__ = [
     "TRACE_THREADS",
+    "TILE_ACCESSES",
     "TraceTable",
     "trace_request",
     "trace_cell",
@@ -40,6 +41,12 @@ __all__ = [
 
 #: Team width the streamed traces model (the paper's Table IV width).
 TRACE_THREADS = 8
+
+#: Accesses per tile the streaming kernels consume.  Every streamed
+#: kernel is bit-identical across tile sizes (the stream itself is
+#: generated in fixed granules, see :data:`repro.mem.streams.GEN_BLOCK`),
+#: so the tile bounds a cell's peak memory and nothing else.
+TILE_ACCESSES = 1 << 20
 
 _HEADERS = (
     "App",
@@ -119,9 +126,7 @@ def trace_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
             ("L2", m.l2.size_bytes, m.l2.associativity),
         )
         collector = StreamedSignatureCollector(n_blocks=len(blocks), levels=levels)
-    for index, ipa, tile in _block_tiles(
-        request, blocks, config.seed, int(config.trace_tile_size)
-    ):
+    for index, ipa, tile in _block_tiles(request, blocks, config.seed, TILE_ACCESSES):
         collector.feed(index, tile, instructions_per_access=ipa)
 
     payload = dict(collector.result())

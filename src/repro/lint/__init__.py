@@ -1,7 +1,7 @@
 """``repro lint`` — the project's invariant-checking static analyser.
 
 The repository's correctness story rests on invariants that ordinary
-linters cannot see: byte-identical output across execution backends,
+linters cannot see: byte-identical output at every worker count,
 digest-complete stage cache keys, declared stage input/output
 contracts, a never-block asyncio serve loop, and registration-by-import
 plugin modules.  Each invariant is encoded as a

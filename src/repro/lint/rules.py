@@ -32,7 +32,7 @@ __all__ = [
 
 #: The bit-identity surface: every module whose arithmetic feeds the
 #: signatures, counters and clusterings that must reproduce exactly
-#: across serial/threads/processes backends and across machines.
+#: at every worker count and across machines.
 KERNEL_PACKAGES = (
     "repro.ir",
     "repro.mem",

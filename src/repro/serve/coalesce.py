@@ -123,8 +123,8 @@ class Coalescer:
     """Digest-keyed table of served cells with in-flight dedup.
 
     ``journal`` (optional, a :class:`~repro.serve.journal.ServeJournal`)
-    receives one append per lifecycle transition, which is what makes
-    the table restorable after a daemon restart.
+    receives one append per terminal transition (done or failed),
+    which is what makes the table restorable after a daemon restart.
     """
 
     def __init__(self, journal=None) -> None:
@@ -220,8 +220,6 @@ class Coalescer:
         record = CellRecord(digest, submission)
         self._records[digest] = record
         self.executions += 1
-        if self.journal is not None:
-            self.journal.record_submitted(digest, submission)
 
         async def _drive() -> None:
             self.active += 1

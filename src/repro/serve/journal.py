@@ -5,11 +5,11 @@ has served — warm-hit answers, ``/events`` history, the counters behind
 ``/v1/status``.  It used to live only in process memory: a restart
 (deploy, OOM, crash) forgot every completed cell, so clients saw cold
 misses and ``/events`` reconnects found 404s.  :class:`ServeJournal`
-writes one CRC-framed record per lifecycle transition (submitted,
-done, failed) to an append-only :class:`~repro.util.recordlog
-.RecordLog`; on boot the server replays it — healing any torn tail
-left by a crashed writer — and restores a terminal
-:class:`~repro.serve.coalesce.CellRecord` per completed digest.
+writes one CRC-framed record per terminal transition (done, failed)
+to an append-only :class:`~repro.util.recordlog.RecordLog`; on boot
+the server replays it — healing any torn tail left by a crashed writer
+— and restores a terminal :class:`~repro.serve.coalesce.CellRecord`
+per completed digest.
 Results themselves are **not** journaled: the content-addressed store
 already holds the durable payloads, so a restored record re-hydrates
 lazily from disk on its first hit.
@@ -17,9 +17,9 @@ lazily from disk on its first hit.
 The journal is fsync-per-append: it is the daemon's only restart
 state, and one fsync per cell completion is noise next to the cell's
 execution.  On graceful drain the journal is *compacted* —
-rewritten with exactly one summary frame per terminal cell, dropping
-the submitted/failed chatter — so a long-lived daemon's journal scales
-with its distinct completed cells, not its request history.
+rewritten with exactly one summary frame per completed cell, dropping
+failures and superseded records — so a long-lived daemon's journal
+scales with its distinct completed cells, not its request history.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ JOURNAL_NAME = "serve/serve.journal"
 
 
 class ServeJournal:
-    """Append-only journal of served-cell lifecycle transitions.
+    """Append-only journal of served cells' terminal transitions.
 
     Disabled (all methods no-ops, replay empty) without a cache
     directory — a store-less daemon has nothing durable to restore
@@ -54,7 +54,7 @@ class ServeJournal:
 
     # ------------------------------------------------------------ replay
     def replay(self) -> list[dict]:
-        """Decode the journal (healing a torn tail); lifecycle records."""
+        """Decode the journal (healing a torn tail); terminal records."""
         if self._log is None:
             return []
         report = self._log.replay()
@@ -74,17 +74,6 @@ class ServeJournal:
         return terminal
 
     # ------------------------------------------------------------ append
-    def record_submitted(self, digest: str, submission) -> None:
-        """One execution was created for a digest."""
-        if self._log is not None:
-            self._log.append(
-                {
-                    "type": "submitted",
-                    "digest": digest,
-                    "submission": submission.to_json(),
-                }
-            )
-
     def record_done(
         self, digest: str, submission, source: str, seconds: float | None
     ) -> None:

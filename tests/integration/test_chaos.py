@@ -11,7 +11,7 @@ from the stores, recomputing only the unfinished discoveries.
 import pytest
 
 from repro.exec.chaos import chaos_main
-from repro.exec.faults import install_plan, reset_fault_state
+from repro.exec.faults import active_plan, install_plan, reset_fault_state
 from repro.exec.scheduler import StudyScheduler, _canonical
 from repro.exec.stagestore import stage_store_for
 from repro.exec.store import STAGES, ArtifactStore
@@ -75,7 +75,6 @@ class TestByteIdentityUnderFaults:
         reset_fault_state()
         chaos = StudyScheduler(
             _config(
-                backend="processes",
                 jobs=2,
                 cache_dir=str(tmp_path),
                 faults=DRILL,
@@ -249,3 +248,26 @@ class TestChaosCli:
         code = chaos_main(["figure2", "--faults", "seed=1"])
         assert code == 2
         assert "never fires" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--jobs", "0"), ("--cell-retries", "-1")]
+    )
+    def test_bad_execution_values_are_rejected_before_any_grid_runs(
+        self, flag, value, tmp_path, capsys
+    ):
+        code = chaos_main(
+            ["figure2", "--quick", "--cache-dir", str(tmp_path), flag, value,
+             "--faults", "seed=7,exc=0.6,max=1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: {flag} must be" in captured.err
+        assert "chaos drill" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestPlanSource:
+    def test_the_environment_arms_no_plan(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "seed=7,exc=1.0,max=0")
+        assert not active_plan().active
+        assert not active_plan(_config()).active

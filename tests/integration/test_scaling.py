@@ -3,7 +3,7 @@
 Covers the three acceptance properties of the scaling PR:
 
 * the scaling table is deterministic — byte-identical payloads and
-  rendering across the serial, threads and processes backends;
+  rendering at one worker and on a process pool;
 * stage-cache hit/miss counters survive the ``processes`` backend (the
   scheduler merges worker deltas into the parent store), so a fully
   stage-cached parallel re-render reports its traffic instead of
@@ -150,21 +150,15 @@ class TestScalingDeterminism:
         requests = _small_requests()
         renders = {}
         payloads = {}
-        for backend in ("serial", "threads", "processes"):
-            config = default_config(
-                "quick",
-                cache_dir=str(tmp_path / backend),
-                jobs=2,
-                backend=backend,
-            )
-            scheduler = StudyScheduler(config)
-            results = scheduler.run(requests)
-            payloads[backend] = results
-            renders[backend] = scaling_exp.build(results, config).render()
-        assert payloads["serial"] == payloads["threads"] == payloads["processes"]
-        assert renders["serial"] == renders["threads"] == renders["processes"]
+        for jobs in (1, 2):
+            config = default_config("quick", cache_dir=str(tmp_path / str(jobs)), jobs=jobs)
+            results = StudyScheduler(config).run(requests)
+            payloads[jobs] = results
+            renders[jobs] = scaling_exp.build(results, config).render()
+        assert payloads[1] == payloads[2]
+        assert renders[1] == renders[2]
         # The 16-wide column renders as an explicit unsupported row.
-        assert "exceeds 8 hardware contexts" in renders["serial"]
+        assert "exceeds 8 hardware contexts" in renders[1]
 
     def test_rerender_identical_from_stage_cache(self, tmp_path):
         requests = _small_requests()
@@ -181,7 +175,7 @@ class TestProcessBackendStageStats:
         # backend the hit counters used to stay in the workers and the
         # parent reported "no stage cache traffic".
         requests = _small_requests()
-        config = _grid_config(tmp_path, jobs=2, backend="processes")
+        config = _grid_config(tmp_path, jobs=2)
 
         StudyScheduler(config).run(requests)  # populate the stage cache
         parent_stats = stage_store_for(config).stats
@@ -209,12 +203,12 @@ class TestProcessBackendStageStats:
             for machine in machines
         ]
         misses = {}
-        for backend in ("serial", "processes"):
-            config = _grid_config(tmp_path / backend, jobs=2, backend=backend)
+        for jobs in (1, 2):
+            config = _grid_config(tmp_path / str(jobs), jobs=jobs)
             StudyScheduler(config).run(requests)
-            misses[backend] = dict(stage_store_for(config).stats.misses)
-        assert misses["processes"] == misses["serial"]
-        assert misses["serial"]["cluster"] == 4  # one per (app, width)
+            misses[jobs] = dict(stage_store_for(config).stats.misses)
+        assert misses[2] == misses[1]
+        assert misses[1]["cluster"] == 4  # one per (app, width)
 
     def test_pooled_kinds_share_one_discovery(self, tmp_path):
         # crossarch, coretypes and scaling cells of one (app, width) read
@@ -229,18 +223,18 @@ class TestProcessBackendStageStats:
             *(scaling_request("miniFE", 2, machine) for machine in MACHINES),
         ]
         misses = {}
-        for backend in ("serial", "processes"):
-            config = _grid_config(tmp_path / backend, jobs=3, backend=backend)
+        for jobs in (1, 3):
+            config = _grid_config(tmp_path / str(jobs), jobs=jobs)
             StudyScheduler(config).run(requests)
-            misses[backend] = dict(stage_store_for(config).stats.misses)
-        assert misses["processes"] == misses["serial"]
-        assert misses["serial"]["cluster"] == 2  # scalar and vectorised
+            misses[jobs] = dict(stage_store_for(config).stats.misses)
+        assert misses[3] == misses[1]
+        assert misses[1]["cluster"] == 2  # scalar and vectorised
 
     def test_serial_backend_not_double_counted(self, tmp_path):
         # Same-pid execution increments the parent store directly; the
         # returned delta must not be merged a second time.
         requests = _small_requests(thread_counts=(1,))
-        config = _grid_config(tmp_path, backend="serial")
+        config = _grid_config(tmp_path, jobs=1)
 
         StudyScheduler(config).run(requests)
         parent_stats = stage_store_for(config).stats

@@ -507,6 +507,24 @@ class TestJournalRestart:
         assert all(r["type"] == "done" for r in records)
         assert len({r["digest"] for r in records}) == 2
 
+    def test_live_journal_holds_only_terminal_records(self, tmp_path):
+        from pathlib import Path
+
+        from repro.serve.journal import JOURNAL_NAME
+        from repro.util.recordlog import RecordLog
+
+        cache = str(tmp_path / "cache")
+        handle = DaemonHandle(cache)
+        try:
+            with handle.client() as client:
+                client.submit(_submission(), wait=True)
+                client.submit(_submission(app="MCB"), wait=True)
+            # Read before the drain compacts: what a crash would leave.
+            records = RecordLog(Path(cache) / JOURNAL_NAME).replay().records
+        finally:
+            handle.stop()
+        assert [r["type"] for r in records] == ["done", "done"]
+
     def test_torn_journal_tail_heals_on_boot(self, tmp_path):
         from pathlib import Path
 

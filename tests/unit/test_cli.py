@@ -6,7 +6,7 @@ import pytest
 
 from repro import cli
 from repro.cli import _build_parser, _config_from_args, main
-from repro.exec.backends import ProcessPoolBackend, SerialBackend
+from repro.exec.backends import ProcessPoolBackend
 from repro.exec.scheduler import StudyScheduler
 
 
@@ -41,9 +41,16 @@ class TestCli:
             main(["table2", "--scale", "huge"])
 
     def test_jobs_and_backend_flags_parse(self, capsys):
-        assert main(["table2", "--jobs", "2", "--backend", "threads"]) == 0
+        assert main(["table2", "--jobs", "2", "--backend", "processes"]) == 0
         with pytest.raises(SystemExit):
             main(["table2", "--backend", "gpu"])
+
+    def test_backend_name_follows_the_worker_count(self, capsys):
+        argv = ["table2", "--no-cache", "--verbose"]
+        assert main([*argv, "--backend", "processes", "--jobs", "1"]) == 0
+        assert "[scheduler] serial × 1: 0 requested" in capsys.readouterr().err
+        assert main([*argv, "--backend", "serial", "--jobs", "3"]) == 0
+        assert "[scheduler] serial × 1: 0 requested" in capsys.readouterr().err
 
     def test_jobs_must_be_positive(self, capsys):
         assert main(["table2", "--jobs", "0"]) == 2
@@ -167,7 +174,7 @@ class TestJobsDefault:
         config = _config_from_args(
             _build_parser(3).parse_args(["table3", "--quick", "--no-cache", "--jobs", "1"])
         )
-        assert isinstance(StudyScheduler(config).backend, SerialBackend)
+        assert StudyScheduler(config).backend.name == "serial"
         pooled = _config_from_args(
             _build_parser(3).parse_args(["table3", "--quick", "--no-cache"])
         )

@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.exec.backends import (
-    BACKEND_NAMES,
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-    create_backend,
-)
+from repro.cli import main
+from repro.exec.backends import ProcessPoolBackend
 from repro.exec.request import StudyRequest
+from repro.exec.scheduler import StudyScheduler
 from repro.exec.supervise import RetryPolicy
+from repro.experiments.config import default_config
 
 
 def _square(x, attempt):
@@ -42,9 +39,9 @@ class TestStudyRequest:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("name", sorted(BACKEND_NAMES))
-    def test_map_preserves_order(self, name):
-        backend = create_backend(name, jobs=3)
+    @pytest.mark.parametrize("jobs", [1, 3], ids=["serial", "processes"])
+    def test_map_preserves_order(self, jobs):
+        backend = ProcessPoolBackend(jobs)
         items = list(range(10))
         keys = [f"cell{x}" for x in items]
         results, report = backend.map_supervised(
@@ -54,19 +51,25 @@ class TestBackends:
         assert report.quarantined == []
 
     def test_serial_is_default_for_one_job(self):
-        assert isinstance(create_backend(None, jobs=1), SerialBackend)
+        scheduler = StudyScheduler(default_config("quick", cache_dir="", jobs=1))
+        assert (scheduler.backend.name, scheduler.backend.jobs) == ("serial", 1)
 
     def test_processes_is_default_for_many_jobs(self):
-        assert isinstance(create_backend(None, jobs=4), ProcessPoolBackend)
+        scheduler = StudyScheduler(default_config("quick", cache_dir="", jobs=4))
+        assert (scheduler.backend.name, scheduler.backend.jobs) == ("processes", 4)
 
     def test_explicit_names(self):
-        assert isinstance(create_backend("serial"), SerialBackend)
-        assert isinstance(create_backend("threads", 2), ThreadPoolBackend)
-        assert isinstance(create_backend("processes", 2), ProcessPoolBackend)
+        # The worker count names the backend: one worker runs inline.
+        assert ProcessPoolBackend(1).name == "serial"
+        assert ProcessPoolBackend(4).name == "processes"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            create_backend("gpu")
+    def test_unknown_backend_rejected(self, capsys):
+        # The CLI's --backend names only the two worker-count spellings.
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", "--backend", "threads"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_jobs_floored_at_one(self):
-        assert create_backend("threads", 0).jobs == 1
+        assert ProcessPoolBackend(0).jobs == 1
+        assert ProcessPoolBackend(0).name == "serial"

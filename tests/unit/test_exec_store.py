@@ -54,7 +54,7 @@ class TestConfigFingerprint:
             {"thread_counts": (1, 8)},
             {"cache_dir": "/elsewhere"},
             {"jobs": 8},
-            {"backend": "processes"},
+            {"faults": "seed=7,kill=0.5,torn=0.5", "cell_retries": 5},
         ],
     )
     def test_insensitive_to_execution_knobs(self, overrides):

@@ -15,12 +15,7 @@ import pytest
 from repro.exec.backends import ProcessPoolBackend
 from repro.exec.cells import discovery_group
 from repro.exec.request import StudyRequest
-from repro.exec.supervise import (
-    GroupHold,
-    ProcessSupervision,
-    RetryPolicy,
-    run_threaded_supervised,
-)
+from repro.exec.supervise import GroupHold, ProcessSupervision, RetryPolicy
 
 #: Cells 0, 2 and 4 share group "g"; 1 and 3 are ungrouped.
 GROUPS = ["g", None, "g", None, "g"]
@@ -59,17 +54,11 @@ def _slow_third(index, attempt):
     return os.getpid()
 
 
-def _threaded(fn, items, keys, policy, groups):
-    return run_threaded_supervised(2, fn, items, keys, policy, None, groups)
-
-
 def _processes(fn, items, keys, policy, groups):
     return ProcessSupervision(2, policy).run(fn, items, keys, None, groups)
 
 
-SUPERVISORS = pytest.mark.parametrize(
-    "supervise", [_threaded, _processes], ids=["threads", "processes"]
-)
+SUPERVISORS = pytest.mark.parametrize("supervise", [_processes], ids=["processes"])
 
 
 def _overlap(a, b) -> bool:

@@ -22,6 +22,7 @@ from repro.exec.columnar import (
     write_payload_atomic,
 )
 from repro.exec.stagestore import StageCacheStats
+from repro.experiments import trace as trace_exp
 from repro.experiments.config import default_config
 from repro.experiments.trace import (
     _block_tiles,
@@ -190,20 +191,23 @@ def _assert_matches_oracles(request, config, payload, levels=DEFAULT_LEVELS):
 
 
 #: A short stream in small tiles: 69 tiles for the 53 blocks of the
-#: seven apps, so several blocks cross a tile boundary (at the CLI's
-#: default tile size every block's quick stream fits in one tile).
+#: seven apps, so several blocks cross a tile boundary (at the default
+#: ``TILE_ACCESSES`` every block's quick stream fits in one tile).
 ORACLE_ACCESSES = 20_000
 ORACLE_TILE = 4_096
 
 
 class TestTraceCell:
+    @pytest.fixture(autouse=True)
+    def _oracle_tiles(self, monkeypatch):
+        monkeypatch.setattr(trace_exp, "TILE_ACCESSES", ORACLE_TILE)
+
     @staticmethod
     def _config(tmp_path, **overrides):
         return replace(
             default_config("quick"),
             cache_dir=str(tmp_path),
             trace_accesses=ORACLE_ACCESSES,
-            trace_tile_size=ORACLE_TILE,
             **overrides,
         )
 
@@ -250,14 +254,15 @@ class TestTraceCell:
         for name in ("L1D", "L2"):
             assert payload["levels"][name] != default["levels"][name], name
 
-    def test_payload_is_tile_size_invariant(self, tmp_path):
-        """``--trace-tile-size`` is execution-only, so a cached cell must
-        not depend on the tile count that filled it."""
-        small = self._config(tmp_path)
-        large = replace(small, trace_tile_size=1 << 20)
-        for app in EVALUATED_APPS:
-            request = trace_request(app, ORACLE_ACCESSES)
-            assert trace_cell(request, small) == trace_cell(request, large), app
+    def test_payload_is_tile_size_invariant(self, tmp_path, monkeypatch):
+        """The tile size bounds memory and nothing else, so a cached cell
+        must not depend on the tile count that filled it."""
+        config = self._config(tmp_path)
+        requests = [trace_request(app, ORACLE_ACCESSES) for app in EVALUATED_APPS]
+        small = [trace_cell(request, config) for request in requests]
+        monkeypatch.setattr(trace_exp, "TILE_ACCESSES", 1 << 20)
+        for request, payload in zip(requests, small):
+            assert trace_cell(request, config) == payload, request.app
 
     def test_cell_records_run_time_and_rss_for_the_profile(self, tmp_path):
         from repro.exec.stagestore import stage_store_for
