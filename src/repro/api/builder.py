@@ -70,10 +70,13 @@ class PipelineRun:
 
     Wraps the run's :class:`~repro.api.context.StageContext` with typed
     accessors for the common artifacts; anything a custom stage
-    published is reachable through ``run.context.get(name)``.  A run
-    against a warm store holds only what its results needed: the
-    artifacts of stages upstream of a loaded one (``observations``,
-    ``signatures``, ``clusterings``) are absent.
+    published is reachable through ``run.context.get(name)``.  The
+    per-run discovery artifacts (``observations``, ``signatures``) are
+    :class:`~repro.api.context.RunSequence` objects: reading one run
+    draws and builds it again, bit for bit, and nothing of it stays
+    behind but its weights.  A run against a warm store holds only what
+    its results needed: the artifacts of stages upstream of a loaded
+    one (``observations``, ``signatures``, ``clusterings``) are absent.
 
     Example
     -------

@@ -6,6 +6,11 @@ counters per (ISA, machine), the measurement memos, and the ``artifacts``
 mapping the stages read from and write to (observations → signatures →
 clusterings → selections → measurements → estimates → evaluations).
 
+The per-run discovery artifacts (``observations``, ``rank_observations``
+and ``signatures``) are :class:`RunSequence` objects: each run is built
+when it is read, so a stage that reads run r, uses it and drops it
+before reading run r + 1 holds one run's matrices at a time.
+
 Every random stream is addressed by exactly the paths the seed's
 monolithic pipeline used — ``("structure", app, threads)``,
 ``("uarch", app, threads)``, ``("discovery", ..., label)``,
@@ -17,6 +22,9 @@ a live run would.
 """
 
 from __future__ import annotations
+
+import operator
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -36,7 +44,49 @@ from repro.isa.descriptors import ISA, BinaryConfig
 from repro.runtime.execution import execute_program
 from repro.util.rng import RngTree
 
-__all__ = ["StageContext"]
+__all__ = ["RunSequence", "StageContext"]
+
+
+class RunSequence(Sequence):
+    """Discovery runs, each built from its own seeded path when read.
+
+    Indexing run ``r`` calls ``build(r)``, which draws the run afresh
+    from generator path ``("run", r)`` (``("run", r, "rank", k)`` per
+    rank); the paths are pure, so a run read twice has the same bits.
+    The sequence keeps nothing of a built run but its ``weights`` (one
+    float per barrier point), which :meth:`weights_of` hands back
+    without building the run again.
+
+    Example
+    -------
+    >>> import numpy as np
+    >>> from repro.api.context import RunSequence
+    >>> runs = RunSequence(3, lambda run: np.full(2, float(run)))
+    >>> len(runs), runs[-1].tolist()
+    (3, [2.0, 2.0])
+    """
+
+    def __init__(self, runs: int, build: Callable[[int], object]) -> None:
+        self._runs = runs
+        self._build = build
+        self._weights: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return self._runs
+
+    def __getitem__(self, index: int) -> object:
+        run = range(self._runs)[operator.index(index)]
+        item = self._build(run)
+        weights = getattr(item, "weights", None)
+        if weights is not None:
+            self._weights[run] = weights
+        return item
+
+    def weights_of(self, run: int) -> np.ndarray:
+        """Run ``run``'s weights, remembered from its build (or built now)."""
+        if run not in self._weights:
+            self._weights[run] = self[run].weights
+        return self._weights[run]
 
 
 class StageContext:

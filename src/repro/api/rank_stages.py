@@ -18,10 +18,13 @@ measurement, reconstruction and validation run **unchanged** downstream
 paper's per-thread concatenation makes the thread axis invisible past
 signature assembly.
 
-Only ``rankify`` is cacheable, and its payload holds each rank's clean
-signatures rather than every jittered run: a cache hit draws the runs
-again from their seeded generators, and ``coalesce_ranks`` recomputes
-the coalesced matrix from them.
+Both artifacts are :class:`~repro.api.context.RunSequence` objects
+built when read: run r of ``rank_observations`` is itself a sequence
+over ranks, and run r of ``signatures`` draws and signs one rank at a
+time and coalesces them.  Only ``rankify`` is cacheable, and its payload
+holds each rank's clean signatures rather than every jittered run: a
+cache hit publishes the same sequences, and every run drawn from them
+matches a live one bit for bit.
 
 Coalesced signature layout (documented, deterministic)
 ------------------------------------------------------
@@ -46,12 +49,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.context import StageContext
+from repro.api.context import RunSequence, StageContext
 from repro.api.registry import register_stage
 from repro.api.stage import Stage
 from repro.core.signatures import SignatureMatrix, build_signatures
 from repro.hw.pmu import INSTRUCTIONS
-from repro.instrumentation.collector import CleanSignatures, DiscoveryObservation
+from repro.instrumentation.collector import CleanSignatures
 
 __all__ = ["RankifyStage", "CoalesceRanksStage", "coalesce_signatures"]
 
@@ -108,10 +111,11 @@ class RankifyStage(Stage):
     Per rank: collect the rank's BBV/LDV from its own trace once and
     weight them by the rank's exact instruction counts; per discovery
     run, perturb them with interleaving jitter seeded per ``(run,
-    rank)`` — R Pintool invocations per run, one per MPI process.  The
-    payload is each rank's clean signatures plus the run count;
-    decoding draws every ``(run, rank)`` observation again from the
-    same generators, bit for bit, without executing the trace.
+    rank)`` — R Pintool invocations per run, one per MPI process.
+    ``rank_observations`` is a run sequence of rank sequences: reading
+    ``[run][rank]`` draws that one observation.  The payload is each
+    rank's clean signatures plus the run count; decoding publishes the
+    same sequences, bit for bit, without executing the trace.
 
     Requires a workload wrapped in
     :class:`~repro.workloads.distributed.DistributedWorkload`; the
@@ -145,17 +149,18 @@ class RankifyStage(Stage):
     @staticmethod
     def _observe(
         ctx: StageContext, per_rank: list[CleanSignatures], runs: int
-    ) -> list[list[DiscoveryObservation]]:
+    ) -> RunSequence:
         """Run-major ``[run][rank]`` observations, one generator per pair."""
         rng = ctx.discovery_rng()
-        by_rank = [
-            [
-                clean.observe(rng.generator("run", run, "rank", rank), run)
-                for run in range(runs)
-            ]
-            for rank, clean in enumerate(per_rank)
-        ]
-        return [list(per_run) for per_run in zip(*by_rank, strict=True)]
+        return RunSequence(
+            runs,
+            lambda run: RunSequence(
+                len(per_rank),
+                lambda rank: per_rank[rank].observe(
+                    rng.generator("run", run, "rank", rank), run
+                ),
+            ),
+        )
 
     def run(self, ctx: StageContext) -> StageContext:
         trace = ctx.trace(ctx.discovery_isa)
@@ -210,9 +215,10 @@ class CoalesceRanksStage(Stage):
     Builds each rank's signature matrix (row-normalised BBV ⊕ LDV, the
     shared-memory Step 2 per rank) and concatenates them in the
     documented rank-major layout, summing the clustering weights over
-    ranks.  Publishes the standard ``signatures`` artifact, so every
-    downstream stage is rank-agnostic.  Like ``signature``, it is not
-    cacheable: it recomputes from the ``rankify`` observations.
+    ranks.  Publishes the standard ``signatures`` artifact, a run
+    sequence, so every downstream stage is rank-agnostic; reading run r
+    draws and signs its ranks one at a time.  Like ``signature``, it is
+    not cacheable: it recomputes from the ``rankify`` observations.
     """
 
     name = "coalesce_ranks"
@@ -229,15 +235,16 @@ class CoalesceRanksStage(Stage):
 
     def run(self, ctx: StageContext) -> StageContext:
         weight = self.effective_weight(ctx)
-        ctx.put(
-            "signatures",
-            [
-                coalesce_signatures(
-                    [build_signatures(obs, weight) for obs in per_rank]
-                )
-                for per_rank in ctx.require("rank_observations")
-            ],
-        )
+        observations = ctx.require("rank_observations")
+
+        def coalesced(run: int) -> SignatureMatrix:
+            per_rank = observations[run]
+            # Indexed per rank: each observation dies once it is signed.
+            return coalesce_signatures(
+                [build_signatures(per_rank[rank], weight) for rank in range(len(per_rank))]
+            )
+
+        ctx.put("signatures", RunSequence(len(observations), coalesced))
         return ctx
 
     def cache_key(self, ctx: StageContext) -> dict:

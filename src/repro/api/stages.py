@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, replace
 
-from repro.api.context import StageContext
+from repro.api.context import RunSequence, StageContext
 from repro.api.registry import register_stage
 from repro.api.stage import Stage
 from repro.api.types import EvaluationResult
@@ -46,7 +46,7 @@ from repro.core.selection import BarrierPointSelection, select_barrier_points
 from repro.core.signatures import build_signatures
 from repro.core.validation import validate_estimate
 from repro.hw.machines import Machine
-from repro.instrumentation.collector import CleanSignatures, DiscoveryObservation
+from repro.instrumentation.collector import CleanSignatures
 from repro.isa.descriptors import ISA
 
 __all__ = [
@@ -111,10 +111,11 @@ class ProfileStage(Stage):
 
     Every run instruments the same trace and differs only in its
     interleaving jitter, so the stage collects the trace's clean
-    signatures once and draws each run from them.  Its payload is those
-    clean signatures plus the run count; decoding draws the runs again
-    from the same seeded generators, bit for bit, without executing
-    the trace.
+    signatures once.  ``observations`` is a run sequence: reading run r
+    draws it from those signatures with its own seeded generator.  The
+    payload is the clean signatures plus the run count; decoding
+    publishes the same sequence, so every run it draws matches a live
+    one bit for bit, without executing the trace.
     """
 
     name = "profile"
@@ -135,12 +136,10 @@ class ProfileStage(Stage):
         return ctx.config.discovery_runs
 
     @staticmethod
-    def _observe(
-        ctx: StageContext, clean: CleanSignatures, runs: int
-    ) -> list[DiscoveryObservation]:
+    def _observe(ctx: StageContext, clean: CleanSignatures, runs: int) -> RunSequence:
         """Discovery runs ``0 .. runs-1``, each jittered by its own generator."""
         rng = ctx.discovery_rng()
-        return [clean.observe(rng.generator("run", run), run) for run in range(runs)]
+        return RunSequence(runs, lambda run: clean.observe(rng.generator("run", run), run))
 
     def run(self, ctx: StageContext) -> StageContext:
         trace = ctx.trace(ctx.discovery_isa)
@@ -173,8 +172,10 @@ class ProfileStage(Stage):
 class SignatureStage(Stage):
     """Step 2: combine each run's BBV and LDV into signature vectors.
 
-    Not cacheable: it only normalises and concatenates the ``profile``
-    observations, so it is recomputed rather than stored.
+    Publishes a run sequence: reading run r draws its observation and
+    builds its signature matrix then, so the work is charged to the
+    stage that reads it (``cluster``).  Not cacheable: it only
+    normalises and concatenates the ``profile`` observations.
     """
 
     name = "signature"
@@ -191,9 +192,13 @@ class SignatureStage(Stage):
 
     def run(self, ctx: StageContext) -> StageContext:
         weight = self.effective_weight(ctx)
+        observations = ctx.require("observations")
         ctx.put(
             "signatures",
-            [build_signatures(obs, weight) for obs in ctx.require("observations")],
+            RunSequence(
+                len(observations),
+                lambda run: build_signatures(observations[run], weight),
+            ),
         )
         return ctx
 
@@ -203,7 +208,7 @@ class SignatureStage(Stage):
 
 @register_stage
 class ClusterStage(Stage):
-    """Step 2½: SimPoint model selection over each run's signatures."""
+    """Step 2½: SimPoint model selection over each run's signatures, one at a time."""
 
     name = "cluster"
     inputs = ("signatures",)
@@ -225,14 +230,19 @@ class ClusterStage(Stage):
     def run(self, ctx: StageContext) -> StageContext:
         options = self.effective_options(ctx)
         label = ctx.binary(ctx.discovery_isa).label
+        signatures = ctx.require("signatures")
         clusterings = []
-        for run, signatures in enumerate(ctx.require("signatures")):
+        for run in range(len(signatures)):
+            # Indexed here and deleted below: a loop variable would keep
+            # run r's matrix alive while run r + 1 is built.
+            signature = signatures[run]
             gen = ctx.tree.generator(
                 "simpoint", ctx.app.name, ctx.threads, label, run
             )
             clusterings.append(
-                run_simpoint(signatures.combined, signatures.weights, gen, options)
+                run_simpoint(signature.combined, signature.weights, gen, options)
             )
+            del signature
         ctx.put("clusterings", clusterings)
         return ctx
 
@@ -277,7 +287,11 @@ class ClusterStage(Stage):
 
 @register_stage
 class SelectStage(Stage):
-    """Step 2¾: pick representatives and multipliers per clustering."""
+    """Step 2¾: pick representatives and multipliers per clustering.
+
+    Reads the weights ``cluster`` left on the signature sequence, so it
+    draws no run again.
+    """
 
     name = "select"
     inputs = ("clusterings", "signatures")
@@ -290,7 +304,7 @@ class SelectStage(Stage):
         ctx.put(
             "selections",
             [
-                select_barrier_points(choice, signatures[run].weights, run)
+                select_barrier_points(choice, signatures.weights_of(run), run)
                 for run, choice in enumerate(ctx.require("clusterings"))
             ],
         )

@@ -173,4 +173,7 @@ def run_crossarch(
             result.configs[arm_label] = ConfigResult(
                 label=arm_label, evaluation=arm_evals[best]
             )
+        # Release this setting's context (traces, counters, discovery)
+        # before the next setting builds its own.
+        del pipeline, run
     return result

@@ -84,10 +84,12 @@ _EXPERIMENTS = {
 }
 
 
-#: Peak RSS of one worker, rounded up from the heaviest measured cell
-#: (cold ``table3 --scale full``: 1.2 GiB); the command's default
-#: worker count never plans more of them than the available memory.
-_WORKER_PEAK_BYTES = 1280 * 2**20
+#: Peak RSS of one worker, rounded up from the heaviest process of a
+#: cold ``all --scale full`` (279 MiB: a worker running the 10**7-access
+#: ``trace`` cells; the heaviest discovery cell, 8-rank LULESH, peaks
+#: at 252 MiB); the command's default worker count never plans more of
+#: them than the available memory.
+_WORKER_PEAK_BYTES = 320 * 2**20
 
 
 def _available_memory() -> int | None:
@@ -422,8 +424,8 @@ def main(argv: list[str] | None = None) -> int:
                 result = module.run(config)
             print(result.render())
     except QuarantinedCellError as exc:
-        # Every other cell finished and is stored; the counters below
-        # say how the run got here.
+        # Every other cell finished (and is stored, unless --no-cache);
+        # the counters below say how the run got here.
         print(f"error: {exc}", file=sys.stderr)
         code = 1
 

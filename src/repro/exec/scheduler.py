@@ -265,7 +265,7 @@ class StudyScheduler:
             self.stats.timeouts += report.timeouts
             self.stats.quarantined += len(report.quarantined)
             if report.quarantined:
-                raise QuarantinedCellError(report.quarantined)
+                raise QuarantinedCellError(report.quarantined, self.store.enabled)
 
         return {request: self._memory[request] for request in unique}
 

@@ -92,19 +92,27 @@ class SupervisionReport:
 
 
 class QuarantinedCellError(RuntimeError):
-    """Raised after the grid finishes when any cell exhausted its budget."""
+    """Raised after the grid finishes when any cell exhausted its budget.
 
-    def __init__(self, failures: Sequence[CellFailure]) -> None:
+    ``cached`` says whether the finished cells were stored; only then
+    does the message suggest running the same command again.
+    """
+
+    def __init__(self, failures: Sequence[CellFailure], cached: bool) -> None:
         self.failures = list(failures)
         lines = "\n".join(
             f"  {f.key}: {f.attempts} attempt(s), last error: {f.error}"
             for f in self.failures
         )
+        hint = (
+            "\nFinished cells are in the cache; after addressing the cause, run "
+            "the same command again to compute only the quarantined cells."
+            if cached
+            else ""
+        )
         super().__init__(
             f"{len(self.failures)} cell(s) quarantined after exhausting "
-            f"their retry budget:\n{lines}\n"
-            "Finished cells are in the cache; after addressing the cause, run "
-            "the same command again to compute only the quarantined cells."
+            f"their retry budget:\n{lines}{hint}"
         )
 
 

@@ -152,6 +152,19 @@ class TestQuarantine:
         assert scheduler.stats.quarantined == 1
         assert scheduler.stats.retries == 1
 
+    def test_uncached_quarantine_does_not_promise_the_cache(self):
+        """Under --no-cache nothing was stored, so no rerun hint."""
+        config = _config(
+            faults="seed=1,exc=1.0,max=0", cell_retries=0, retry_backoff=0.0
+        )
+        with pytest.raises(QuarantinedCellError) as err:
+            StudyScheduler(config).run([crossarch_request("MCB", 1)])
+        message = str(err.value)
+        assert "1 cell(s) quarantined" in message
+        assert "crossarch[MCB,t1]" in message
+        assert "cache" not in message
+        assert "run the same command again" not in message
+
     def test_healthy_cells_complete_before_the_run_fails(self, tmp_path):
         """Quarantine is per-cell: the rest of the grid still lands."""
         config = _config(

@@ -16,6 +16,7 @@ bit for bit without executing a trace or the perf model.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -123,7 +124,7 @@ def _flat(observations) -> list:
     return [
         obs
         for item in observations
-        for obs in (item if isinstance(item, list) else [item])
+        for obs in (item if isinstance(item, Sequence) else [item])
     ]
 
 

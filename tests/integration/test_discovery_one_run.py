@@ -1,0 +1,106 @@
+"""Discovery holds one run at a time.
+
+``observations``, ``rank_observations`` and ``signatures`` are run
+sequences built when read.  A cold graph must therefore draw each
+``(run)`` or ``(run, rank)`` observation exactly once, inside
+``cluster`` and right before that run is clustered; ``select`` must
+read the weights ``cluster`` left behind instead of drawing a run
+again; and run r's signature matrix must be gone before run r + 1's is
+built.
+"""
+
+from __future__ import annotations
+
+import weakref
+
+import pytest
+
+from repro.api import PipelineConfig, build_pipeline, rank_stages, stages
+from repro.api.builder import StagePipeline
+from repro.api.sweep import RANK_THREADS, default_rank_stages
+from repro.hw.machines import INTEL_I7_3770
+from repro.hw.measure import MeasurementProtocol
+from repro.instrumentation.collector import CleanSignatures
+from repro.workloads.distributed import DistributedWorkload
+
+RUNS = 3
+RANKS = 2
+CONFIG = PipelineConfig(
+    discovery_runs=RUNS, protocol=MeasurementProtocol(repetitions=3)
+)
+
+
+def _default_run():
+    return build_pipeline("MCB", threads=2, config=CONFIG).run()
+
+
+def _rank_run():
+    job = DistributedWorkload("MCB", ranks=RANKS)
+    return StagePipeline(
+        job, RANK_THREADS, False, CONFIG,
+        stages=default_rank_stages(), targets=(INTEL_I7_3770,),
+    ).run()
+
+
+#: Each pipeline, its ranks per run, and where it builds a run's matrix.
+PIPELINES = pytest.mark.parametrize(
+    "execute, ranks, module, builder",
+    [
+        (_default_run, 1, stages, "build_signatures"),
+        (_rank_run, RANKS, rank_stages, "coalesce_signatures"),
+    ],
+    ids=["default", "ranks"],
+)
+
+
+@PIPELINES
+def test_each_run_is_drawn_once_right_before_it_is_clustered(
+    execute, ranks, module, builder, monkeypatch
+):
+    events: list[tuple] = []
+    observe = CleanSignatures.observe
+    simpoint = stages.run_simpoint
+
+    def spy_observe(self, gen, run_index):
+        events.append(("observe", run_index, id(self)))
+        return observe(self, gen, run_index)
+
+    def spy_simpoint(*args, **kwargs):
+        events.append(("cluster",))
+        return simpoint(*args, **kwargs)
+
+    monkeypatch.setattr(CleanSignatures, "observe", spy_observe)
+    monkeypatch.setattr(stages, "run_simpoint", spy_simpoint)
+    run = execute()
+
+    assert len(run.selections) == RUNS
+    draws = [event[1:] for event in events if event[0] == "observe"]
+    assert len(draws) == len(set(draws)) == RUNS * ranks
+    # Select and the evaluation stages draw nothing: every draw sits
+    # right before the clustering of its own run.
+    assert [event[:2] for event in events] == [
+        event
+        for run_index in range(RUNS)
+        for event in [("observe", run_index)] * ranks + [("cluster",)]
+    ]
+
+
+@PIPELINES
+def test_run_matrices_are_freed_before_the_next_run_is_built(
+    execute, ranks, module, builder, monkeypatch
+):
+    build = getattr(module, builder)
+    matrices: list[weakref.ref] = []
+    alive_at_build: list[int] = []
+
+    def spy_build(*args, **kwargs):
+        alive_at_build.append(sum(ref() is not None for ref in matrices))
+        signatures = build(*args, **kwargs)
+        matrices.append(weakref.ref(signatures.combined))
+        return signatures
+
+    monkeypatch.setattr(module, builder, spy_build)
+    execute()
+
+    assert alive_at_build == [0] * RUNS
+    assert all(ref() is None for ref in matrices)
