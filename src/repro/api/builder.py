@@ -76,7 +76,9 @@ class PipelineRun:
     draws and builds it again, bit for bit, and nothing of it stays
     behind but its weights.  A run against a warm store holds only what
     its results needed: the artifacts of stages upstream of a loaded
-    one (``observations``, ``signatures``, ``clusterings``) are absent.
+    one (``observations``, ``signatures``, ``clusterings``) are absent,
+    and ``measurements`` holds, per selection, the mean rows of its
+    representatives only, never every barrier point's.
 
     Example
     -------

@@ -55,7 +55,8 @@ class RunSequence(Sequence):
     rank); the paths are pure, so a run read twice has the same bits.
     The sequence keeps nothing of a built run but its ``weights`` (one
     float per barrier point), which :meth:`weights_of` hands back
-    without building the run again.
+    without building the run again: ``cluster`` reads every run before
+    ``select`` asks for its weights.
 
     Example
     -------
@@ -83,9 +84,7 @@ class RunSequence(Sequence):
         return item
 
     def weights_of(self, run: int) -> np.ndarray:
-        """Run ``run``'s weights, remembered from its build (or built now)."""
-        if run not in self._weights:
-            self._weights[run] = self[run].weights
+        """Run ``run``'s weights, remembered from its build."""
         return self._weights[run]
 
 

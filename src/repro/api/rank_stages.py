@@ -3,13 +3,13 @@
 Distributed jobs replace the first two canonical stages with a pair
 that operates *per rank* and then coalesces:
 
-=============== ====================== =================================
-stage           artifacts              role
-=============== ====================== =================================
-rankify         rank_observations,     per-rank instrumented executions
-                rank_clean_signatures  (BBV/LDV collection per rank)
-coalesce_ranks  signatures             rank-major signature coalescing
-=============== ====================== =================================
+=============== ================= ======================================
+stage           artifacts         role
+=============== ================= ======================================
+rankify         rank_observations per-rank instrumented executions
+                                  (BBV/LDV collection per rank)
+coalesce_ranks  signatures        rank-major signature coalescing
+=============== ================= ======================================
 
 ``coalesce_ranks`` publishes the very same ``signatures`` artifact the
 shared-memory ``signature`` stage does, so clustering, selection,
@@ -21,10 +21,9 @@ signature assembly.
 Both artifacts are :class:`~repro.api.context.RunSequence` objects
 built when read: run r of ``rank_observations`` is itself a sequence
 over ranks, and run r of ``signatures`` draws and signs one rank at a
-time and coalesces them.  Only ``rankify`` is cacheable, and its payload
-holds each rank's clean signatures rather than every jittered run: a
-cache hit publishes the same sequences, and every run drawn from them
-matches a live one bit for bit.
+time and coalesces them.  Neither stage is cacheable: a stored run
+reads ``select`` and ``measure`` only, and a changed clustering knob
+runs the pair again.
 
 Coalesced signature layout (documented, deterministic)
 ------------------------------------------------------
@@ -113,9 +112,7 @@ class RankifyStage(Stage):
     run, perturb them with interleaving jitter seeded per ``(run,
     rank)`` — R Pintool invocations per run, one per MPI process.
     ``rank_observations`` is a run sequence of rank sequences: reading
-    ``[run][rank]`` draws that one observation.  The payload is each
-    rank's clean signatures plus the run count; decoding publishes the
-    same sequences, bit for bit, without executing the trace.
+    ``[run][rank]`` draws that one observation.
 
     Requires a workload wrapped in
     :class:`~repro.workloads.distributed.DistributedWorkload`; the
@@ -127,9 +124,8 @@ class RankifyStage(Stage):
 
     name = "rankify"
     inputs = ()
-    outputs = ("rank_observations", "rank_clean_signatures")
+    outputs = ("rank_observations",)
     description = "instrument every rank's execution (per-rank BBV/LDV)"
-    cacheable = True
 
     def __init__(self, discovery_runs: int | None = None) -> None:
         if discovery_runs is not None and discovery_runs < 1:
@@ -146,22 +142,6 @@ class RankifyStage(Stage):
     def _ranks(ctx: StageContext) -> int:
         return int(getattr(ctx.app, "ranks", 1))
 
-    @staticmethod
-    def _observe(
-        ctx: StageContext, per_rank: list[CleanSignatures], runs: int
-    ) -> RunSequence:
-        """Run-major ``[run][rank]`` observations, one generator per pair."""
-        rng = ctx.discovery_rng()
-        return RunSequence(
-            runs,
-            lambda run: RunSequence(
-                len(per_rank),
-                lambda rank: per_rank[rank].observe(
-                    rng.generator("run", run, "rank", rank), run
-                ),
-            ),
-        )
-
     def run(self, ctx: StageContext) -> StageContext:
         trace = ctx.trace(ctx.discovery_isa)
         if not hasattr(trace, "rank_traces"):
@@ -177,9 +157,19 @@ class RankifyStage(Stage):
             )
             for rank in range(trace.ranks)
         ]
-        ctx.put("rank_clean_signatures", per_rank)
+        rng = ctx.discovery_rng()
+        # Run-major ``[run][rank]`` observations, one generator per pair.
         ctx.put(
-            "rank_observations", self._observe(ctx, per_rank, self.effective_runs(ctx))
+            "rank_observations",
+            RunSequence(
+                self.effective_runs(ctx),
+                lambda run: RunSequence(
+                    len(per_rank),
+                    lambda rank: per_rank[rank].observe(
+                        rng.generator("run", run, "rank", rank), run
+                    ),
+                ),
+            ),
         )
         return ctx
 
@@ -195,18 +185,6 @@ class RankifyStage(Stage):
             "phases": getattr(ctx.app, "phases", None),
         }
 
-    def encode(self, ctx: StageContext) -> dict:
-        return {
-            # Each rank's dataclass fields (bbv, ldv, weights, sigma), uncopied.
-            "clean": [vars(clean) for clean in ctx.require("rank_clean_signatures")],
-            "runs": len(ctx.require("rank_observations")),
-        }
-
-    def decode(self, payload: dict, ctx: StageContext) -> None:
-        per_rank = [CleanSignatures(**row) for row in payload["clean"]]
-        ctx.put("rank_clean_signatures", per_rank)
-        ctx.put("rank_observations", self._observe(ctx, per_rank, int(payload["runs"])))
-
 
 @register_stage
 class CoalesceRanksStage(Stage):
@@ -217,8 +195,8 @@ class CoalesceRanksStage(Stage):
     documented rank-major layout, summing the clustering weights over
     ranks.  Publishes the standard ``signatures`` artifact, a run
     sequence, so every downstream stage is rank-agnostic; reading run r
-    draws and signs its ranks one at a time.  Like ``signature``, it is
-    not cacheable: it recomputes from the ``rankify`` observations.
+    draws and signs its ranks one at a time.  Like ``signature``, it
+    recomputes from the ``rankify`` observations whenever it is read.
     """
 
     name = "coalesce_ranks"

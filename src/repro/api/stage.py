@@ -8,9 +8,9 @@ content address of its payload (``cache_key``), and — when
 execution layer can cache the pipeline at stage granularity.
 
 Stage identity is the chain of cache keys up to and including a stage,
-so changing a knob re-runs exactly the stages downstream of it: a
-``maxK`` change re-clusters but reuses the cached profile payload,
-from which the signatures are re-derived.
+so changing a knob relocates every stored stage downstream of it.  The
+built-in graph stores only ``select`` and ``measure``, the payloads a
+later run reads: a ``maxK`` change misses both and runs discovery again.
 """
 
 from __future__ import annotations

@@ -3,26 +3,25 @@
 The paper's workflow (Section V) decomposed from the old 278-line
 monolith into pluggable steps:
 
-=========== ================= ===========================================
-stage       artifacts         role
-=========== ================= ===========================================
-profile     observations,     execute the binary under the Pintool
-            clean_signatures
-signature   signatures        combine BBV ⊕ LDV into signature vectors
-cluster     clusterings       SimPoint-style k sweep with BIC selection
-select      selections        representatives + multipliers per cluster
-measure     measurements      native per-BP and clean-ROI counters
-reconstruct estimates         scale representatives up to whole-program
-validate    evaluations       error vs. the clean region of interest
-=========== ================= ===========================================
+=========== ============= ===============================================
+stage       artifacts     role
+=========== ============= ===============================================
+profile     observations  execute the binary under the Pintool
+signature   signatures    combine BBV ⊕ LDV into signature vectors
+cluster     clusterings   SimPoint-style k sweep with BIC selection
+select      selections    representatives + multipliers per cluster
+measure     measurements  the representatives' counters and the clean ROI
+reconstruct estimates     scale representatives up to whole-program
+validate    evaluations   error vs. the clean region of interest
+=========== ============= ===============================================
 
 Each stage takes its knobs either from the shared
 :class:`~repro.api.types.PipelineConfig` or from constructor overrides
 (``ClusterStage(max_k=10)``), and contributes exactly those knobs to its
 cache key — so the execution layer re-runs a stage (and everything
-downstream) precisely when one of *its* knobs changes.  ``profile``,
-``cluster``, ``select`` and ``measure`` are cacheable; the other three
-are cheap derivations, recomputed whenever a later stage needs them.
+downstream) precisely when one of *its* knobs changes.  Only ``select``
+and ``measure`` are cacheable, because a later run reads nothing else:
+a changed knob upstream of ``select`` runs discovery again.
 
 Discovery always happens on x86_64 — "this step is only run for the
 x86_64 versions of the binaries, as our objective is to extract the
@@ -38,8 +37,7 @@ from repro.api.context import RunSequence, StageContext
 from repro.api.registry import register_stage
 from repro.api.stage import Stage
 from repro.api.types import EvaluationResult
-from repro.clustering.kmeans import KMeansResult
-from repro.clustering.simpoint import ClusteringChoice, SimPointOptions, run_simpoint
+from repro.clustering.simpoint import SimPointOptions, run_simpoint
 from repro.core.errors import CrossArchitectureMismatch
 from repro.core.reconstruction import reconstruct_per_rep, reconstruct_totals
 from repro.core.selection import BarrierPointSelection, select_barrier_points
@@ -91,7 +89,9 @@ def evaluate_selection(
     """
     isa = isa or machine.isa
     ctx.check_compatible(selection, machine, isa)
-    estimate = reconstruct_totals(selection, ctx.measured_means(machine, isa))
+    estimate = reconstruct_totals(
+        selection, ctx.measured_means(machine, isa)[selection.representatives]
+    )
     reference = ctx.reference_totals(machine, isa)
     bp_reps, roi_reps = ctx.rep_samples(selection, machine, isa)
     report = validate_estimate(
@@ -112,17 +112,14 @@ class ProfileStage(Stage):
     Every run instruments the same trace and differs only in its
     interleaving jitter, so the stage collects the trace's clean
     signatures once.  ``observations`` is a run sequence: reading run r
-    draws it from those signatures with its own seeded generator.  The
-    payload is the clean signatures plus the run count; decoding
-    publishes the same sequence, so every run it draws matches a live
-    one bit for bit, without executing the trace.
+    draws it from those signatures with its own seeded generator.  Not
+    cacheable: a stored run reads ``select`` and ``measure`` only.
     """
 
     name = "profile"
     inputs = ()
-    outputs = ("observations", "clean_signatures")
+    outputs = ("observations",)
     description = "execute the binary under the Pintool (BBV/LDV collection)"
-    cacheable = True
 
     def __init__(self, discovery_runs: int | None = None) -> None:
         if discovery_runs is not None and discovery_runs < 1:
@@ -135,18 +132,18 @@ class ProfileStage(Stage):
             return self.discovery_runs
         return ctx.config.discovery_runs
 
-    @staticmethod
-    def _observe(ctx: StageContext, clean: CleanSignatures, runs: int) -> RunSequence:
-        """Discovery runs ``0 .. runs-1``, each jittered by its own generator."""
-        rng = ctx.discovery_rng()
-        return RunSequence(runs, lambda run: clean.observe(rng.generator("run", run), run))
-
     def run(self, ctx: StageContext) -> StageContext:
         trace = ctx.trace(ctx.discovery_isa)
         counters = ctx.counters_on(ctx.discovery_isa)
         clean = CleanSignatures.of(trace, counters.bp_instructions())
-        ctx.put("clean_signatures", clean)
-        ctx.put("observations", self._observe(ctx, clean, self.effective_runs(ctx)))
+        rng = ctx.discovery_rng()
+        ctx.put(
+            "observations",
+            RunSequence(
+                self.effective_runs(ctx),
+                lambda run: clean.observe(rng.generator("run", run), run),
+            ),
+        )
         return ctx
 
     def cache_key(self, ctx: StageContext) -> dict:
@@ -154,18 +151,6 @@ class ProfileStage(Stage):
             "discovery_runs": self.effective_runs(ctx),
             "discovery_isa": ctx.discovery_isa.value,
         }
-
-    def encode(self, ctx: StageContext) -> dict:
-        return {
-            # The dataclass fields (bbv, ldv, weights, sigma), uncopied.
-            "clean": vars(ctx.require("clean_signatures")),
-            "runs": len(ctx.require("observations")),
-        }
-
-    def decode(self, payload: dict, ctx: StageContext) -> None:
-        clean = CleanSignatures(**payload["clean"])
-        ctx.put("clean_signatures", clean)
-        ctx.put("observations", self._observe(ctx, clean, int(payload["runs"])))
 
 
 @register_stage
@@ -214,7 +199,6 @@ class ClusterStage(Stage):
     inputs = ("signatures",)
     outputs = ("clusterings",)
     description = "SimPoint-style k-means sweep scored with BIC"
-    cacheable = True
 
     def __init__(self, options: SimPointOptions | None = None, **overrides) -> None:
         if "maxK" in overrides:  # the BarrierPoint papers spell it maxK
@@ -249,48 +233,13 @@ class ClusterStage(Stage):
     def cache_key(self, ctx: StageContext) -> dict:
         return {"simpoint": asdict(self.effective_options(ctx))}
 
-    def encode(self, ctx: StageContext) -> dict:
-        return {
-            "clusterings": [
-                {
-                    "k": int(choice.k),
-                    "labels": choice.result.labels,
-                    "centers": choice.result.centers,
-                    "inertia": float(choice.result.inertia),
-                    "iterations": int(choice.result.iterations),
-                    "projected": choice.projected,
-                    "bic_by_k": {str(k): float(v) for k, v in choice.bic_by_k.items()},
-                }
-                for choice in ctx.require("clusterings")
-            ]
-        }
-
-    def decode(self, payload: dict, ctx: StageContext) -> None:
-        ctx.put(
-            "clusterings",
-            [
-                ClusteringChoice(
-                    k=int(row["k"]),
-                    result=KMeansResult(
-                        labels=row["labels"],
-                        centers=row["centers"],
-                        inertia=float(row["inertia"]),
-                        iterations=int(row["iterations"]),
-                    ),
-                    projected=row["projected"],
-                    bic_by_k={int(k): float(v) for k, v in row["bic_by_k"].items()},
-                )
-                for row in payload["clusterings"]
-            ],
-        )
-
 
 @register_stage
 class SelectStage(Stage):
     """Step 2¾: pick representatives and multipliers per clustering.
 
     Reads the weights ``cluster`` left on the signature sequence, so it
-    draws no run again.
+    draws no run again: a ``select`` miss always runs ``cluster`` first.
     """
 
     name = "select"
@@ -347,19 +296,21 @@ class SelectStage(Stage):
 class MeasureStage(Stage):
     """Step 3: native counters on every target machine.
 
-    Per target: the instrumented per-barrier-point means, the clean ROI
-    reference, the per-repetition reads of each selection's
-    representatives, and ``comm_cycles``: the slowest rank's noise-free
-    network cycles (``0.0`` for shared-memory jobs), which rank cells
-    report without re-running the trace.  A target whose barrier
-    sequence disagrees with discovery (HPGMG-FV on ARMv8) is recorded
-    under ``failures`` instead of aborting the whole graph.
+    Per target: the clean ROI ``reference``; under ``reps[run]``, each
+    selection's representatives only (``means``, their ``(k, threads,
+    4)`` rows of the instrumented per-barrier-point means, and ``bp``
+    and ``roi``, the per-repetition reads); and ``comm_cycles``: the
+    slowest rank's noise-free network cycles (``0.0`` for shared-memory
+    jobs), which rank cells report without re-running the trace.  A
+    target whose barrier sequence disagrees with discovery (HPGMG-FV on
+    ARMv8) is recorded under ``failures`` instead of aborting the whole
+    graph.
     """
 
     name = "measure"
     inputs = ("selections",)
     outputs = ("measurements", "failures")
-    description = "measure per-BP and clean-ROI counters on each target"
+    description = "measure the representatives' and the clean-ROI counters on each target"
     cacheable = True
 
     def run(self, ctx: StageContext) -> StageContext:
@@ -372,12 +323,16 @@ class MeasureStage(Stage):
             except CrossArchitectureMismatch as exc:
                 failures[machine.name] = str(exc)
                 continue
+            means = ctx.measured_means(machine)
             reps = {}
             for selection in selections:
                 bp_reps, roi_reps = ctx.rep_samples(selection, machine)
-                reps[selection.run_index] = {"bp": bp_reps, "roi": roi_reps}
+                reps[selection.run_index] = {
+                    "means": means[selection.representatives],
+                    "bp": bp_reps,
+                    "roi": roi_reps,
+                }
             measurements[machine.name] = {
-                "means": ctx.measured_means(machine),
                 "reference": ctx.reference_totals(machine),
                 "reps": reps,
                 "comm_cycles": 0.0 if comm is None else float(comm.sum(axis=0).max()),
@@ -396,12 +351,8 @@ class MeasureStage(Stage):
         return {
             "measurements": {
                 name: {
-                    "means": entry["means"],
                     "reference": entry["reference"],
-                    "reps": {
-                        str(run): {"bp": pair["bp"], "roi": pair["roi"]}
-                        for run, pair in entry["reps"].items()
-                    },
+                    "reps": {str(run): dict(rows) for run, rows in entry["reps"].items()},
                     "comm_cycles": entry["comm_cycles"],
                 }
                 for name, entry in ctx.require("measurements").items()
@@ -414,12 +365,8 @@ class MeasureStage(Stage):
             "measurements",
             {
                 name: {
-                    "means": entry["means"],
                     "reference": entry["reference"],
-                    "reps": {
-                        int(run): {"bp": pair["bp"], "roi": pair["roi"]}
-                        for run, pair in entry["reps"].items()
-                    },
+                    "reps": {int(run): dict(rows) for run, rows in entry["reps"].items()},
                     "comm_cycles": entry["comm_cycles"],
                 }
                 for name, entry in payload["measurements"].items()
@@ -441,14 +388,13 @@ class ReconstructStage(Stage):
         selections = ctx.require("selections")
         estimates: dict[str, list[dict]] = {}
         for name, entry in ctx.require("measurements").items():
+            reps = [entry["reps"][selection.run_index] for selection in selections]
             estimates[name] = [
                 {
-                    "totals": reconstruct_totals(selection, entry["means"]),
-                    "per_rep": reconstruct_per_rep(
-                        selection, entry["reps"][selection.run_index]["bp"]
-                    ),
+                    "totals": reconstruct_totals(selection, rows["means"]),
+                    "per_rep": reconstruct_per_rep(selection, rows["bp"]),
                 }
-                for selection in selections
+                for selection, rows in zip(selections, reps, strict=True)
             ]
         ctx.put("estimates", estimates)
         return ctx

@@ -14,9 +14,9 @@ keeps the set with the lowest worst-case error across the performance
 metrics and both platforms — the selection rule behind Figure 2 and
 Table IV ("the barrier point sets with the lowest estimation errors").
 
-Passing a :class:`~repro.exec.stagestore.StageStore` caches the study at
-stage granularity: a clustering-knob change re-runs clustering onward
-while discovery is served by the profile payload, never re-executed.
+Passing a :class:`~repro.exec.stagestore.StageStore` caches the study's
+``select`` and ``measure`` payloads: a warm run reads them and executes
+no discovery, and a clustering-knob change runs discovery again.
 """
 
 from __future__ import annotations

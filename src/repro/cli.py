@@ -168,9 +168,7 @@ def _build_parser(jobs_default: int = 1) -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="cap the SimPoint cluster sweep (default 20, minimum 2); "
-        "thanks to stage-granular caching, changing this re-runs "
-        "clustering onward while discovery is served by the cached "
-        "profile payloads",
+        "changing it re-runs discovery and every stage after it",
     )
     parser.add_argument(
         "--trace-accesses",

@@ -20,31 +20,32 @@ __all__ = ["reconstruct_totals", "reconstruct_per_rep"]
 
 
 def reconstruct_totals(
-    selection: BarrierPointSelection, measured_means: np.ndarray
+    selection: BarrierPointSelection, rows: np.ndarray
 ) -> np.ndarray:
-    """Estimate whole-ROI counters from mean per-barrier-point readings.
+    """Estimate whole-ROI counters from the representatives' mean readings.
 
     Parameters
     ----------
     selection:
         The barrier point set (representatives + multipliers).
-    measured_means:
-        ``(n_bp, threads, 4)`` mean measured counters of the target
-        platform's per-barrier-point run.
+    rows:
+        ``(k, threads, 4)`` mean measured counters of the representatives
+        only (in ``selection.representatives`` order): the target
+        platform's per-barrier-point means indexed by the
+        representatives.
 
     Returns
     -------
     numpy.ndarray
         ``(threads, 4)`` estimated whole-ROI counters.
     """
-    measured_means = np.asarray(measured_means, dtype=float)
-    if measured_means.shape[0] != selection.n_barrier_points:
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[0] != selection.k:
         raise ValueError(
-            f"measured {measured_means.shape[0]} barrier points, selection "
-            f"expects {selection.n_barrier_points}"
+            f"got {rows.shape[0]} measured rows, selection has "
+            f"{selection.k} representatives"
         )
-    reps = measured_means[selection.representatives]  # (k, threads, 4)
-    return np.einsum("c,cij->ij", selection.multipliers, reps)
+    return np.einsum("c,cij->ij", selection.multipliers, rows)
 
 
 def reconstruct_per_rep(

@@ -40,24 +40,25 @@ CELL_KINDS: dict[str, str] = {
 
 #: Cell kinds excluded from the cell-level StudyStore.  Scaling and
 #: rank cells are thin derivations over stage-cached artifacts: the
-#: expensive stages (profile/rankify → measure) are already
-#: content-addressed in the StageStore and *shared* across the grid
-#: (three machines per (app, threads) or (app, ranks), plus the
-#: crossarch cells' scalar half), so caching the derived payload a
-#: second time would only duplicate bytes and hide the stage-cache
-#: traffic the verbose report accounts for.  Invariant: a cache-exempt
-#: cell reads every number it reports from stage payloads, so a warm
-#: run executes no trace and no perf model (a number a cell needs is
-#: recorded by the stage that computes it, as ``measure`` records the
-#: rank cells' communication cycles).
+#: ``select`` and ``measure`` payloads are already content-addressed in
+#: the StageStore and *shared* across the grid (three machines per
+#: (app, threads) or (app, ranks), plus the crossarch cells' scalar
+#: half), so caching the derived payload a second time would only
+#: duplicate bytes and hide the stage-cache traffic the verbose report
+#: accounts for.  Invariant: a cache-exempt cell reads every number it
+#: reports from stage payloads, so a warm run executes no trace and no
+#: perf model (a number a cell needs is recorded by the stage that
+#: computes it, as ``measure`` records the rank cells' communication
+#: cycles).
 CELL_LEVEL_UNCACHED: frozenset[str] = frozenset({"scaling", "ranks"})
 
 
 #: kind → the discovery its cells read through the stage store.  Every
-#: listed kind but ``ranks`` reads the scalar x86_64 discovery
-#: (``profile`` → ``cluster`` → ``select``) of its (app, threads) —
-#: a crossarch cell stores it next to its vectorised one — and a rank
-#: cell reads the ``rankify`` discovery of its (app, threads, ranks).
+#: listed kind but ``ranks`` reads the ``select`` entry of the scalar
+#: x86_64 discovery (``profile`` → ``cluster`` → ``select``) of its
+#: (app, threads) — a crossarch cell stores it next to its vectorised
+#: one — and a rank cell reads the ``select`` entry of the ``rankify``
+#: discovery of its (app, threads, ranks).
 _DISCOVERY: dict[str, str] = {
     "crossarch": "x86_64",
     "coretypes": "x86_64",

@@ -1,13 +1,14 @@
 """Stage-granular content-addressed cache.
 
 The cell-level :class:`~repro.exec.store.StudyStore` hashes the *whole*
-configuration, so changing any knob re-executes the full cell from
-profiling onward.  :class:`StageStore` addresses payloads by a *digest
-chain* instead: each stage folds its own cache-key contribution into the
-digest of everything upstream, so a ``maxK`` change relocates the
-cluster/select/measure entries while the profile entry keeps its
-address — a re-run reuses it, re-derives the signatures and clusters
-onward.
+configuration of a cell.  :class:`StageStore` addresses payloads by a
+*digest chain* instead: each stage folds its own cache-key contribution
+into the digest of everything upstream, so cells that share a discovery
+(one app and width, evaluated on several machines or by several
+experiments) share its ``select`` entry, cells that also share their
+targets share the ``measure`` entry, and a ``maxK`` change relocates
+both.  Those two are the only stages stored: they are what a later run
+reads.
 
 Payloads are entries of the ``stages`` namespace of the
 :class:`~repro.exec.store.ArtifactStore`: binary columnar containers

@@ -54,8 +54,10 @@ __all__ = [
 #: when an ambient input to their float bits changes (10: one BLAS
 #: thread per process; 11: trace payloads dropped their tile count and
 #: oracle flag; 12: full scale clusters with the exact solver, and the
-#: SimPoint options lost ``algorithm`` and ``batch_size``).
-CACHE_VERSION = 12
+#: SimPoint options lost ``algorithm`` and ``batch_size``; 13: ``measure``
+#: keeps only the representatives' mean rows, and ``profile``,
+#: ``rankify`` and ``cluster`` are no longer stored).
+CACHE_VERSION = 13
 
 #: The store's namespaces: cell payloads, stage payloads, and the
 #: one-shot hand-off files of the ``processes`` backend.

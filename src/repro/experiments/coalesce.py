@@ -120,7 +120,7 @@ def _evaluate_grouped(
     reference = measure_roi_totals(
         grouped_counters, machine, pipeline.config.protocol, rng
     )
-    estimate = reconstruct_totals(selection, measured)
+    estimate = reconstruct_totals(selection, measured[selection.representatives])
     return validate_estimate(estimate, reference), selection.k
 
 

@@ -125,8 +125,8 @@ def crossarch_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
     """Executor for ``"crossarch"`` cells (runs in scheduler workers).
 
     Runs the study as a stage graph against the stage-granular cache, so
-    a knob change (e.g. ``maxK``) recomputes only the stages downstream
-    of it; discovery is served by the profile payload, never re-executed.
+    a warm cell reads its stored ``select`` and ``measure`` payloads and
+    a knob change (e.g. ``maxK``) runs discovery again.
     """
     from repro.api.study import run_crossarch
     from repro.exec.stagestore import stage_store_for

@@ -221,7 +221,7 @@ class TestResumeFromStore:
         # loads its stored selection and measurement and looks up
         # nothing upstream of them.
         assert second.stats.executed == 4
-        assert delta["misses"].get("cluster") == 2
+        assert delta["misses"].get("select") == 2
         assert delta["hits"].get("measure") == 2
         assert delta["misses"].get("measure") == 2
 

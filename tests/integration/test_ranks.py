@@ -10,8 +10,8 @@ Covers the acceptance properties of the rank PR:
 * the :func:`~repro.api.sweep.RankStudy` public API composes the
   registered rank-aware stages, reports the communication share, and
   its speedup/efficiency accounting is self-consistent;
-* discovery-side stage payloads are shared across machines through the
-  stage store;
+* stored selections are shared across machines through the stage
+  store;
 * the cache-exempt rank and scaling cells are thin derivations: a warm
   re-run reads every number from stage payloads and executes no trace
   and no perf model.
@@ -221,8 +221,8 @@ class TestRankDeterminism:
                 stages=default_rank_stages(), targets=(INTEL_I7_3770,),
             )
             pipeline.run(store)
-        assert store.stats.hit_count("rankify") == 0
-        assert store.stats.miss_count("rankify") == 2
+        assert store.stats.hit_count("select") == 0
+        assert store.stats.miss_count("select") == 2
         assert store.stats.hit_count("measure") == 0
 
     def test_rank_digests_do_not_collide_with_shared_memory(self, tmp_path):
@@ -235,5 +235,5 @@ class TestRankDeterminism:
         run_rank_cell("MCB", INTEL_I7_3770.name, 2, config=FAST, store=store)
         store.stats.reset()
         build_pipeline("MCB", threads=RANK_THREADS, config=FAST).run(store)
-        assert store.stats.hit_count("profile") == 0
-        assert store.stats.miss_count("profile") == 1
+        assert store.stats.hit_count("select") == 0
+        assert store.stats.miss_count("select") == 1

@@ -208,7 +208,9 @@ class TestProcessBackendStageStats:
             StudyScheduler(config).run(requests)
             misses[jobs] = dict(stage_store_for(config).stats.misses)
         assert misses[2] == misses[1]
-        assert misses[1]["cluster"] == 4  # one per (app, width)
+        # One select miss (one discovery) per (app, width); the group's
+        # other cells load the stored selections.
+        assert misses[1]["select"] == 4
 
     def test_pooled_kinds_share_one_discovery(self, tmp_path):
         # crossarch, coretypes and scaling cells of one (app, width) read
@@ -228,7 +230,7 @@ class TestProcessBackendStageStats:
             StudyScheduler(config).run(requests)
             misses[jobs] = dict(stage_store_for(config).stats.misses)
         assert misses[3] == misses[1]
-        assert misses[1]["cluster"] == 2  # scalar and vectorised
+        assert misses[1]["select"] == 2  # scalar and vectorised
 
     def test_serial_backend_not_double_counted(self, tmp_path):
         # Same-pid execution increments the parent store directly; the

@@ -1,13 +1,14 @@
 """Integration tests: stage-granular caching and invalidation.
 
-The redesign's performance claim: study cells execute as stage graphs
-against a digest-chained store, so changing ``SimPointOptions.max_k``
-invalidates the cluster/select/measure payloads while the profile
-payload is served from disk and discovery never executes again —
-asserted here through the store's per-stage hit counters and run
-timers, with byte-identical results either way.  Loading is
-demand-driven: a warm graph looks up only the stages its results read
-(``select`` and ``measure``), never the discovery side behind them.
+Study cells execute as stage graphs against a digest-chained store that
+keeps only what a later run reads: the ``select`` and ``measure``
+payloads.  Changing ``SimPointOptions.max_k`` or ``bbv_weight``
+relocates both and runs discovery again; changing only the measurement
+protocol or the targets reuses the stored selections — asserted here
+through the store's per-stage hit counters and run timers, with
+byte-identical results either way.  Loading is demand-driven: a warm
+graph looks up only ``select`` and ``measure``, never the discovery
+side behind them.
 """
 
 import json
@@ -16,21 +17,28 @@ from dataclasses import replace
 import pytest
 
 from repro.api import PipelineConfig, build_pipeline, evaluation_payload
+from repro.api.builder import StagePipeline
 from repro.api.study import run_crossarch
+from repro.api.sweep import RANK_THREADS, default_rank_stages
 from repro.clustering.simpoint import SimPointOptions
 from repro.exec.stagestore import StageStore, stage_store_for
+from repro.exec.store import STAGES
 from repro.hw.machines import INTEL_I7_3770
 from repro.hw.measure import MeasurementProtocol
 from repro.isa.descriptors import ISA
+from repro.workloads.distributed import DistributedWorkload
 
 FAST = PipelineConfig(
     discovery_runs=2, protocol=MeasurementProtocol(repetitions=3)
 )
 
-CACHEABLE = ("profile", "cluster", "select", "measure")
+CACHEABLE = ("select", "measure")
 
 #: Stages whose live execution means discovery ran again.
 DISCOVERY = ("profile", "signature", "rankify", "coalesce_ranks")
+
+#: Every stage a discovery-knob change runs again, in graph order.
+REDISCOVERED = ("profile", "signature", "cluster", "select", "measure")
 
 
 @pytest.fixture
@@ -77,31 +85,13 @@ class TestStageCache:
         assert store.stats.hit_count("measure") == 1
         assert _ran(store.stats) == []
 
-    def test_maxk_change_reuses_profile_and_signature(self, store):
-        cold = _run(FAST, store)
-        capped = replace(FAST, simpoint=SimPointOptions(max_k=2))
-
-        store.stats.reset()
-        warm = _run(capped, store)
-        assert store.stats.hit_count("profile") == 1
-        assert store.stats.miss_count("profile") == 0
-        # The signatures are re-derived from the decoded observations.
-        assert _ran(store.stats) == ["signature"]
-        for stage in ("cluster", "select", "measure"):
-            assert store.stats.miss_count(stage) == 1
-            assert store.stats.hit_count(stage) == 0
-
-        fresh = _run(capped, StageStore(""))
-        assert _payload(warm) == _payload(fresh)
-        assert _payload(cold) != _payload(warm)
-
-    def test_bbv_weight_change_reuses_profile_only(self, store):
+    def test_bbv_weight_change_reruns_discovery(self, store):
         _run(FAST, store)
         store.stats.reset()
         _run(replace(FAST, bbv_weight=0.8), store)
-        assert store.stats.hit_count("profile") == 1
-        assert _ran(store.stats) == ["signature"]
-        for stage in ("cluster", "select", "measure"):
+        assert not store.stats.hits
+        assert _ran(store.stats) == ["profile", "signature"]
+        for stage in CACHEABLE:
             assert store.stats.miss_count(stage) == 1
 
     def test_repetitions_change_reuses_everything_but_measure(self, store):
@@ -147,10 +137,11 @@ class TestStageCache:
         store.stats.reset()
         healed = _payload(_run(FAST, store))
         assert store.stats.miss_count("select") == 1
-        # Re-selecting reads the clusterings and the signatures, so the
-        # cluster and profile entries behind the torn one are loaded.
-        for stage in ("profile", "cluster", "measure"):
-            assert store.stats.hit_count(stage) == 1
+        # Re-selecting reads the clusterings, so discovery runs again;
+        # the measure entry behind the torn one still loads.
+        assert store.stats.hit_count("measure") == 1
+        assert _ran(store.stats) == ["profile", "signature"]
+        assert "cluster" in store.stats.run_seconds
         assert healed == cold
 
     def test_disabled_store_counts_nothing(self):
@@ -168,16 +159,18 @@ class TestDemandDrivenLoading:
         assert sorted(store.stats.run_seconds) == ["reconstruct", "validate"]
 
     def test_maxk_change_reruns_signature_and_cluster(self, store):
-        _run(FAST, store)
+        cold = _run(FAST, store)
         capped = replace(FAST, simpoint=SimPointOptions(max_k=2))
         store.stats.reset()
         warm = _run(capped, store)
-        assert dict(store.stats.hits) == {"profile": 1}
-        assert dict(store.stats.misses) == {"cluster": 1, "select": 1, "measure": 1}
+        # Nothing upstream of select is stored: discovery runs again.
+        assert not store.stats.hits
+        assert dict(store.stats.misses) == {"select": 1, "measure": 1}
         assert sorted(store.stats.run_seconds) == sorted(
-            ("signature", "cluster", "select", "measure", "reconstruct", "validate")
+            REDISCOVERED + ("reconstruct", "validate")
         )
         assert _payload(warm) == _payload(_run(capped, StageStore("")))
+        assert _payload(cold) != _payload(warm)
 
     def test_warm_trimmed_graph_exposes_selections_and_measurements(self, store):
         def trimmed():
@@ -201,7 +194,9 @@ class TestDemandDrivenLoading:
         cold_m, warm_m = (
             r.context.require("measurements")[name] for r in (cold, warm)
         )
-        assert warm_m["means"].tobytes() == cold_m["means"].tobytes()
+        assert warm_m["reps"].keys() == cold_m["reps"].keys()
+        for run, rows in warm_m["reps"].items():
+            assert rows["means"].tobytes() == cold_m["reps"][run]["means"].tobytes()
         assert warm_m["reference"].tobytes() == cold_m["reference"].tobytes()
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -218,6 +213,61 @@ class TestDemandDrivenLoading:
         assert _lookups(store.stats) == ["measure"]
         assert _ran(store.stats, DISCOVERY + ("cluster", "select")) == []
         assert _payload(run) == _payload(_run(FAST, StageStore("")))
+
+
+def _rank_pipeline():
+    return StagePipeline(
+        DistributedWorkload("MCB", ranks=2), RANK_THREADS, False, FAST,
+        stages=default_rank_stages(), targets=(INTEL_I7_3770,),
+    )
+
+
+#: A default and a rank pipeline, each built afresh per call.
+PIPELINES = pytest.mark.parametrize(
+    "pipeline",
+    [
+        lambda: build_pipeline("MCB", threads=2, config=FAST).on(ISA.X86_64).build(),
+        _rank_pipeline,
+    ],
+    ids=["default", "ranks"],
+)
+
+
+class TestStoredPayloads:
+    """The store keeps only what a later run reads."""
+
+    @PIPELINES
+    def test_cold_pipeline_stores_only_select_and_measure(self, store, pipeline):
+        pipeline().run(store)
+        entries = list(store.artifacts.entries())
+        assert sorted(path.name.split("_")[0] for path in entries) == ["measure", "select"]
+        assert {path.parent.parent.name for path in entries} == {STAGES}
+
+    @PIPELINES
+    def test_measure_entry_holds_the_representatives_rows(self, store, pipeline):
+        cold = pipeline()
+        cold.run(store)
+        digest = {stage.name: digest for stage, digest in cold._chain()}["measure"]
+        payload = store.load(digest, "measure")
+        ctx = cold.context
+        entry = payload["measurements"][INTEL_I7_3770.name]
+        means = ctx.measured_means(INTEL_I7_3770)  # (n_bp, threads, 4)
+        assert "means" not in entry
+        for selection in ctx.require("selections"):
+            rows = entry["reps"][str(selection.run_index)]["means"]
+            assert rows.shape == (selection.k, *means.shape[1:])
+            assert rows.tobytes() == means[selection.representatives].tobytes()
+
+        warm = pipeline()
+        warm.run(store)
+        assert "observations" not in warm.context.artifacts
+        for got, want in zip(
+            warm.context.require("estimates")[INTEL_I7_3770.name],
+            ctx.require("estimates")[INTEL_I7_3770.name],
+            strict=True,
+        ):
+            assert got["totals"].tobytes() == want["totals"].tobytes()
+            assert got["per_rep"].tobytes() == want["per_rep"].tobytes()
 
 
 class TestStageProfileCounters:
@@ -243,18 +293,18 @@ class TestStageProfileCounters:
 
 
 class TestCrossArchStageCache:
-    def test_crossarch_maxk_rerun_hits_profile_and_signature(self, tmp_path):
+    def test_crossarch_maxk_rerun_reruns_discovery(self, tmp_path):
         store = StageStore(tmp_path / "cache")
         cold = run_crossarch("MCB", 2, FAST, store)
 
         capped = replace(FAST, simpoint=SimPointOptions(max_k=6))
         store.stats.reset()
         warm = run_crossarch("MCB", 2, capped, store)
-        # Two pipelines per study (scalar + vectorised).
-        assert store.stats.hit_count("profile") == 2
-        assert store.stats.miss_count("profile") == 0
-        assert _ran(store.stats) == ["signature"]
-        assert store.stats.miss_count("cluster") == 2
+        # Two pipelines per study (scalar + vectorised), each of which
+        # misses its select entry and runs discovery again.
+        assert not store.stats.hits
+        assert store.stats.miss_count("select") == 2
+        assert _ran(store.stats) == ["profile", "signature"]
 
         fresh = run_crossarch("MCB", 2, capped, None)
         for label, config_result in warm.configs.items():

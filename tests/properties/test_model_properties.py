@@ -122,7 +122,7 @@ def test_reconstruction_exact_for_homogeneous_clusters(case):
     """If counters scale with weight inside each cluster, the
     multiplier-weighted representative reproduces the totals exactly."""
     selection, values = case
-    estimate = reconstruct_totals(selection, values)
+    estimate = reconstruct_totals(selection, values[selection.representatives])
     reference = values.sum(axis=0)
     assert np.all(relative_error(estimate, reference) < 1e-9)
 

@@ -105,7 +105,7 @@ class TestReconstruction:
         weights = np.random.default_rng(0).random(n) + 0.5
         measured = np.random.default_rng(1).random((n, 2, 4)) * 1e6
         selection = _selection(np.arange(n), weights)
-        estimate = reconstruct_totals(selection, measured)
+        estimate = reconstruct_totals(selection, measured[selection.representatives])
         assert np.allclose(estimate, measured.sum(axis=0))
 
     def test_exact_for_homogeneous_clusters(self):
@@ -118,7 +118,7 @@ class TestReconstruction:
         # scale values by weight so member counters are proportional
         values = values / values[0, 0, 0]
         selection = _selection(labels, weights)
-        estimate = reconstruct_totals(selection, values)
+        estimate = reconstruct_totals(selection, values[selection.representatives])
         assert np.allclose(estimate, values.sum(axis=0), rtol=1e-9)
 
     def test_per_rep_matches_loop(self):
@@ -135,6 +135,16 @@ class TestReconstruction:
         selection = _selection([0, 1], [1.0, 1.0])
         with pytest.raises(ValueError):
             reconstruct_totals(selection, np.zeros((5, 2, 4)))
+
+    def test_row_count_other_than_k_rejected(self):
+        # Every barrier point's means are not the representatives' rows:
+        # with k = 2 of 4 barrier points, only 2 rows are accepted.
+        selection = _selection([0, 0, 1, 1], np.ones(4))
+        assert (selection.k, selection.n_barrier_points) == (2, 4)
+        for rows in (1, selection.n_barrier_points):
+            with pytest.raises(ValueError, match="2 representatives"):
+                reconstruct_totals(selection, np.ones((rows, 2, 4)))
+        assert reconstruct_totals(selection, np.ones((2, 2, 4))).shape == (2, 4)
 
 
 class TestValidation:
