@@ -85,6 +85,22 @@ class TestStageCache:
         assert store.stats.hit_count("measure") == 1
         assert _ran(store.stats) == []
 
+    def test_maxk_change_reruns_discovery(self, store):
+        cold = _run(FAST, store)
+        capped = replace(FAST, simpoint=SimPointOptions(max_k=2))
+
+        store.stats.reset()
+        warm = _run(capped, store)
+        assert not store.stats.hits
+        assert _ran(store.stats) == ["profile", "signature"]
+        for stage in CACHEABLE:
+            assert store.stats.miss_count(stage) == 1
+            assert store.stats.hit_count(stage) == 0
+
+        fresh = _run(capped, StageStore(""))
+        assert _payload(warm) == _payload(fresh)
+        assert _payload(cold) != _payload(warm)
+
     def test_bbv_weight_change_reruns_discovery(self, store):
         _run(FAST, store)
         store.stats.reset()
@@ -159,18 +175,16 @@ class TestDemandDrivenLoading:
         assert sorted(store.stats.run_seconds) == ["reconstruct", "validate"]
 
     def test_maxk_change_reruns_signature_and_cluster(self, store):
-        cold = _run(FAST, store)
+        _run(FAST, store)
         capped = replace(FAST, simpoint=SimPointOptions(max_k=2))
         store.stats.reset()
         warm = _run(capped, store)
         # Nothing upstream of select is stored: discovery runs again.
-        assert not store.stats.hits
         assert dict(store.stats.misses) == {"select": 1, "measure": 1}
         assert sorted(store.stats.run_seconds) == sorted(
             REDISCOVERED + ("reconstruct", "validate")
         )
         assert _payload(warm) == _payload(_run(capped, StageStore("")))
-        assert _payload(cold) != _payload(warm)
 
     def test_warm_trimmed_graph_exposes_selections_and_measurements(self, store):
         def trimmed():
