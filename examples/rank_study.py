@@ -3,7 +3,7 @@
 
 Sweeps miniFE over MPI-style rank counts on the modelled i7-3770
 cluster (one rank per node, 2 OpenMP threads each) — a ``Sweep`` on a
-``RankAxis`` — through the rank-aware stage graph: per-rank Pintool
+``RankAxis`` — through the canonical stage graph: per-rank Pintool
 runs, rank-major signature coalescing, collective-aware measurement.
 Prints the scaling, communication share and reconstruction error per
 job size.

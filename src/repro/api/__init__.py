@@ -24,9 +24,9 @@ without touching core files.
 Axis sweeps build on the same graph: one :class:`Sweep` over an
 :class:`Axis` asks whether a representative region survives a growing
 job — along :class:`ThreadAxis` (team growth on one node) or
-:class:`RankAxis` (distribution over MPI-style ranks: per-rank
-discovery through the registered ``rankify`` / ``coalesce_ranks``
-stages, communication priced by each machine's network model).
+:class:`RankAxis` (distribution over MPI-style ranks: ``profile``
+instruments every rank and ``signature`` concatenates them rank-major,
+communication priced by each machine's network model).
 ``ScalingStudy`` and ``RankStudy`` construct the two.
 :func:`run_crossarch` runs the paper's four-way cross-architecture
 comparison for one (application, thread count).
@@ -48,11 +48,6 @@ from repro.api.registry import (
     stage_registry,
     workload_registry,
 )
-from repro.api.rank_stages import (
-    CoalesceRanksStage,
-    RankifyStage,
-    coalesce_signatures,
-)
 from repro.api.stage import Stage
 from repro.api.stages import (
     DEFAULT_STAGE_NAMES,
@@ -69,23 +64,17 @@ from repro.api.stages import (
 from repro.api.study import CrossArchResult, run_crossarch
 from repro.api.sweep import (
     RANK_COUNTS,
-    RANK_MACHINES,
     RANK_THREADS,
     SCALING_MACHINES,
     SCALING_THREAD_COUNTS,
     Axis,
     RankAxis,
-    RankCell,
-    RankResult,
     RankStudy,
-    ScalingCell,
-    ScalingResult,
     ScalingStudy,
     Sweep,
     SweepCell,
     SweepResult,
     ThreadAxis,
-    default_rank_stages,
     run_rank_cell,
     run_scaling_cell,
 )
@@ -131,19 +120,10 @@ __all__ = [
     "SCALING_MACHINES",
     "SCALING_THREAD_COUNTS",
     "ScalingStudy",
-    "ScalingCell",
-    "ScalingResult",
     "run_scaling_cell",
     "RANK_COUNTS",
-    "RANK_MACHINES",
     "RANK_THREADS",
     "RankStudy",
-    "RankCell",
-    "RankResult",
-    "RankifyStage",
-    "CoalesceRanksStage",
-    "coalesce_signatures",
-    "default_rank_stages",
     "run_rank_cell",
     "EvaluationResult",
     "PipelineConfig",

@@ -6,10 +6,11 @@ counters per (ISA, machine), the measurement memos, and the ``artifacts``
 mapping the stages read from and write to (observations → signatures →
 clusterings → selections → measurements → estimates → evaluations).
 
-The per-run discovery artifacts (``observations``, ``rank_observations``
-and ``signatures``) are :class:`RunSequence` objects: each run is built
-when it is read, so a stage that reads run r, uses it and drops it
-before reading run r + 1 holds one run's matrices at a time.
+The per-run discovery artifacts (``observations`` and ``signatures``)
+are :class:`RunSequence` objects: each run is built when it is read, so
+a stage that reads run r, uses it and drops it before reading run r + 1
+holds one run's matrices at a time.  Run r of ``observations`` is
+itself a sequence over the job's ranks (one for a shared-memory job).
 
 Every random stream is addressed by exactly the paths the seed's
 monolithic pipeline used — ``("structure", app, threads)``,

@@ -44,7 +44,8 @@ from repro.core.selection import BarrierPointSelection, select_barrier_points
 from repro.core.signatures import build_signatures
 from repro.core.validation import validate_estimate
 from repro.hw.machines import Machine
-from repro.instrumentation.collector import CleanSignatures
+from repro.hw.pmu import INSTRUCTIONS
+from repro.instrumentation.collector import CleanSignatures, DiscoveryObservation
 from repro.isa.descriptors import ISA
 
 __all__ = [
@@ -110,10 +111,14 @@ class ProfileStage(Stage):
     """Step 1: run the instrumented x86_64 binary per discovery run.
 
     Every run instruments the same trace and differs only in its
-    interleaving jitter, so the stage collects the trace's clean
-    signatures once.  ``observations`` is a run sequence: reading run r
-    draws it from those signatures with its own seeded generator.  Not
-    cacheable: a stored run reads ``select`` and ``measure`` only.
+    interleaving jitter, so the stage collects each rank's clean
+    signatures once: a shared-memory trace is one rank, a distributed
+    trace R, each weighted by its own contexts' instructions.
+    ``observations`` is a run sequence of rank sequences: reading
+    ``[run][rank]`` draws that one observation from generator path
+    ``("run", run)``, or ``("run", run, "rank", rank)`` for a
+    distributed trace.  Not cacheable: a stored run reads ``select``
+    and ``measure`` only.
     """
 
     name = "profile"
@@ -135,13 +140,29 @@ class ProfileStage(Stage):
     def run(self, ctx: StageContext) -> StageContext:
         trace = ctx.trace(ctx.discovery_isa)
         counters = ctx.counters_on(ctx.discovery_isa)
-        clean = CleanSignatures.of(trace, counters.bp_instructions())
+        distributed = hasattr(trace, "rank_traces")
+        if distributed:
+            ranks = [
+                CleanSignatures.of(
+                    trace.rank_trace(rank),
+                    counters.values[:, trace.rank_columns(rank), INSTRUCTIONS].sum(axis=1),
+                )
+                for rank in range(trace.ranks)
+            ]
+        else:
+            ranks = [CleanSignatures.of(trace, counters.bp_instructions())]
         rng = ctx.discovery_rng()
+
+        def observe(run: int, rank: int) -> DiscoveryObservation:
+            path = ("run", run, "rank", rank) if distributed else ("run", run)
+            return ranks[rank].observe(rng.generator(*path), run)
+
+        # Run-major ``[run][rank]`` observations, one generator per pair.
         ctx.put(
             "observations",
             RunSequence(
                 self.effective_runs(ctx),
-                lambda run: clean.observe(rng.generator("run", run), run),
+                lambda run: RunSequence(len(ranks), lambda rank: observe(run, rank)),
             ),
         )
         return ctx
@@ -150,6 +171,12 @@ class ProfileStage(Stage):
         return {
             "discovery_runs": self.effective_runs(ctx),
             "discovery_isa": ctx.discovery_isa.value,
+            "ranks": int(getattr(ctx.app, "ranks", 1)),
+            # The communication schedule shapes the trace this stage
+            # (and, through the digest chain, everything downstream)
+            # observes; a job with a different collective cadence must
+            # never share cache entries.
+            "phases": getattr(ctx.app, "phases", None),
         }
 
 
@@ -157,10 +184,12 @@ class ProfileStage(Stage):
 class SignatureStage(Stage):
     """Step 2: combine each run's BBV and LDV into signature vectors.
 
-    Publishes a run sequence: reading run r draws its observation and
-    builds its signature matrix then, so the work is charged to the
-    stage that reads it (``cluster``).  Not cacheable: it only
-    normalises and concatenates the ``profile`` observations.
+    Publishes a run sequence: reading run r draws its ranks'
+    observations one at a time and signs each into its rank-major slice
+    of the run's matrix (:func:`~repro.core.signatures.build_signatures`),
+    so the work is charged to the stage that reads it (``cluster``).
+    Not cacheable: it only normalises and concatenates the ``profile``
+    observations.
     """
 
     name = "signature"
@@ -439,10 +468,3 @@ def default_stages() -> list[Stage]:
     from repro.api.registry import stage_registry
 
     return [stage_registry.get(name)() for name in DEFAULT_STAGE_NAMES]
-
-
-# Importing this module is what populates the stage registry (it is the
-# registry's autoload target), so the distributed-memory stages register
-# here too — they live in their own module to keep this one the
-# shared-memory canon.
-from repro.api import rank_stages as _rank_stages  # noqa: E402,F401  (registration)

@@ -11,12 +11,11 @@ widths × machines through the registered stage graph.  The
   through the canonical graph (profile → signature → cluster → select
   → measure → reconstruct → validate);
 * :class:`RankAxis` — the number of MPI-style ranks, each a fixed-width
-  team on its own node.  ``rankify``/``coalesce_ranks`` (see
-  :mod:`repro.api.rank_stages`) instrument every rank and coalesce the
-  per-rank signatures rank-major; from clustering onward the canonical
-  stages run unchanged, and measurement sees the rank-major hybrid
-  trace whose network costs the machine's
-  :class:`~repro.hw.network.NetworkSpec` prices.
+  team on its own node, through the same graph: ``profile`` instruments
+  every rank and ``signature`` concatenates the per-rank signatures
+  rank-major (see :func:`repro.core.signatures.build_signatures`), and
+  measurement sees the rank-major hybrid trace whose network costs the
+  machine's :class:`~repro.hw.network.NetworkSpec` prices.
 
 Per (machine, width) cell a sweep reports:
 
@@ -51,7 +50,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import ClassVar
 
 from repro.api.builder import PipelineRun, StagePipeline, _resolve_target, _resolve_workload
-from repro.api.rank_stages import CoalesceRanksStage, RankifyStage
 from repro.api.types import PipelineConfig
 from repro.exec.request import StudyRequest
 from repro.exec.stagestore import StageStore
@@ -62,24 +60,18 @@ from repro.workloads.distributed import DistributedWorkload
 
 __all__ = [
     "RANK_COUNTS",
-    "RANK_MACHINES",
     "RANK_THREADS",
     "SCALING_MACHINES",
     "SCALING_THREAD_COUNTS",
     "Axis",
     "RankAxis",
-    "RankCell",
-    "RankResult",
     "RankStudy",
-    "ScalingCell",
-    "ScalingResult",
     "ScalingStudy",
     "Sweep",
     "SweepCell",
     "SweepResult",
     "ThreadAxis",
     "decode_request",
-    "default_rank_stages",
     "run_rank_cell",
     "run_scaling_cell",
     "run_sweep_cell",
@@ -103,33 +95,14 @@ RANK_THREADS = 2
 #: taken from the open machine registry.
 SCALING_MACHINES = (INTEL_I7_3770.name, APM_XGENE.name, ARMV8_IN_ORDER.name)
 
-#: The rank sweep's machine axis: the same tuple as SCALING_MACHINES.
-RANK_MACHINES = SCALING_MACHINES
-
-
-def default_rank_stages() -> list:
-    """The rank-aware stage graph, from the live registries.
-
-    ``rankify`` and ``coalesce_ranks`` replace ``profile`` and
-    ``signature``; the rest is the canonical shared-memory tail, so
-    registered third-party replacements (a custom ``cluster``) flow
-    through rank sweeps unchanged.
-    """
-    from repro.api.registry import stage_registry
-
-    tail = ("cluster", "select", "measure", "reconstruct", "validate")
-    return [RankifyStage(), CoalesceRanksStage()] + [
-        stage_registry.get(name)() for name in tail
-    ]
-
 
 class Axis:
     """What a :class:`Sweep` varies, and how one width becomes a job.
 
-    A subclass decides the per-width job shape (:meth:`shape`), workload
-    (:meth:`job`) and stage list (:meth:`stages`), the study request
-    that declares a cell, and the table's title; the support predicate
-    and the grid split below are shared by both axes.
+    A subclass decides the per-width job shape (:meth:`shape`) and
+    workload (:meth:`job`), the study request that declares a cell, and
+    the table's title; the stage graph, the support predicate and the
+    grid split below are shared by both axes.
     """
 
     #: Study request kind of this axis's cells (a ``CELL_KINDS`` key).
@@ -147,10 +120,6 @@ class Axis:
     def job(self, app, width: int):
         """The workload one width runs."""
         return app
-
-    def stages(self) -> list | None:
-        """The stage graph (None: the canonical registered stages)."""
-        return None
 
     def limit(self, host: Machine) -> str:
         """Why ``host`` cannot place this axis's per-node team."""
@@ -255,9 +224,6 @@ class RankAxis(Axis):
                 f"asks for {width}"
             )
         return app
-
-    def stages(self) -> list:
-        return default_rank_stages()
 
     def limit(self, host: Machine) -> str:
         return (
@@ -413,7 +379,6 @@ def _run_width(
         axis.shape(width)[1],
         False,
         config,
-        stages=axis.stages(),
         targets=machines,
     )
     run = pipeline.run(store)
@@ -492,12 +457,6 @@ class SweepResult:
         return 100.0 * speedup / width
 
 
-#: Per-axis names of the one cell and result type, so code that imports
-#: or annotates with the thread-axis or rank-axis name still resolves.
-ScalingCell = RankCell = SweepCell
-ScalingResult = RankResult = SweepResult
-
-
 class Sweep:
     """Sweep one workload's widths × machines through the stages.
 
@@ -511,11 +470,12 @@ class Sweep:
         result = Sweep("miniFE", RankAxis(), (1, 2, 4)).run()
         result.cell("Intel Core i7-3770", 4).comm_pct
 
-    Every cell composes the registered stage graph; third-party stages
-    swapped into the stage registry, and machines added to the machine
-    registry, flow through unchanged.  The multi-application scheduled
-    grids behind ``repro scaling`` and ``repro ranks`` live in
-    :mod:`repro.experiments.sweep` and execute the same cells.
+    Every cell on either axis composes the registered stage graph;
+    third-party stages swapped into the stage registry, and machines
+    added to the machine registry, flow through unchanged.  The
+    multi-application scheduled grids behind ``repro scaling`` and
+    ``repro ranks`` live in :mod:`repro.experiments.sweep` and execute
+    the same cells.
 
     Parameters
     ----------
@@ -602,7 +562,7 @@ def ScalingStudy(
 
 def RankStudy(
     workload,
-    machines=RANK_MACHINES,
+    machines=SCALING_MACHINES,
     rank_counts: tuple[int, ...] = RANK_COUNTS,
     threads: int = RANK_THREADS,
     config: PipelineConfig | None = None,

@@ -53,34 +53,29 @@ CELL_KINDS: dict[str, str] = {
 CELL_LEVEL_UNCACHED: frozenset[str] = frozenset({"scaling", "ranks"})
 
 
-#: kind → the discovery its cells read through the stage store.  Every
-#: listed kind but ``ranks`` reads the ``select`` entry of the scalar
-#: x86_64 discovery (``profile`` → ``cluster`` → ``select``) of its
-#: (app, threads) — a crossarch cell stores it next to its vectorised
-#: one — and a rank cell reads the ``select`` entry of the ``rankify``
-#: discovery of its (app, threads, ranks).
-_DISCOVERY: dict[str, str] = {
-    "crossarch": "x86_64",
-    "coretypes": "x86_64",
-    "figure1": "x86_64",
-    "scaling": "x86_64",
-    "ranks": "rankify",
-}
+#: Kinds whose cells read one x86_64 discovery through the stage store:
+#: the ``select`` entry of the discovery (``profile`` → ``cluster`` →
+#: ``select``) of their (app, threads), or of their (app, threads,
+#: ranks) for a rank cell — a crossarch cell stores its scalar one next
+#: to its vectorised one.
+_DISCOVERY: frozenset[str] = frozenset(
+    {"crossarch", "coretypes", "figure1", "scaling", "ranks"}
+)
 
 
 def discovery_group(request: StudyRequest) -> tuple | None:
     """The cells ``request`` shares its discovery with, as a hashable key.
 
     Cells of one group read one stage-stored discovery (a sweep cell's
-    ``machine`` param names only where it is evaluated).  A pooled run
-    holds all but one of them until that one has stored it.  Kinds that
-    discover nothing through the store share none: ``None``.
+    ``machine`` param names only where it is evaluated, and a rank
+    cell's ``ranks`` param keeps it apart from a thread cell).  A pooled
+    run holds all but one of them until that one has stored it.  Kinds
+    that discover nothing through the store share none: ``None``.
     """
-    discovery = _DISCOVERY.get(request.kind)
-    if discovery is None:
+    if request.kind not in _DISCOVERY:
         return None
     params = tuple(item for item in request.params if item[0] != "machine")
-    return (discovery, request.app, request.threads, params)
+    return (request.app, request.threads, params)
 
 
 _RESOLVED: dict[str, Callable] = {}

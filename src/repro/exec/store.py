@@ -56,8 +56,10 @@ __all__ = [
 #: oracle flag; 12: full scale clusters with the exact solver, and the
 #: SimPoint options lost ``algorithm`` and ``batch_size``; 13: ``measure``
 #: keeps only the representatives' mean rows, and ``profile``,
-#: ``rankify`` and ``cluster`` are no longer stored).
-CACHE_VERSION = 13
+#: ``rankify`` and ``cluster`` are no longer stored; 14: rank jobs run
+#: through ``profile`` and ``signature``, whose key now names the rank
+#: count and phases, so every stage digest moved).
+CACHE_VERSION = 14
 
 #: The store's namespaces: cell payloads, stage payloads, and the
 #: one-shot hand-off files of the ``processes`` backend.

@@ -96,7 +96,7 @@ def _evaluate_grouped(
     observation = aggregate_observation(
         collector.collect(pipeline.trace(ISA.X86_64), x86_counters, 0), groups
     )
-    signatures = build_signatures(observation, pipeline.config.bbv_weight)
+    signatures = build_signatures((observation,), pipeline.config.bbv_weight)
     gen = pipeline.context.tree.generator(
         "coalesce-simpoint", pipeline.app.name, pipeline.threads
     )

@@ -7,7 +7,7 @@ satisfies :class:`~repro.api.types.SupportsProgram` — its per-rank
 program is exactly the base application's — so the stage machinery
 composes with it unchanged; the extra rank structure travels through
 the ``distributed`` / ``ranks`` / ``comm_schedule`` attributes that the
-execution context and the rank stages duck-type on.
+execution context and the ``profile`` stage duck-type on.
 
 Default schedule layout (deterministic per application)
 -------------------------------------------------------

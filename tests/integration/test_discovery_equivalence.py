@@ -1,8 +1,9 @@
-"""Discovery stages draw every run from once-collected clean signatures.
+"""Discovery draws every run from once-collected clean signatures.
 
-``ProfileStage`` and ``RankifyStage`` collect each trace's BBV/LDV once
-and jitter copies of it per discovery run.  Their observations must
-equal, bit for bit, the per-run expression they replace::
+``ProfileStage`` collects each rank's BBV/LDV once (a shared-memory
+trace is one rank) and jitters copies of it per discovery run.  Its
+observations must equal, bit for bit, the per-run expression they
+replace::
 
     collect_bbv(trace) * np.exp(sigma[:, None] * gen.standard_normal(shape))
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.context import StageContext
-from repro.api.rank_stages import RankifyStage
 from repro.api.stages import ProfileStage
 from repro.api.sweep import RANK_THREADS
 from repro.experiments.config import default_config
@@ -72,19 +72,22 @@ def test_profile_stage_matches_per_run_expression():
     weights = ctx.counters_on(ISA.X86_64).bp_instructions()
     rng = _discovery_rng(ctx)
     assert len(observations) == QUICK.discovery_runs
-    for run, obs in enumerate(observations):
-        _assert_observation(obs, trace, weights, rng.generator("run", run), run)
+    for run, per_rank in enumerate(observations):
+        assert len(per_rank) == 1
+        _assert_observation(per_rank[0], trace, weights, rng.generator("run", run), run)
 
 
 def test_rankify_stage_matches_per_run_expression():
+    # The rank path of the same stage: one observation per rank, each
+    # weighted by its own contexts and drawn from its own path.
     ctx = StageContext(
         DistributedWorkload(create("MCB"), 2), threads=RANK_THREADS, config=QUICK
     )
     trace = ctx.trace(ISA.X86_64)
     footprints = [_memo_footprint(trace.rank_trace(r)) for r in range(trace.ranks)]
 
-    RankifyStage().run(ctx)
-    observations = ctx.require("rank_observations")
+    ProfileStage().run(ctx)
+    observations = ctx.require("observations")
 
     assert [_memo_footprint(trace.rank_trace(r)) for r in range(trace.ranks)] == footprints
     counters = ctx.counters_on(ISA.X86_64)

@@ -1,23 +1,27 @@
-"""Discovery holds one run at a time.
+"""Discovery holds one run, and one rank of it, at a time.
 
-``observations``, ``rank_observations`` and ``signatures`` are run
-sequences built when read.  A cold graph must therefore draw each
-``(run)`` or ``(run, rank)`` observation exactly once, inside
-``cluster`` and right before that run is clustered; ``select`` must
-read the weights ``cluster`` left behind instead of drawing a run
-again; and run r's signature matrix must be gone before run r + 1's is
-built.
+``observations`` and ``signatures`` are run sequences built when read,
+and run r of ``observations`` is a sequence over ranks.  A cold graph
+must therefore draw each ``(run, rank)`` observation exactly once,
+inside ``cluster`` and right before that run is clustered; ``select``
+must read the weights ``cluster`` left behind instead of drawing a run
+again; run r's signature matrix must be gone before run r + 1's is
+built; and signing a run must hold one rank's observation next to the
+run's matrix, not every rank's.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 import weakref
 
 import pytest
 
-from repro.api import PipelineConfig, build_pipeline, rank_stages, stages
+from repro.api import PipelineConfig, build_pipeline, stages
 from repro.api.builder import StagePipeline
-from repro.api.sweep import RANK_THREADS, default_rank_stages
+from repro.api.context import StageContext
+from repro.api.sweep import RANK_THREADS
+from repro.core.signatures import build_signatures
 from repro.hw.machines import INTEL_I7_3770
 from repro.hw.measure import MeasurementProtocol
 from repro.instrumentation.collector import CleanSignatures
@@ -36,27 +40,17 @@ def _default_run():
 
 def _rank_run():
     job = DistributedWorkload("MCB", ranks=RANKS)
-    return StagePipeline(
-        job, RANK_THREADS, False, CONFIG,
-        stages=default_rank_stages(), targets=(INTEL_I7_3770,),
-    ).run()
+    return StagePipeline(job, RANK_THREADS, False, CONFIG, targets=(INTEL_I7_3770,)).run()
 
 
-#: Each pipeline, its ranks per run, and where it builds a run's matrix.
+#: Each pipeline and its ranks per run.
 PIPELINES = pytest.mark.parametrize(
-    "execute, ranks, module, builder",
-    [
-        (_default_run, 1, stages, "build_signatures"),
-        (_rank_run, RANKS, rank_stages, "coalesce_signatures"),
-    ],
-    ids=["default", "ranks"],
+    "execute, ranks", [(_default_run, 1), (_rank_run, RANKS)], ids=["default", "ranks"]
 )
 
 
 @PIPELINES
-def test_each_run_is_drawn_once_right_before_it_is_clustered(
-    execute, ranks, module, builder, monkeypatch
-):
+def test_each_run_is_drawn_once_right_before_it_is_clustered(execute, ranks, monkeypatch):
     events: list[tuple] = []
     observe = CleanSignatures.observe
     simpoint = stages.run_simpoint
@@ -86,10 +80,8 @@ def test_each_run_is_drawn_once_right_before_it_is_clustered(
 
 
 @PIPELINES
-def test_run_matrices_are_freed_before_the_next_run_is_built(
-    execute, ranks, module, builder, monkeypatch
-):
-    build = getattr(module, builder)
+def test_run_matrices_are_freed_before_the_next_run_is_built(execute, ranks, monkeypatch):
+    build = stages.build_signatures
     matrices: list[weakref.ref] = []
     alive_at_build: list[int] = []
 
@@ -99,8 +91,29 @@ def test_run_matrices_are_freed_before_the_next_run_is_built(
         matrices.append(weakref.ref(signatures.combined))
         return signatures
 
-    monkeypatch.setattr(module, builder, spy_build)
+    monkeypatch.setattr(stages, "build_signatures", spy_build)
     execute()
 
     assert alive_at_build == [0] * RUNS
     assert all(ref() is None for ref in matrices)
+
+
+def test_signing_a_rank_run_holds_one_rank_next_to_the_matrix():
+    # Four ranks of two threads: each rank's observation is a quarter
+    # of the run's matrix.  Signing every rank before concatenating
+    # them peaks at about twice the matrix; signing each straight into
+    # its slice peaks at about 1.3 times.
+    ctx = StageContext(
+        DistributedWorkload("AMGMk", ranks=4), threads=RANK_THREADS, config=CONFIG
+    )
+    stages.ProfileStage().run(ctx)
+    observations = ctx.require("observations")
+
+    tracemalloc.start()
+    try:
+        signatures = build_signatures(observations[0], CONFIG.bbv_weight)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    assert peak < 1.5 * signatures.combined.nbytes

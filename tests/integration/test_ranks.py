@@ -5,11 +5,11 @@ Covers the acceptance properties of the rank PR:
 * ``repro ranks`` payloads and rendering are byte-identical at one
   worker and on a process pool;
 * collective operations induce the same region boundaries on every
-  rank, end to end through the rank stages (every rank's observations
-  cover the same barrier points);
+  rank, end to end through the stages (every rank's observations cover
+  the same barrier points);
 * the :func:`~repro.api.sweep.RankStudy` public API composes the
-  registered rank-aware stages, reports the communication share, and
-  its speedup/efficiency accounting is self-consistent;
+  registered stages, reports the communication share, and its
+  speedup/efficiency accounting is self-consistent;
 * stored selections are shared across machines through the stage
   store;
 * the cache-exempt rank and scaling cells are thin derivations: a warm
@@ -19,20 +19,17 @@ Covers the acceptance properties of the rank PR:
 
 import pytest
 
-from repro.api import PipelineConfig, RankStudy
+from repro.api import DEFAULT_STAGE_NAMES, PipelineConfig, ProfileStage, RankStudy
+from repro.api.builder import StagePipeline
 from repro.api.registry import stage_registry
-from repro.api.sweep import (
-    RANK_THREADS,
-    default_rank_stages,
-    run_rank_cell,
-    run_scaling_cell,
-)
+from repro.api.sweep import RANK_THREADS, run_rank_cell, run_scaling_cell
 from repro.exec.scheduler import StudyScheduler
 from repro.exec.stagestore import StageStore
 from repro.experiments.config import default_config
 from repro.experiments.sweep import rank_request, ranks as ranks_exp
 from repro.hw.machines import APM_XGENE, INTEL_I7_3770
 from repro.hw.measure import MeasurementProtocol
+from repro.workloads.distributed import DistributedWorkload
 
 FAST = PipelineConfig(
     discovery_runs=2, protocol=MeasurementProtocol(repetitions=3)
@@ -58,34 +55,32 @@ def _grid_config(tmp_path, **overrides):
 
 class TestRankStages:
     def test_rank_stages_registered(self):
-        assert "rankify" in stage_registry
-        assert "coalesce_ranks" in stage_registry
-        names = [stage.name for stage in default_rank_stages()]
-        assert names == [
-            "rankify", "coalesce_ranks", "cluster", "select",
-            "measure", "reconstruct", "validate",
-        ]
+        # A rank job runs the registry's seven canonical stages.
+        pipeline = StagePipeline(DistributedWorkload("MCB", ranks=2), RANK_THREADS, False, FAST)
+        assert tuple(stage.name for stage in pipeline.stages) == DEFAULT_STAGE_NAMES
 
-    def test_rankify_requires_distributed_workload(self):
-        from repro.api.builder import StagePipeline
-        from repro.workloads.registry import create
+    def test_registered_profile_replacement_runs_in_rank_sweeps(self):
+        profiled = []
 
-        pipeline = StagePipeline(
-            create("MCB"), 2, False, FAST, stages=default_rank_stages()
-        )
-        with pytest.raises(TypeError, match="DistributedWorkload"):
-            pipeline.run()
+        class RecordingProfile(ProfileStage):
+            def run(self, ctx):
+                profiled.append(ctx.app.name)
+                return super().run(ctx)
+
+        stage_registry.register(RecordingProfile, replace=True)
+        try:
+            RankStudy(
+                "MCB", machines=(INTEL_I7_3770.name,), rank_counts=(2,), config=FAST
+            ).run()
+        finally:
+            stage_registry.register(ProfileStage, replace=True)
+        assert profiled == ["MCB@2ranks"]
 
     def test_every_rank_observes_the_same_region_boundaries(self):
-        from repro.api.builder import StagePipeline
         from repro.isa.descriptors import ISA
-        from repro.workloads.distributed import DistributedWorkload
 
         job = DistributedWorkload("MCB", ranks=4)
-        pipeline = StagePipeline(
-            job, 2, False, FAST,
-            stages=default_rank_stages(), targets=(INTEL_I7_3770,),
-        )
+        pipeline = StagePipeline(job, 2, False, FAST, targets=(INTEL_I7_3770,))
         run = pipeline.run()
         trace = run.context.trace(ISA.X86_64)
         boundaries = trace.region_boundaries(0)
@@ -93,8 +88,8 @@ class TestRankStages:
         for rank in range(4):
             assert trace.region_boundaries(rank) == boundaries
         # End to end: every rank's observations cover the same barrier
-        # points, so the coalesced signatures have one row per bp.
-        for per_rank in run.context.require("rank_observations"):
+        # points, so the rank-major signatures have one row per bp.
+        for per_rank in run.context.require("observations"):
             assert len(per_rank) == 4
             for obs in per_rank:
                 assert obs.n_barrier_points == trace.n_barrier_points
@@ -142,7 +137,7 @@ class TestRankStudyApi:
         # executes no discovery.
         assert store.stats.hit_count("select") == 1
         assert dict(store.stats.misses) == {"measure": 1}
-        for stage in ("rankify", "coalesce_ranks", "cluster", "select"):
+        for stage in ("profile", "signature", "cluster", "select"):
             assert stage not in store.stats.run_seconds, stage
 
     def test_cell_payload_roundtrip(self):
@@ -177,8 +172,6 @@ class TestRankStudyApi:
         assert cell() == cold
 
     def test_prewrapped_workload_rank_mismatch_rejected(self):
-        from repro.workloads.distributed import DistributedWorkload
-
         job = DistributedWorkload("MCB", ranks=2)
         with pytest.raises(ValueError, match="wrapped for 2 ranks"):
             run_rank_cell(job, INTEL_I7_3770.name, 4, config=FAST)
@@ -208,18 +201,12 @@ class TestRankDeterminism:
 
     def test_phase_count_is_part_of_the_cache_identity(self, tmp_path):
         # Jobs with different communication schedules must never share
-        # stage-cache entries: the phase count enters the rankify cache
+        # stage-cache entries: the phase count enters the profile cache
         # key and relocates the whole digest chain.
-        from repro.api.builder import StagePipeline
-        from repro.workloads.distributed import DistributedWorkload
-
         store = StageStore(tmp_path / "stages")
         for phases in (16, 4):
             job = DistributedWorkload("MCB", ranks=2, phases=phases)
-            pipeline = StagePipeline(
-                job, RANK_THREADS, False, FAST,
-                stages=default_rank_stages(), targets=(INTEL_I7_3770,),
-            )
+            pipeline = StagePipeline(job, RANK_THREADS, False, FAST, targets=(INTEL_I7_3770,))
             pipeline.run(store)
         assert store.stats.hit_count("select") == 0
         assert store.stats.miss_count("select") == 2

@@ -19,7 +19,7 @@ import pytest
 from repro.api import PipelineConfig, build_pipeline, evaluation_payload
 from repro.api.builder import StagePipeline
 from repro.api.study import run_crossarch
-from repro.api.sweep import RANK_THREADS, default_rank_stages
+from repro.api.sweep import RANK_THREADS
 from repro.clustering.simpoint import SimPointOptions
 from repro.exec.stagestore import StageStore, stage_store_for
 from repro.exec.store import STAGES
@@ -35,7 +35,7 @@ FAST = PipelineConfig(
 CACHEABLE = ("select", "measure")
 
 #: Stages whose live execution means discovery ran again.
-DISCOVERY = ("profile", "signature", "rankify", "coalesce_ranks")
+DISCOVERY = ("profile", "signature")
 
 #: Every stage a discovery-knob change runs again, in graph order.
 REDISCOVERED = ("profile", "signature", "cluster", "select", "measure")
@@ -232,7 +232,7 @@ class TestDemandDrivenLoading:
 def _rank_pipeline():
     return StagePipeline(
         DistributedWorkload("MCB", ranks=2), RANK_THREADS, False, FAST,
-        stages=default_rank_stages(), targets=(INTEL_I7_3770,),
+        targets=(INTEL_I7_3770,),
     )
 
 

@@ -20,11 +20,11 @@ DOCTEST_MODULES = (
     "repro.api.builder",
     "repro.api.codec",
     "repro.api.context",
-    "repro.api.rank_stages",
     "repro.api.registry",
     "repro.api.study",
     "repro.api.sweep",
     "repro.api.types",
+    "repro.core.signatures",
     "repro.workloads.distributed",
 )
 

@@ -87,8 +87,7 @@ class TestBuiltinRegistries:
         assert "ARMv8 in-order (A53-class)" in machine_registry
 
     def test_builtin_stages_registered(self):
-        # The seven canonical shared-memory stages plus the two
-        # distributed-memory stages (rankify / coalesce_ranks).
+        # The paper's seven steps, for shared-memory and rank jobs alike.
         assert stage_registry.names() == (
             "profile",
             "signature",
@@ -97,8 +96,6 @@ class TestBuiltinRegistries:
             "measure",
             "reconstruct",
             "validate",
-            "rankify",
-            "coalesce_ranks",
         )
 
     def test_third_party_workload_roundtrip(self):

@@ -40,29 +40,29 @@ def _selection(labels, weights, reps=None):
 
 class TestSignatures:
     def test_halves_normalised(self):
-        sig = build_signatures(_observation(), bbv_weight=0.5)
+        sig = build_signatures((_observation(),), bbv_weight=0.5)
         bbv_part = sig.combined[:, : sig.bbv_dims]
         ldv_part = sig.combined[:, sig.bbv_dims :]
         assert np.allclose(bbv_part.sum(axis=1), 0.5)
         assert np.allclose(ldv_part.sum(axis=1), 0.5)
 
     def test_bbv_only(self):
-        sig = build_signatures(_observation(), bbv_weight=1.0)
+        sig = build_signatures((_observation(),), bbv_weight=1.0)
         assert np.allclose(sig.combined[:, sig.bbv_dims :], 0.0)
 
     def test_ldv_only(self):
-        sig = build_signatures(_observation(), bbv_weight=0.0)
+        sig = build_signatures((_observation(),), bbv_weight=0.0)
         assert np.allclose(sig.combined[:, : sig.bbv_dims], 0.0)
 
     def test_invalid_weight(self):
         with pytest.raises(ValueError):
-            build_signatures(_observation(), bbv_weight=1.5)
+            build_signatures((_observation(),), bbv_weight=1.5)
 
 
 class TestSelection:
     def test_multipliers_cover_total_weight(self):
         obs = _observation(40, seed=1)
-        sig = build_signatures(obs)
+        sig = build_signatures((obs,))
         choice = run_simpoint(sig.combined, sig.weights, np.random.default_rng(0))
         selection = select_barrier_points(choice, sig.weights)
         estimated_total = (
@@ -72,14 +72,14 @@ class TestSelection:
 
     def test_one_representative_per_cluster(self):
         obs = _observation(40, seed=2)
-        sig = build_signatures(obs)
+        sig = build_signatures((obs,))
         choice = run_simpoint(sig.combined, sig.weights, np.random.default_rng(0))
         selection = select_barrier_points(choice, sig.weights)
         assert selection.k == len(np.unique(selection.labels[selection.representatives]))
 
     def test_representative_in_own_cluster(self):
         obs = _observation(30, seed=3)
-        sig = build_signatures(obs)
+        sig = build_signatures((obs,))
         choice = run_simpoint(sig.combined, sig.weights, np.random.default_rng(1))
         selection = select_barrier_points(choice, sig.weights)
         for rep in selection.representatives:

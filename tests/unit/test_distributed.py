@@ -9,12 +9,12 @@ rank-major signature coalescing layout.
 import numpy as np
 import pytest
 
-from repro.api.rank_stages import coalesce_signatures
-from repro.core.signatures import SignatureMatrix
+from repro.core.signatures import build_signatures
 from repro.hw.machines import APM_XGENE, INTEL_I7_3770
 from repro.hw.network import NetworkSpec
 from repro.hw.perf import PerfModel
 from repro.hw.pmu import CYCLES, INSTRUCTIONS, N_METRICS
+from repro.instrumentation.collector import DiscoveryObservation
 from repro.ir.comm import CommEvent, CommKind, CommSchedule, ring_exchange
 from repro.isa.descriptors import ISA, BinaryConfig
 from repro.runtime.distributed import execute_distributed
@@ -362,33 +362,48 @@ class TestDistributedWorkload:
 
 
 class TestCoalesceSignatures:
-    def _matrix(self, fill, n_bp=3, bbv=2, ldv=2):
-        combined = np.full((n_bp, bbv + ldv), float(fill))
-        combined[:, :bbv] = fill
-        combined[:, bbv:] = fill + 0.5
-        return SignatureMatrix(
-            combined=combined,
-            weights=np.full(n_bp, float(fill)),
-            bbv_dims=bbv,
-            ldv_dims=ldv,
+    @staticmethod
+    def _observation(bbv_row, ldv_row, weight, n_bp=3):
+        return DiscoveryObservation(
+            bbv=np.tile(np.asarray(bbv_row, dtype=float), (n_bp, 1)),
+            ldv=np.tile(np.asarray(ldv_row, dtype=float), (n_bp, 1)),
+            weights=np.full(n_bp, float(weight)),
+            run_index=0,
         )
 
     def test_rank_major_layout(self):
-        merged = coalesce_signatures([self._matrix(1), self._matrix(2)])
+        ranks = [self._observation([1, 3], [1, 1], 1), self._observation([3, 1], [0, 2], 2)]
+        merged = build_signatures(ranks)
         assert merged.combined.shape == (3, 8)
         assert merged.bbv_dims == 4 and merged.ldv_dims == 4
-        # [bbv(rank0) | bbv(rank1) | ldv(rank0) | ldv(rank1)]
-        np.testing.assert_array_equal(merged.combined[0], [1, 1, 2, 2, 1.5, 1.5, 2.5, 2.5])
+        # [bbv(rank0) | bbv(rank1) | ldv(rank0) | ldv(rank1)], each
+        # rank's half row-normalised on its own.
+        np.testing.assert_array_equal(
+            merged.combined[0], [0.125, 0.375, 0.375, 0.125, 0.25, 0.25, 0.0, 0.5]
+        )
         np.testing.assert_array_equal(merged.weights, [3, 3, 3])
 
     def test_single_rank_is_identity(self):
-        one = self._matrix(1)
-        merged = coalesce_signatures([one])
-        np.testing.assert_array_equal(merged.combined, one.combined)
-        assert merged.bbv_dims == one.bbv_dims
+        gen = np.random.default_rng(5)
+        one = DiscoveryObservation(
+            bbv=gen.random((4, 3)), ldv=gen.random((4, 2)), weights=gen.random(4), run_index=0
+        )
+        one.ldv[1] = 0.0
+        sig = build_signatures([one], bbv_weight=0.3)
+        ldv_totals = one.ldv.sum(axis=1, keepdims=True)
+        expected = np.hstack([
+            one.bbv / one.bbv.sum(axis=1, keepdims=True) * 0.3,
+            one.ldv / np.where(ldv_totals > 0, ldv_totals, 1.0) * (1.0 - 0.3),
+        ])
+        assert sig.combined.tobytes() == expected.tobytes()
+        assert sig.weights is one.weights
+        assert (sig.bbv_dims, sig.ldv_dims) == (3, 2)
 
     def test_misaligned_ranks_rejected(self):
+        rank0 = self._observation([1, 3], [1, 1], 1)
         with pytest.raises(ValueError, match="misaligned"):
-            coalesce_signatures([self._matrix(1), self._matrix(1, n_bp=4)])
+            build_signatures([rank0, self._observation([1, 3], [1, 1], 1, n_bp=4)])
+        with pytest.raises(ValueError, match="misaligned"):
+            build_signatures([rank0, self._observation([1, 3, 1], [1, 1], 1)])
         with pytest.raises(ValueError, match="at least one"):
-            coalesce_signatures([])
+            build_signatures([])
