@@ -96,7 +96,7 @@ def bench_bbv_kernel() -> dict:
 
     ctx = StageContext(create("LULESH"), threads=8)
     trace = ctx.trace(ISA.X86_64)
-    collect_bbv(trace)  # warm the per-trace memos (as discovery does)
+    collect_bbv(trace)  # an untimed first call warms the allocator
     t0 = time.perf_counter()
     rounds = 5
     for _ in range(rounds):

@@ -18,41 +18,31 @@ from repro.isa.lowering import lowered_totals
 __all__ = ["collect_bbv"]
 
 
-def _instr_per_iter(trace: ExecutionTrace) -> np.ndarray:
-    """Per-block lowered instruction totals, memoised per trace.
+def collect_bbv(trace: ExecutionTrace) -> np.ndarray:
+    """Collect per-barrier-point, per-thread BBVs from a trace.
 
-    Ten discovery runs instrument the same execution; the lowering of
-    the block universe is identical every time, so it is computed once
-    (vectorised over all blocks) and cached on the trace.
-    """
-    memo: dict = trace._memo  # type: ignore[attr-defined]
-    if "instr_per_iter" not in memo:
-        mixes = [block.mix for _, block in trace.block_universe()]
-        memo["instr_per_iter"] = lowered_totals(mixes, trace.binary)
-    return memo["instr_per_iter"]
-
-
-def collect_bbv(trace: ExecutionTrace, per_thread: bool = True) -> np.ndarray:
-    """Collect per-barrier-point BBVs from a trace.
-
-    Parameters
-    ----------
-    trace:
-        The instrumented execution.
-    per_thread:
-        Concatenate per-thread vectors (BarrierPoint's layout) instead
-        of summing across the team.
+    Each template's rows are filled from that template's own iteration
+    block; the columns of every other template's blocks stay zero.
 
     Returns
     -------
     numpy.ndarray
-        ``(n_bp, n_blocks * threads)`` if ``per_thread`` else
-        ``(n_bp, n_blocks)``; entries are dynamic instruction counts.
+        ``(n_bp, threads * n_blocks)``: thread t's vector over the block
+        universe (:meth:`~repro.ir.trace.ExecutionTrace.block_universe`)
+        fills columns ``t * n_blocks`` to ``(t + 1) * n_blocks``; entries
+        are dynamic instruction counts.
     """
-    iters = trace.block_iters_per_thread()  # (n_bp, n_blocks, threads)
-    instr_per_iter = _instr_per_iter(trace)
-    bbv = iters * instr_per_iter[None, :, None]
-    if per_thread:
-        n_bp = bbv.shape[0]
-        return bbv.transpose(0, 2, 1).reshape(n_bp, -1)
-    return bbv.sum(axis=2)
+    mixes = [block.mix for _, block in trace.block_universe()]
+    instr_per_iter = lowered_totals(mixes, trace.binary)
+    out = np.zeros((trace.n_barrier_points, trace.threads, instr_per_iter.size))
+    offset = 0
+    for t_idx, (template, ttrace) in enumerate(
+        zip(trace.program.templates, trace.template_traces, strict=True)
+    ):
+        end = offset + template.n_blocks
+        rows = trace.bp_template == t_idx
+        iters = ttrace.iters[trace.bp_instance[rows]]  # (m, blocks, threads)
+        counts = iters * instr_per_iter[None, offset:end, None]
+        out[rows, :, offset:end] = counts.transpose(0, 2, 1)
+        offset = end
+    return out.reshape(trace.n_barrier_points, -1)

@@ -21,7 +21,7 @@ from repro.ir.trace import ExecutionTrace
 from repro.runtime.interleave import signature_jitter_sigma
 from repro.util.rng import RngTree
 
-__all__ = ["DiscoveryObservation", "CleanSignatures", "BarrierPointCollector"]
+__all__ = ["DiscoveryObservation", "Nonzeros", "CleanSignatures", "BarrierPointCollector"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,55 @@ class DiscoveryObservation:
 
 
 @dataclass(frozen=True)
+class Nonzeros:
+    """The nonzero entries of one clean ``(n_bp, D)`` BBV or LDV.
+
+    A barrier point runs only its own region's blocks and fills few
+    reuse-distance bins, so most clean entries are zero (about 6% of
+    LULESH's BBV entries and 12% of its LDV entries are not).
+
+    Attributes
+    ----------
+    shape:
+        ``(n_bp, D)`` of the dense matrix.
+    index:
+        Ascending flat positions of the entries whose bits are not
+        those of +0.0; a -0.0 is kept, so it jitters to the dense
+        form's -0.0.
+    values:
+        The entries at ``index``.
+    """
+
+    shape: tuple[int, int]
+    index: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, dense: np.ndarray) -> Nonzeros:
+        """The nonzeros of a C-contiguous float64 matrix."""
+        index = np.flatnonzero(dense.view(np.int64))
+        return cls(shape=dense.shape, index=index, values=dense.ravel()[index])
+
+    def jittered(self, sigma: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        """``dense * exp(sigma[:, None] * z)``, ``z ~ N(0, 1)``, bit for bit.
+
+        The whole ``z`` is drawn, so ``gen`` advances exactly as the
+        dense expression advances it.  Each nonzero gets the dense
+        form's three operations; every other entry is the +0.0 that
+        ``exp(...) * 0.0`` gives, written into ``z``'s zeroed buffer.
+        """
+        z = gen.standard_normal(self.shape)
+        flat = z.reshape(-1)
+        jitter = flat[self.index]
+        jitter *= sigma[self.index // self.shape[1]]
+        np.exp(jitter, out=jitter)
+        jitter *= self.values
+        flat.fill(0.0)
+        flat[self.index] = jitter
+        return z
+
+
+@dataclass(frozen=True)
 class CleanSignatures:
     """One execution's un-jittered BBV/LDV, shared by all its discovery runs.
 
@@ -62,16 +111,16 @@ class CleanSignatures:
     Attributes
     ----------
     bbv / ldv:
-        ``(n_bp, D)`` matrices as :func:`collect_bbv` and
-        :func:`collect_ldv` return them.
+        The nonzeros of the ``(n_bp, D)`` matrices :func:`collect_bbv`
+        and :func:`collect_ldv` return.
     weights:
         ``(n_bp,)`` exact per-barrier-point instruction counts.
     sigma:
         ``(n_bp,)`` lognormal jitter sigma of each barrier point.
     """
 
-    bbv: np.ndarray
-    ldv: np.ndarray
+    bbv: Nonzeros
+    ldv: Nonzeros
     weights: np.ndarray
     sigma: np.ndarray
 
@@ -79,27 +128,19 @@ class CleanSignatures:
     def of(cls, trace: ExecutionTrace, weights: np.ndarray) -> CleanSignatures:
         """Collect the clean signatures of ``trace``, weighted by ``weights``."""
         return cls(
-            bbv=collect_bbv(trace),
-            ldv=collect_ldv(trace),
+            bbv=Nonzeros.of(collect_bbv(trace)),
+            ldv=Nonzeros.of(collect_ldv(trace)),
             weights=weights,
             sigma=signature_jitter_sigma(weights, trace.threads),
         )
 
     def observe(self, gen: np.random.Generator, run_index: int) -> DiscoveryObservation:
         """One discovery run: BBV, then LDV, jittered with draws from ``gen``."""
-        bbv = self._jittered(self.bbv, gen)
-        ldv = self._jittered(self.ldv, gen)
+        bbv = self.bbv.jittered(self.sigma, gen)
+        ldv = self.ldv.jittered(self.sigma, gen)
         return DiscoveryObservation(
             bbv=bbv, ldv=ldv, weights=self.weights.copy(), run_index=run_index
         )
-
-    def _jittered(self, clean: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        """``clean * exp(sigma[:, None] * z)``, ``z ~ N(0, 1)``, in one buffer."""
-        z = gen.standard_normal(clean.shape)
-        z *= self.sigma[:, None]
-        np.exp(z, out=z)
-        z *= clean
-        return z
 
 
 class BarrierPointCollector:

@@ -18,15 +18,15 @@ from repro.mem.ldv import N_DISTANCE_BINS, pattern_ldv_rows
 __all__ = ["collect_ldv"]
 
 
-def collect_ldv(trace: ExecutionTrace, per_thread: bool = True) -> np.ndarray:
-    """Collect per-barrier-point LDVs from a trace.
+def collect_ldv(trace: ExecutionTrace) -> np.ndarray:
+    """Collect per-barrier-point, per-thread LDVs from a trace.
 
     Returns
     -------
     numpy.ndarray
-        ``(n_bp, N_DISTANCE_BINS * threads)`` if ``per_thread`` else
-        ``(n_bp, N_DISTANCE_BINS)``; entries are access counts per
-        distance bin.
+        ``(n_bp, threads * N_DISTANCE_BINS)``: thread t's histogram fills
+        columns ``t * N_DISTANCE_BINS`` onward; entries are access counts
+        per distance bin.
     """
     threads = trace.threads
     per_template: list[np.ndarray] = []
@@ -47,7 +47,4 @@ def collect_ldv(trace: ExecutionTrace, per_thread: bool = True) -> np.ndarray:
         per_template.append(out)
 
     stacked = trace.gather_instance_values(per_template)  # (n_bp, threads, bins)
-    n_bp = stacked.shape[0]
-    if per_thread:
-        return stacked.reshape(n_bp, -1)
-    return stacked.sum(axis=1)
+    return stacked.reshape(stacked.shape[0], -1)

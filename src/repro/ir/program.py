@@ -71,11 +71,13 @@ class Program:
         Together with :attr:`sequence` this gives the (template, instance)
         coordinates used by :class:`~repro.ir.trace.ExecutionTrace`.
         """
-        counters = np.zeros(len(self.templates), dtype=np.int64)
+        # A stable sort lists each template's barrier points in order;
+        # an instance number is its rank past its template's first one.
+        order = np.argsort(self.sequence, kind="stable")
+        counts = self.instance_counts()
+        starts = np.cumsum(counts) - counts
         result = np.empty_like(self.sequence)
-        for pos, tmpl in enumerate(self.sequence):
-            result[pos] = counters[tmpl]
-            counters[tmpl] += 1
+        result[order] = np.arange(self.sequence.size) - np.repeat(starts, counts)
         return result
 
     def phases(self) -> np.ndarray:

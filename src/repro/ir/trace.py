@@ -102,11 +102,6 @@ class ExecutionTrace:
             )
         if self.bp_template.shape != self.bp_instance.shape:
             raise ValueError("bp_template and bp_instance must align")
-        # Per-trace memo for derived read-only views (the dense iteration
-        # tensor, per-binary lowered totals).  The dataclass is frozen,
-        # so the cache is attached through object.__setattr__; cached
-        # values are shared and must never be mutated by callers.
-        object.__setattr__(self, "_memo", {})
 
     @property
     def n_barrier_points(self) -> int:
@@ -129,31 +124,6 @@ class ExecutionTrace:
     def n_blocks_total(self) -> int:
         """Number of distinct static blocks across all templates."""
         return sum(t.n_blocks for t in self.program.templates)
-
-    def block_iters_per_thread(self) -> np.ndarray:
-        """Dense ``(n_bp, n_blocks_total, threads)`` iteration counts.
-
-        Blocks not belonging to a barrier point's template are zero.
-        Memoised per trace (LULESH's tensor is ~10k barrier points
-        large and every discovery run reads the identical view); the
-        returned array is shared — treat it as read-only.
-        """
-        memo: dict = self._memo  # type: ignore[attr-defined]
-        if "dense_iters" not in memo:
-            out = np.zeros(
-                (self.n_barrier_points, self.n_blocks_total, self.threads),
-                dtype=float,
-            )
-            offset = 0
-            for t_idx, (template, ttrace) in enumerate(
-                zip(self.program.templates, self.template_traces, strict=True)
-            ):
-                mask = self.bp_template == t_idx
-                inst = self.bp_instance[mask]
-                out[mask, offset : offset + template.n_blocks, :] = ttrace.iters[inst]
-                offset += template.n_blocks
-            memo["dense_iters"] = out
-        return memo["dense_iters"]
 
     def gather_instance_values(self, per_template: list[np.ndarray]) -> np.ndarray:
         """Map per-(template, instance) arrays into barrier-point order.

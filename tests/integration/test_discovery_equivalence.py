@@ -1,14 +1,15 @@
 """Discovery draws every run from once-collected clean signatures.
 
 ``ProfileStage`` collects each rank's BBV/LDV once (a shared-memory
-trace is one rank) and jitters copies of it per discovery run.  Its
-observations must equal, bit for bit, the per-run expression they
-replace::
+trace is one rank), keeps their nonzeros and jitters those per
+discovery run.  Its observations must equal, bit for bit, the per-run
+expression they replace::
 
     collect_bbv(trace) * np.exp(sigma[:, None] * gen.standard_normal(shape))
 
-(and its LDV twin, drawn next from the same generator), and nothing may
-be memoised on the trace — it lives as long as the whole cell.
+(and its LDV twin, drawn next from the same generator), compared as
+bit patterns so that a zero's sign counts.  Nothing may be memoised
+on the trace: it lives as long as the whole cell.
 """
 
 from __future__ import annotations
@@ -40,19 +41,24 @@ def _per_run_expression(trace, weights, gen):
     return bbv, ldv
 
 
+def _bits(array):
+    """The float64 bit patterns: ``np.array_equal`` takes -0.0 for 0.0."""
+    return array.view(np.int64)
+
+
 def _assert_observation(obs, trace, weights, gen, run):
     bbv, ldv = _per_run_expression(trace, weights, gen)
-    assert np.array_equal(obs.bbv, bbv)
-    assert np.array_equal(obs.ldv, ldv)
+    assert np.array_equal(_bits(obs.bbv), _bits(bbv))
+    assert np.array_equal(_bits(obs.ldv), _bits(ldv))
     assert np.array_equal(obs.weights, weights)
     assert obs.run_index == run
 
 
-def _memo_footprint(trace) -> tuple[set, set]:
-    """What a plain collection leaves on the trace: attributes and memo keys."""
+def _footprint(trace) -> dict:
+    """What a plain collection leaves on the trace: its attributes."""
     collect_bbv(trace)
     collect_ldv(trace)
-    return set(vars(trace)), set(trace._memo)
+    return {name: id(value) for name, value in vars(trace).items()}
 
 
 def _discovery_rng(ctx):
@@ -63,12 +69,12 @@ def _discovery_rng(ctx):
 def test_profile_stage_matches_per_run_expression():
     ctx = StageContext(create("miniFE"), threads=8, config=QUICK)
     trace = ctx.trace(ISA.X86_64)
-    footprint = _memo_footprint(trace)
+    footprint = _footprint(trace)
 
     ProfileStage().run(ctx)
     observations = ctx.require("observations")
 
-    assert _memo_footprint(trace) == footprint
+    assert _footprint(trace) == footprint
     weights = ctx.counters_on(ISA.X86_64).bp_instructions()
     rng = _discovery_rng(ctx)
     assert len(observations) == QUICK.discovery_runs
@@ -84,12 +90,12 @@ def test_rankify_stage_matches_per_run_expression():
         DistributedWorkload(create("MCB"), 2), threads=RANK_THREADS, config=QUICK
     )
     trace = ctx.trace(ISA.X86_64)
-    footprints = [_memo_footprint(trace.rank_trace(r)) for r in range(trace.ranks)]
+    footprints = [_footprint(trace.rank_trace(r)) for r in range(trace.ranks)]
 
     ProfileStage().run(ctx)
     observations = ctx.require("observations")
 
-    assert [_memo_footprint(trace.rank_trace(r)) for r in range(trace.ranks)] == footprints
+    assert [_footprint(trace.rank_trace(r)) for r in range(trace.ranks)] == footprints
     counters = ctx.counters_on(ISA.X86_64)
     rng = _discovery_rng(ctx)
     assert len(observations) == QUICK.discovery_runs

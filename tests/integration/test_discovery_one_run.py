@@ -15,6 +15,7 @@ from __future__ import annotations
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.api import PipelineConfig, build_pipeline, stages
@@ -25,7 +26,9 @@ from repro.core.signatures import build_signatures
 from repro.hw.machines import INTEL_I7_3770
 from repro.hw.measure import MeasurementProtocol
 from repro.instrumentation.collector import CleanSignatures
+from repro.mem.ldv import N_DISTANCE_BINS
 from repro.workloads.distributed import DistributedWorkload
+from repro.workloads.registry import create
 
 RUNS = 3
 RANKS = 2
@@ -117,3 +120,37 @@ def test_signing_a_rank_run_holds_one_rank_next_to_the_matrix():
         tracemalloc.stop()
 
     assert peak < 1.5 * signatures.combined.nbytes
+
+
+def test_profile_keeps_only_the_clean_nonzeros():
+    # AMGMk's clean BBV is 25% nonzero and its LDV 13%: kept as flat
+    # indices and values, the clean signatures of four ranks take about
+    # a third of their dense bytes, and no dense iteration tensor is
+    # left on a rank trace.
+    ctx = StageContext(
+        DistributedWorkload(create("AMGMk"), 4), threads=RANK_THREADS, config=CONFIG
+    )
+    trace = ctx.trace(ctx.discovery_isa)
+    ctx.counters_on(ctx.discovery_isa)
+    dense_bytes = sum(
+        rank.n_barrier_points * rank.threads * (rank.n_blocks_total + N_DISTANCE_BINS) * 8
+        for rank in trace.rank_traces
+    )
+
+    tracemalloc.start()
+    try:
+        stages.ProfileStage().run(ctx)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    assert retained < 0.5 * dense_bytes
+    for rank in trace.rank_traces:
+        tensor = (rank.n_barrier_points, rank.n_blocks_total, rank.threads)
+        assert not [value for value in _held(rank) if np.shape(value) == tensor]
+
+
+def _held(trace):
+    """What a trace holds: each attribute, and each value of a dict one."""
+    for value in vars(trace).values():
+        yield from value.values() if isinstance(value, dict) else [value]

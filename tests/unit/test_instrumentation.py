@@ -27,20 +27,44 @@ def counters(trace, rng_tree):
     return PerfModel(rng_tree.child("uarch")).true_counters(trace, INTEL_I7_3770)
 
 
+def _per_thread(matrix, threads):
+    """``(n_bp, threads * D)`` → ``(n_bp, threads, D)``: one vector per thread."""
+    return matrix.reshape(matrix.shape[0], threads, -1)
+
+
+def _team_sum(matrix, threads):
+    """Sum the per-thread vectors of the concatenated layout over the team."""
+    return _per_thread(matrix, threads).sum(axis=1)
+
+
+def _bits(array):
+    """The float64 bit patterns, so that -0.0 and 0.0 differ."""
+    return array.view(np.int64)
+
+
 class TestBbv:
     def test_per_thread_dimensions(self, trace):
-        bbv = collect_bbv(trace, per_thread=True)
+        bbv = collect_bbv(trace)
         assert bbv.shape == (30, trace.n_blocks_total * trace.threads)
 
     def test_aggregate_dimensions(self, trace):
-        bbv = collect_bbv(trace, per_thread=False)
+        bbv = _team_sum(collect_bbv(trace), trace.threads)
         assert bbv.shape == (30, trace.n_blocks_total)
 
     def test_rows_positive_for_their_template_only(self, trace):
-        bbv = collect_bbv(trace, per_thread=False)
+        bbv = _team_sum(collect_bbv(trace), trace.threads)
         alpha_rows = bbv[trace.bp_template == 0]
         assert np.all(alpha_rows[:, 0] > 0)
         assert np.all(alpha_rows[:, 1] == 0)
+
+    def test_every_thread_zero_outside_its_template(self, trace):
+        # Per thread: template 0's rows count its block on both threads
+        # and leave template 1's block column zero.
+        per_thread = _per_thread(collect_bbv(trace), trace.threads)
+        assert per_thread.shape == (30, 2, 2)
+        alpha = trace.bp_template == 0
+        assert np.all(per_thread[alpha, :, 1] == 0)
+        assert np.all(per_thread[alpha, :, 0] > 0)
 
     def test_vectorised_binary_changes_bbv(self, toy_program, rng_tree):
         structure = rng_tree.child("structure")
@@ -51,11 +75,11 @@ class TestBbv:
 
 class TestLdv:
     def test_per_thread_dimensions(self, trace):
-        ldv = collect_ldv(trace, per_thread=True)
+        ldv = collect_ldv(trace)
         assert ldv.shape == (30, N_DISTANCE_BINS * trace.threads)
 
     def test_access_counts_conserved(self, trace):
-        ldv = collect_ldv(trace, per_thread=False)
+        ldv = _team_sum(collect_ldv(trace), trace.threads)
         expected = 0.0
         for template, ttrace in zip(trace.program.templates, trace.template_traces, strict=True):
             for b_idx, block in enumerate(template.blocks):
@@ -65,7 +89,7 @@ class TestLdv:
         assert ldv.sum() == pytest.approx(expected, rel=1e-9)
 
     def test_footprint_drift_visible(self, trace):
-        ldv = collect_ldv(trace, per_thread=False)
+        ldv = _team_sum(collect_ldv(trace), trace.threads)
         alpha = np.flatnonzero(trace.bp_template == 0)
         first = ldv[alpha[0]] / ldv[alpha[0]].sum()
         # The toy program's alpha template has footprint_slope 0.3; the
@@ -122,8 +146,8 @@ class TestCollector:
         bbv = bbv * np.exp(sigma[:, None] * gen.standard_normal(bbv.shape))
         ldv = collect_ldv(trace)
         ldv = ldv * np.exp(sigma[:, None] * gen.standard_normal(ldv.shape))
-        assert np.array_equal(obs.bbv, bbv)
-        assert np.array_equal(obs.ldv, ldv)
+        assert np.array_equal(_bits(obs.bbv), _bits(bbv))
+        assert np.array_equal(_bits(obs.ldv), _bits(ldv))
 
     def test_jitter_is_relative(self, trace, counters, rng_tree):
         collector = BarrierPointCollector(rng_tree.child("d"))

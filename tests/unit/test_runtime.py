@@ -9,7 +9,6 @@ from repro.runtime.barriers import SPIN_IPC, SPIN_WINDOW_CYCLES, barrier_spin
 from repro.runtime.execution import execute_program
 from repro.runtime.interleave import signature_jitter_sigma
 from repro.runtime.scheduler import split_iterations, thread_shares
-from repro.util.rng import RngTree
 
 
 class TestSplitIterations:
@@ -149,14 +148,6 @@ class TestExecuteProgram:
 
 
 class TestTraceAccessors:
-    def test_block_iters_dense_matrix(self, toy_program, rng_tree):
-        trace = execute_program(toy_program, BinaryConfig(ISA.X86_64, False), 2, rng_tree)
-        dense = trace.block_iters_per_thread()
-        assert dense.shape == (30, 2, 2)
-        # Template 0 instances must have zeros in template 1's block column.
-        assert np.all(dense[trace.bp_template == 0, 1, :] == 0)
-        assert np.all(dense[trace.bp_template == 0, 0, :] > 0)
-
     def test_gather_instance_values_roundtrip(self, toy_program, rng_tree):
         trace = execute_program(toy_program, BinaryConfig(ISA.X86_64, False), 2, rng_tree)
         per_template = [
