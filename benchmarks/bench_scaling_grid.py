@@ -7,8 +7,10 @@ can compare against (this file records the first point of it).
 
 Three sections land in the JSON:
 
-* ``grid``      — wall time of the scheduled apps × machines × threads
-  sweep (cold and stage-cached re-render) plus its shape;
+* ``grid``      — wall time of the scheduled apps × threads sweep
+  (cold and stage-cached re-render) plus its shape: ``cells`` counts
+  its (app, width) cells, each measured on the ``machines`` registered
+  sweep machines;
 * ``kernels``   — microbenchmarks of the vectorised kernels the sweep
   leans on: BBV/signature accumulation, one exact SimPoint clustering
   sweep at LULESH's signature shape, the exact set-associative LRU
@@ -30,9 +32,11 @@ Usage::
     python benchmarks/bench_scaling_grid.py --scale quick --jobs 4 \
         --output bench-scaling-grid.json
 
-``smoke`` trims the grid to two apps × two machines × widths (1, 2, 4)
-on the quick protocol — small enough for a CI runner; ``quick`` and
-``full`` run the whole grid on the corresponding protocol scale.
+``smoke`` trims the grid to two apps × widths (1, 2, 4) on the quick
+protocol — small enough for a CI runner; ``quick`` and ``full`` run the
+whole grid on the corresponding protocol scale.  Every scale measures
+the three registered sweep machines: one cell per (app, width) runs one
+discovery and measures it on each of them.
 """
 
 from __future__ import annotations
@@ -53,18 +57,19 @@ from repro.experiments.config import default_config
 from repro.experiments.sweep import SweepGrid
 from repro.workloads.registry import EVALUATED_APPS
 
-#: Bench scales: (protocol scale, apps, machines, thread counts).
+#: Bench scales: (protocol scale, apps, thread counts).
 BENCH_SCALES = {
-    "smoke": ("quick", EVALUATED_APPS[:2], SCALING_MACHINES[:2], (1, 2, 4)),
-    "quick": ("quick", EVALUATED_APPS, SCALING_MACHINES, SCALING_THREAD_COUNTS),
-    "full": ("full", EVALUATED_APPS, SCALING_MACHINES, SCALING_THREAD_COUNTS),
+    "smoke": ("quick", EVALUATED_APPS[:2], (1, 2, 4)),
+    "quick": ("quick", EVALUATED_APPS, SCALING_THREAD_COUNTS),
+    "full": ("full", EVALUATED_APPS, SCALING_THREAD_COUNTS),
 }
 
 
 def bench_grid(scale: str, jobs: int, cache_dir: str) -> dict:
     """Time the scheduled scaling grid, cold and stage-cached."""
-    protocol, apps, machines, thread_counts = BENCH_SCALES[scale]
+    protocol, apps, thread_counts = BENCH_SCALES[scale]
     config = default_config(protocol, cache_dir=cache_dir, jobs=jobs)
+    machines = SCALING_MACHINES
     requests = SweepGrid(ThreadAxis(), thread_counts).requests_for(apps, machines)
 
     t0 = time.perf_counter()

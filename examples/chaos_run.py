@@ -37,7 +37,6 @@ from repro.experiments.runner import crossarch_request
 from repro.experiments.sweep import rank_request, scaling_request
 
 DRILL = "seed=2017,kill=0.6,exc=0.6,torn=0.6,enospc=0.3,max=1"
-MACHINE = "Intel Core i7-3770"
 
 
 def _config(cache_dir="", **overrides) -> ExperimentConfig:
@@ -124,9 +123,9 @@ def drill(tmp: Path) -> None:
     # computes only the other half's discoveries.
     _fresh_plane()
     cache = str(tmp / "resume")
-    grid = [
-        scaling_request("MCB", threads, MACHINE) for threads in (1, 2)
-    ] + [rank_request("graph500", ranks, MACHINE) for ranks in (1, 2)]
+    grid = [scaling_request("MCB", threads) for threads in (1, 2)] + [
+        rank_request("graph500", ranks) for ranks in (1, 2)
+    ]
     StudyScheduler(_config(cache_dir=cache)).run(grid[:2])
 
     rerun = StudyScheduler(_config(cache_dir=cache))

@@ -68,7 +68,9 @@ class CellSubmission:
         rank grid's fixed per-rank width, ``trace`` cells the trace
         grid's).
     machine:
-        Machine registry name — required for ``scaling`` and ``ranks``.
+        Machine registry name — required for ``scaling`` and ``ranks``,
+        where it names the result row the client reads: the cell of one
+        (app, width) holds a row per grid machine that can host it.
     ranks:
         Rank count — required for ``ranks``.
     accesses:
@@ -163,14 +165,6 @@ class CellSubmission:
 
         return workload_registry.entry(self.app).name
 
-    def canonical_machine(self) -> str | None:
-        """The registry-cased machine name (None when not applicable)."""
-        if self.machine is None:
-            return None
-        from repro.api.registry import machine_registry
-
-        return machine_registry.entry(self.machine).name
-
     def to_request(self, config) -> StudyRequest:
         """Lower to the exact request the batch experiments declare.
 
@@ -187,11 +181,11 @@ class CellSubmission:
         if self.kind == "scaling":
             from repro.experiments.sweep import scaling_request
 
-            return scaling_request(app, self.threads, self.canonical_machine())
+            return scaling_request(app, self.threads)
         if self.kind == "ranks":
             from repro.experiments.sweep import rank_request
 
-            return rank_request(app, int(self.ranks), self.canonical_machine())
+            return rank_request(app, int(self.ranks))
         from repro.experiments.trace import trace_request
 
         accesses = self.accesses if self.accesses is not None else config.trace_accesses

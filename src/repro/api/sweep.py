@@ -74,7 +74,6 @@ __all__ = [
     "decode_request",
     "run_rank_cell",
     "run_scaling_cell",
-    "run_sweep_cell",
 ]
 
 #: The strong-scaling sweep's team widths.  16 exceeds every Table II
@@ -129,8 +128,8 @@ class Axis:
         """The rendered table's title for one application."""
         raise NotImplementedError
 
-    def request(self, app: str, width: int, machine: str) -> StudyRequest:
-        """Declare the scheduled cell for one (app, machine, width)."""
+    def request(self, app: str, width: int) -> StudyRequest:
+        """Declare the scheduled cell for one (app, width)."""
         raise NotImplementedError
 
     def unsupported_reason(self, machine: Machine, width: int) -> str | None:
@@ -149,6 +148,10 @@ class Axis:
         if not discovery.supports_hybrid(ranks, threads):
             return f"x86_64 discovery ({discovery.name}) {self.limit(discovery)}"
         return None
+
+    def hosts(self, machines, width: int) -> tuple[Machine, ...]:
+        """The given machines that can run ``width``, in order."""
+        return tuple(m for m in machines if self.unsupported_reason(m, width) is None)
 
     def grid(self, machines, widths) -> list[tuple[Machine, int]]:
         """The supported (machine, width) cells, machine-major."""
@@ -185,10 +188,8 @@ class ThreadAxis(Axis):
     def title(self, app: str) -> str:
         return f"Strong scaling — {app} (scalar binaries, x86_64 discovery)"
 
-    def request(self, app: str, width: int, machine: str) -> StudyRequest:
-        return StudyRequest(
-            kind=self.kind, app=app, threads=width, params=(("machine", machine),)
-        )
+    def request(self, app: str, width: int) -> StudyRequest:
+        return StudyRequest(kind=self.kind, app=app, threads=width)
 
 
 @dataclass(frozen=True)
@@ -237,12 +238,9 @@ class RankAxis(Axis):
             "scalar binaries, x86_64 discovery)"
         )
 
-    def request(self, app: str, width: int, machine: str) -> StudyRequest:
+    def request(self, app: str, width: int) -> StudyRequest:
         return StudyRequest(
-            kind=self.kind,
-            app=app,
-            threads=self.threads,
-            params=(("machine", machine), ("ranks", width)),
+            kind=self.kind, app=app, threads=self.threads, params=(("ranks", width),)
         )
 
 
@@ -371,9 +369,18 @@ def _app_name(app) -> str:
 
 
 def _run_width(
-    app, axis: Axis, width: int, machines: tuple[Machine, ...], config, store
+    workload, axis: Axis, width: int, machines: tuple[Machine, ...], config, store
 ) -> list[SweepCell]:
-    """One stage graph at one width, measured on every given machine."""
+    """One stage graph at one width, measured on every given machine.
+
+    Discovery runs on x86_64 (the paper's Section V-A rule) at the
+    width's shape, once; measurement, reconstruction and validation
+    fan out over ``machines``, one :class:`SweepCell` each.  With a
+    :class:`StageStore`, the ``select`` entry is shared with every
+    other graph at the same (app, width), and on the thread axis with
+    the crossarch cells' scalar half.
+    """
+    app = _resolve_workload(workload)
     pipeline = StagePipeline(
         axis.job(app, width),
         axis.shape(width)[1],
@@ -384,28 +391,6 @@ def _run_width(
     run = pipeline.run(store)
     name = _app_name(app)
     return [_cell_from_run(run, name, machine, axis, width) for machine in machines]
-
-
-def run_sweep_cell(
-    workload,
-    machine,
-    axis: Axis,
-    width: int,
-    config: PipelineConfig | None = None,
-    store: StageStore | None = None,
-) -> SweepCell:
-    """Execute one sweep cell through the axis's stage graph.
-
-    Discovery runs on x86_64 (the paper's Section V-A rule) at the
-    cell's shape; measurement, reconstruction and validation target the
-    cell's machine.  With a :class:`StageStore`, the x86_64-side stage
-    payloads are shared by every machine at the same (app, width) — and
-    on the thread axis with the crossarch cells' scalar half — so a grid
-    sweep executes each discovery exactly once.
-    """
-    app = _resolve_workload(workload)
-    config = config or PipelineConfig()
-    return _run_width(app, axis, width, (_resolve_target(machine),), config, store)[0]
 
 
 @dataclass(frozen=True)
@@ -528,11 +513,7 @@ class Sweep:
         """
         cells: dict[tuple[str, int], SweepCell] = {}
         for width in self.widths:
-            machines = tuple(
-                machine
-                for machine in self.machines
-                if self.axis.unsupported_reason(machine, width) is None
-            )
+            machines = self.axis.hosts(self.machines, width)
             if not machines:
                 continue
             for cell in _run_width(self.app, self.axis, width, machines, self.config, store):
@@ -582,7 +563,7 @@ def run_scaling_cell(
     config: PipelineConfig | None = None,
     store: StageStore | None = None,
 ) -> SweepCell:
-    """Execute one strong-scaling cell (see :func:`run_sweep_cell`).
+    """Execute one strong-scaling cell: one width on one machine.
 
     Example
     -------
@@ -595,7 +576,9 @@ def run_scaling_cell(
     >>> cell.threads, cell.k >= 1
     (2, True)
     """
-    return run_sweep_cell(workload, machine, ThreadAxis(), threads, config, store)
+    return _run_width(
+        workload, ThreadAxis(), threads, (_resolve_target(machine),), config, store
+    )[0]
 
 
 def run_rank_cell(
@@ -606,7 +589,7 @@ def run_rank_cell(
     config: PipelineConfig | None = None,
     store: StageStore | None = None,
 ) -> SweepCell:
-    """Execute one rank cell (see :func:`run_sweep_cell`).
+    """Execute one rank cell: one rank count on one machine.
 
     Example
     -------
@@ -619,4 +602,6 @@ def run_rank_cell(
     >>> cell.ranks, cell.comm_mcycles > 0
     (2, True)
     """
-    return run_sweep_cell(workload, machine, RankAxis(threads), ranks, config, store)
+    return _run_width(
+        workload, RankAxis(threads), ranks, (_resolve_target(machine),), config, store
+    )[0]

@@ -63,9 +63,9 @@ class ProcessPoolBackend:
     #: At most this many wall seconds of cheap cells run in the calling
     #: process before the pool takes the rest (see
     #: :class:`~repro.exec.supervise.ProcessSupervision`): a warm
-    #: ``repro all --quick`` re-renders its 168 cache-exempt cells inline
-    #: in 0.3 to 0.5 s, where dispatching them cost more CPU than it
-    #: saved.  The cap bounds how long a grid of many cheap cells runs
+    #: ``repro all --quick`` re-renders its 56 cache-exempt cells inline
+    #: in well under a second, where dispatching them cost more CPU than
+    #: it saved.  The cap bounds how long a grid of many cheap cells runs
     #: serially.
     INLINE_SECONDS = 2.0
 

@@ -39,17 +39,19 @@ CELL_KINDS: dict[str, str] = {
 }
 
 #: Cell kinds excluded from the cell-level StudyStore.  Scaling and
-#: rank cells are thin derivations over stage-cached artifacts: the
-#: ``select`` and ``measure`` payloads are already content-addressed in
-#: the StageStore and *shared* across the grid (three machines per
-#: (app, threads) or (app, ranks), plus the crossarch cells' scalar
-#: half), so caching the derived payload a second time would only
-#: duplicate bytes and hide the stage-cache traffic the verbose report
-#: accounts for.  Invariant: a cache-exempt cell reads every number it
-#: reports from stage payloads, so a warm run executes no trace and no
-#: perf model (a number a cell needs is recorded by the stage that
-#: computes it, as ``measure`` records the rank cells' communication
-#: cycles).
+#: rank cells are thin derivations over stage-cached artifacts: one
+#: cell per (app, threads) or (app, ranks) measures every machine of the
+#: grid, and its ``select`` and ``measure`` payloads are already
+#: content-addressed in the StageStore (``select`` shared with the
+#: crossarch cells' scalar half), so caching the derived rows a second
+#: time would only duplicate bytes and hide the stage-cache traffic the
+#: verbose report accounts for.  Their rows also follow the config's
+#: ``machines``, which a cell digest does not name; the ``measure`` key
+#: does.  Invariant: a cache-exempt cell reads
+#: every number it reports from stage payloads, so a warm run executes
+#: no trace and no perf model (a number a cell needs is recorded by the
+#: stage that computes it, as ``measure`` records the rank cells'
+#: communication cycles).
 CELL_LEVEL_UNCACHED: frozenset[str] = frozenset({"scaling", "ranks"})
 
 
@@ -66,16 +68,14 @@ _DISCOVERY: frozenset[str] = frozenset(
 def discovery_group(request: StudyRequest) -> tuple | None:
     """The cells ``request`` shares its discovery with, as a hashable key.
 
-    Cells of one group read one stage-stored discovery (a sweep cell's
-    ``machine`` param names only where it is evaluated, and a rank
-    cell's ``ranks`` param keeps it apart from a thread cell).  A pooled
-    run holds all but one of them until that one has stored it.  Kinds
-    that discover nothing through the store share none: ``None``.
+    Cells of one group read one stage-stored discovery (a rank cell's
+    ``ranks`` param keeps it apart from a thread cell).  A pooled run
+    holds all but one of them until that one has stored it.  Kinds that
+    discover nothing through the store share none: ``None``.
     """
     if request.kind not in _DISCOVERY:
         return None
-    params = tuple(item for item in request.params if item[0] != "machine")
-    return (request.app, request.threads, params)
+    return (request.app, request.threads, request.params)
 
 
 _RESOLVED: dict[str, Callable] = {}

@@ -9,12 +9,15 @@ these artefacts sweep the job's parallelism along the two axes of
   its own node, which opens the distributed-memory axis the paper's
   limitations section names.
 
-One study cell is declared per (application, machine, width) over every
-evaluated app and the three registered machines (plus ``--machines``),
-so the scheduler deduplicates and parallelises the whole grid at once.
-Cells the target or the x86_64 discovery machine cannot host
-scatter-first (16 threads on every Table II machine) are rendered as
-explicit unsupported rows instead of being scheduled.
+One study cell is declared per (application, width) over every
+evaluated app, so the scheduler deduplicates and parallelises the whole
+grid at once.  As in the paper, a cell discovers barrier points once on
+x86_64 and measures them on every grid machine (the three registered
+machines plus ``--machines``) that can host the width, one
+:class:`~repro.api.sweep.SweepCell` row per machine.  Rows the target
+or the x86_64 discovery machine cannot host scatter-first (16 threads
+on every Table II machine) are rendered as explicit unsupported rows
+instead of being scheduled.
 
 Per application the table reports, per (machine, width): the job's wall
 cycles, the speedup and parallel efficiency against width 1 on the same
@@ -29,12 +32,12 @@ error.
 
 Sweep cells are derivations over stage-cached artifacts and are
 deliberately *not* persisted in the cell-level StudyStore
-(:data:`repro.exec.cells.CELL_LEVEL_UNCACHED`): the heavy stages are
-shared through the :class:`~repro.exec.stagestore.StageStore` — across
-the machines of one (app, width), and on the thread axis with the
-crossarch cells' scalar half — so a re-render re-executes only cheap
-reconstruction against stage-cache hits, which ``--verbose`` accounts
-for even under the ``processes`` backend.
+(:data:`repro.exec.cells.CELL_LEVEL_UNCACHED`): their ``select`` and
+``measure`` payloads live in the
+:class:`~repro.exec.stagestore.StageStore`, ``select`` shared on the
+thread axis with the crossarch cells' scalar half, so a re-render
+re-executes only cheap reconstruction against stage-cache hits, which
+``--verbose`` accounts for even under the ``processes`` backend.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ from repro.api.sweep import (
     SweepCell,
     SweepResult,
     ThreadAxis,
+    _run_width,
     decode_request,
-    run_sweep_cell,
 )
 from repro.exec.request import StudyRequest
 from repro.exec.scheduler import StudyScheduler
@@ -77,29 +80,38 @@ __all__ = [
 ]
 
 
-def scaling_request(app: str, threads: int, machine: str) -> StudyRequest:
-    """Declare the scaling cell for one (app, machine, threads)."""
-    return ThreadAxis().request(app, threads, machine)
+def scaling_request(app: str, threads: int) -> StudyRequest:
+    """Declare the scaling cell for one (app, threads)."""
+    return ThreadAxis().request(app, threads)
 
 
-def rank_request(app: str, ranks: int, machine: str) -> StudyRequest:
-    """Declare the rank cell for one (app, machine, ranks)."""
-    return RankAxis().request(app, ranks, machine)
+def rank_request(app: str, ranks: int) -> StudyRequest:
+    """Declare the rank cell for one (app, ranks)."""
+    return RankAxis().request(app, ranks)
 
 
-def sweep_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
-    """Executor for ``"scaling"`` and ``"ranks"`` cells (scheduler workers)."""
+def _machines(config: ExperimentConfig) -> list:
+    """The grid's machine axis, with the config's ingested machines."""
     register_config_machines(config)
+    return [machine_registry.get(name) for name in grid_machines(config, SCALING_MACHINES)]
+
+
+def sweep_cell(request: StudyRequest, config: ExperimentConfig) -> list[dict]:
+    """Executor for ``"scaling"`` and ``"ranks"`` cells (scheduler workers).
+
+    Runs the width's stage graph once and returns one row payload per
+    grid machine that can host the width.
+    """
     axis, width = decode_request(request)
-    cell = run_sweep_cell(
+    cells = _run_width(
         request.app,
-        request.param("machine"),
         axis,
         width,
+        axis.hosts(_machines(config), width),
         config.pipeline_config(),
-        store=stage_store_for(config),
+        stage_store_for(config),
     )
-    return cell.to_payload()
+    return [cell.to_payload() for cell in cells]
 
 
 @dataclass(frozen=True)
@@ -155,47 +167,47 @@ def _row(result: SweepResult, machine: str, width: int, columns: int) -> tuple:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """One scheduled sweep: every evaluated app × machines × widths.
+    """One scheduled sweep: every evaluated app × widths × machines.
 
-    The machine axis is the three built-ins plus any ingested machines
-    the config names (``--machine-spec`` / ``--machines``).
+    One cell per (app, width) measures every machine of the axis: the
+    three built-ins plus any ingested machines the config names
+    (``--machine-spec`` / ``--machines``).
     """
 
     axis: Axis
     widths: tuple[int, ...]
 
     def requests_for(self, apps, machines) -> list[StudyRequest]:
-        """Every supported (app, machine, width) cell, app-major."""
-        grid = self.axis.grid([machine_registry.get(name) for name in machines], self.widths)
+        """One cell per (app, width) one of ``machines`` can host, app-major."""
+        hosts = [machine_registry.get(name) for name in machines]
         return [
-            self.axis.request(app, width, machine.name)
+            self.axis.request(app, width)
             for app in apps
-            for machine, width in grid
+            for width in self.widths
+            if self.axis.hosts(hosts, width)
         ]
 
     def requests(self, config: ExperimentConfig) -> list[StudyRequest]:
-        """Every supported cell of the apps × machines × widths grid."""
+        """Every supported cell of the apps × widths grid."""
         register_config_machines(config)
         return self.requests_for(EVALUATED_APPS, grid_machines(config, SCALING_MACHINES))
 
     def build(self, results, config: ExperimentConfig) -> SweepTable:
-        """Assemble the per-app tables from executed study cells."""
-        register_config_machines(config)
-        machines = grid_machines(config, SCALING_MACHINES)
+        """Assemble the per-app tables from the cells' machine rows."""
+        machines = _machines(config)
         cells: dict[str, dict[tuple[str, int], SweepCell]] = {}
         for request, payload in results.items():
             if request.kind == self.axis.kind:
-                cell = SweepCell.from_payload(payload)
-                cells.setdefault(cell.app, {})[(cell.machine, cell.width)] = cell
-        unsupported = self.axis.unsupported(
-            [machine_registry.get(name) for name in machines], self.widths
-        )
+                for row in payload:
+                    cell = SweepCell.from_payload(row)
+                    cells.setdefault(cell.app, {})[(cell.machine, cell.width)] = cell
+        unsupported = self.axis.unsupported(machines, self.widths)
         return SweepTable(
             results=[
                 SweepResult(
                     app=app,
                     axis=self.axis,
-                    machines=machines,
+                    machines=tuple(machine.name for machine in machines),
                     widths=self.widths,
                     cells=cells.get(app, {}),
                     unsupported=dict(unsupported),

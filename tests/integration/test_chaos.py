@@ -200,9 +200,7 @@ class TestResumeFromStore:
     def test_rerun_rebuilds_finished_cells(self, make_request, tmp_path):
         """Finished cells rebuild from stored stages; the rest compute."""
         cache = str(tmp_path / "cache")
-        requests = [
-            make_request(app, width, MACHINE) for app in APPS for width in (1, 2)
-        ]
+        requests = [make_request(app, width) for app in APPS for width in (1, 2)]
 
         # Scheduler A stops after the two MCB cells, as a driver killed
         # mid-grid would: the stage store already holds their stages.

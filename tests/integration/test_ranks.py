@@ -39,12 +39,7 @@ MACHINES = (INTEL_I7_3770.name, APM_XGENE.name)
 
 
 def _small_requests(apps=("MCB",), rank_counts=(1, 2)):
-    return [
-        rank_request(app, ranks, machine)
-        for app in apps
-        for machine in MACHINES
-        for ranks in rank_counts
-    ]
+    return [rank_request(app, ranks) for app in apps for ranks in rank_counts]
 
 
 def _grid_config(tmp_path, **overrides):

@@ -35,12 +35,7 @@ MACHINES = (INTEL_I7_3770.name, APM_XGENE.name)
 
 
 def _small_requests(apps=("MCB",), thread_counts=(1, 2)):
-    return [
-        scaling_request(app, threads, machine)
-        for app in apps
-        for machine in MACHINES
-        for threads in thread_counts
-    ]
+    return [scaling_request(app, threads) for app in apps for threads in thread_counts]
 
 
 def _grid_config(tmp_path, **overrides):
@@ -192,25 +187,20 @@ class TestProcessBackendStageStats:
         assert "no stage cache traffic" not in parent_stats.describe()
 
     def test_pooled_grid_computes_each_discovery_once(self, tmp_path):
-        # Cells that differ only in their machine share one discovery.
-        # Listed group-adjacent, two workers would both start the same
-        # discovery unless the scheduler holds the group's other cells.
-        machines = MACHINES + (ARMV8_IN_ORDER.name,)
-        requests = [
-            scaling_request(app, threads, machine)
-            for app in ("MCB", "miniFE")
-            for threads in (1, 2)
-            for machine in machines
-        ]
+        # One cell per (app, width) measures all three machines: one
+        # discovery and one measure entry each, at every worker count.
+        requests = _small_requests(apps=("MCB", "miniFE"))
         misses = {}
         for jobs in (1, 2):
             config = _grid_config(tmp_path / str(jobs), jobs=jobs)
-            StudyScheduler(config).run(requests)
+            results = StudyScheduler(config).run(requests)
             misses[jobs] = dict(stage_store_for(config).stats.misses)
+            for payload in results.values():
+                assert [row["machine"] for row in payload] == [
+                    *MACHINES, ARMV8_IN_ORDER.name
+                ]
         assert misses[2] == misses[1]
-        # One select miss (one discovery) per (app, width); the group's
-        # other cells load the stored selections.
-        assert misses[1]["select"] == 4
+        assert misses[1]["select"] == misses[1]["measure"] == 4
 
     def test_pooled_kinds_share_one_discovery(self, tmp_path):
         # crossarch, coretypes and scaling cells of one (app, width) read
@@ -222,7 +212,7 @@ class TestProcessBackendStageStats:
         requests = [
             crossarch_request("miniFE", 2),
             StudyRequest(kind="coretypes", app="miniFE", threads=2),
-            *(scaling_request("miniFE", 2, machine) for machine in MACHINES),
+            scaling_request("miniFE", 2),
         ]
         misses = {}
         for jobs in (1, 3):
@@ -243,8 +233,8 @@ class TestProcessBackendStageStats:
         parent_stats.reset()
 
         StudyScheduler(config).run(requests)
-        # 2 machines x 1 width: select and measure hit once per cell,
-        # and discovery executes nowhere.
+        # One width cell: select and measure hit once per cell, and
+        # discovery executes nowhere.
         assert parent_stats.hit_count("measure") == len(requests)
         assert parent_stats.hit_count("select") == len(requests)
         assert not parent_stats.misses

@@ -101,6 +101,25 @@ class TestEndToEnd:
         latencies.sort()
         assert latencies[len(latencies) // 2] < 0.010
 
+    def test_sweep_submissions_share_one_width_cell(self, daemon):
+        """A scaling result holds one row per machine, and another
+        machine's submission at that width is the same, finished cell."""
+        from repro.api.sweep import SCALING_MACHINES
+
+        submissions = [
+            CellSubmission(
+                kind="scaling", app="MCB", threads=2, machine=machine, scale="quick"
+            )
+            for machine in SCALING_MACHINES
+        ]
+        computed = daemon.server.counters["computed"]
+        with daemon.client() as client:
+            bodies = [client.submit_raw(s, wait=True) for s in submissions]
+        assert {body["digest"] for body in bodies} == {bodies[0]["digest"]}
+        assert daemon.server.counters["computed"] == computed + 1
+        for body in bodies:
+            assert [row["machine"] for row in body["result"]] == list(SCALING_MACHINES)
+
     def test_submit_without_wait_is_202_then_done(self, daemon):
         with daemon.client() as client:
             status = client.submit(_submission(app="MCB"), wait=False)

@@ -87,12 +87,10 @@ class TestDiscoveryGroup:
 
         scalar = group("crossarch")
         assert scalar is not None
-        assert group("coretypes") == group("figure1") == scalar
-        assert group("scaling", machine="a") == group("scaling", machine="b") == scalar
-        assert group("scaling", threads=4, machine="a") != scalar
-        ranked = group("ranks", threads=2, machine="a", ranks=4)
-        assert ranked == group("ranks", threads=2, machine="b", ranks=4)
-        assert ranked not in (group("ranks", threads=2, machine="a", ranks=2), scalar)
+        assert group("coretypes") == group("figure1") == group("scaling") == scalar
+        assert group("scaling", threads=4) != scalar
+        ranked = group("ranks", threads=2, ranks=4)
+        assert ranked not in (group("ranks", threads=2, ranks=2), group("scaling", threads=2))
         for kind in ("variability", "limitations", "coalesce", "trace"):
             assert group(kind) is None
 

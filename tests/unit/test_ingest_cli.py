@@ -125,23 +125,31 @@ class TestIngestedMachineGrids:
         assert grid_machines(config, ("a", "grid-arm")) == ("a", "grid-arm")
         assert grid_machines(default_config("quick"), base) == base
 
+    def _assert_width_cell_measures_it(self, grid, spec_path):
+        # Requests name no machine: the ingested one is a row of every
+        # width cell, and a default grid has no such row.
+        from dataclasses import replace
+
+        from repro.experiments.sweep import sweep_cell
+
+        config = self._config(spec_path)
+        request = grid.requests(config)[0]
+        assert request == grid.requests(default_config("quick"))[0]
+        rows = sweep_cell(request, replace(config, cache_dir=""))
+        assert rows[-1]["machine"] == "grid-arm"
+        assert grid.build({}, config).results[0].machines[-1] == "grid-arm"
+        default = grid.build({}, default_config("quick")).results[0].machines
+        assert "grid-arm" not in default
+
     def test_scaling_requests_include_ingested_machine(self, spec_path):
         from repro.experiments.sweep import scaling
 
-        config = self._config(spec_path)
-        machines = {r.param("machine") for r in scaling.requests(config)}
-        assert "grid-arm" in machines
-        default_machines = {
-            r.param("machine") for r in scaling.requests(default_config("quick"))
-        }
-        assert "grid-arm" not in default_machines
+        self._assert_width_cell_measures_it(scaling, spec_path)
 
     def test_ranks_requests_include_ingested_machine(self, spec_path):
         from repro.experiments.sweep import ranks
 
-        config = self._config(spec_path)
-        machines = {r.param("machine") for r in ranks.requests(config)}
-        assert "grid-arm" in machines
+        self._assert_width_cell_measures_it(ranks, spec_path)
 
     def test_scaling_caps_widths_at_discovery_machine(self, tmp_path, scratch_registry):
         # A 104-context ingested machine supports width 16, but the
@@ -168,11 +176,7 @@ class TestIngestedMachineGrids:
             machine_specs=(str(path),),
             machines=("grid-xeon",),
         )
-        widths = {
-            r.threads for r in scaling.requests(config)
-            if r.param("machine") == "grid-xeon"
-        }
-        assert widths == {1, 2, 4, 8}
+        assert {r.threads for r in scaling.requests(config)} == {1, 2, 4, 8}
         table = scaling.build({}, config)
         reason = table.results[0].unsupported[("grid-xeon", 16)]
         assert "x86_64 discovery" in reason

@@ -221,6 +221,32 @@ class TestSubmissionModels:
             _, _, _, served = server._lower(submission)
             assert served == batch, max_k  # case-insensitive app, same address
 
+    @pytest.mark.parametrize("kind", ["scaling", "ranks"])
+    def test_sweep_digest_is_the_grid_width_cell(self, kind, tmp_path):
+        """Every machine's submission at one width lowers to the batch
+        grid's one cell for that (app, width), so all share its digest."""
+        from repro.api.sweep import SCALING_MACHINES, decode_request
+        from repro.cli import _build_parser, _config_from_args
+        from repro.exec.store import StudyStore
+        from repro.experiments import sweep
+        from repro.serve.server import ReproServer
+
+        grid = {"scaling": sweep.scaling, "ranks": sweep.ranks}[kind]
+        config = _config_from_args(_build_parser().parse_args([kind, "--quick"]))
+        (request,) = (
+            r for r in grid.requests(config)
+            if r.app == "graph500" and decode_request(r)[1] == 2
+        )
+        batch = StudyStore(str(tmp_path), config).digest(request)
+        server = ReproServer(cache_dir=str(tmp_path))
+        width = {"threads": 2} if kind == "scaling" else {"ranks": 2}
+        for machine in SCALING_MACHINES:
+            submission = CellSubmission(
+                kind=kind, app="GRAPH500", machine=machine.upper(), scale="quick", **width
+            )
+            _, _, _, served = server._lower(submission)
+            assert served == batch, machine
+
     def test_cell_status_roundtrip(self):
         status = CellStatus(
             digest="d" * 64,
