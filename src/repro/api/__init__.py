@@ -78,12 +78,7 @@ from repro.api.sweep import (
     run_rank_cell,
     run_scaling_cell,
 )
-from repro.api.types import (
-    EvaluationResult,
-    PipelineConfig,
-    SupportsProgram,
-    evaluation_payload,
-)
+from repro.api.types import EvaluationResult, PipelineConfig, SupportsProgram
 
 __all__ = [
     "PipelineBuilder",
@@ -128,5 +123,4 @@ __all__ = [
     "EvaluationResult",
     "PipelineConfig",
     "SupportsProgram",
-    "evaluation_payload",
 ]

@@ -297,8 +297,9 @@ class SelectStage(Stage):
                 {
                     "representatives": sel.representatives,
                     "multipliers": sel.multipliers,
-                    "labels": sel.labels,
-                    "weights": sel.weights,
+                    "rep_weights": sel.rep_weights,
+                    "total_weight": float(sel.total_weight),
+                    "n_barrier_points": int(sel.n_barrier_points),
                     "run_index": int(sel.run_index),
                 }
                 for sel in ctx.require("selections")
@@ -309,13 +310,7 @@ class SelectStage(Stage):
         ctx.put(
             "selections",
             [
-                BarrierPointSelection(
-                    representatives=row["representatives"],
-                    multipliers=row["multipliers"],
-                    labels=row["labels"],
-                    weights=row["weights"],
-                    run_index=int(row["run_index"]),
-                )
+                BarrierPointSelection(**row)
                 for row in payload["selections"]
             ],
         )

@@ -21,7 +21,6 @@ __all__ = [
     "SupportsProgram",
     "PipelineConfig",
     "EvaluationResult",
-    "evaluation_payload",
 ]
 
 
@@ -92,32 +91,3 @@ class EvaluationResult:
     def __str__(self) -> str:
         return f"{self.label}: k={self.selection.k}, {self.report.summary()}"
 
-
-def evaluation_payload(result: EvaluationResult) -> dict:
-    """JSON-shaped rendering of one :class:`EvaluationResult`.
-
-    Every float is emitted exactly (``repr``-round-trippable), so two
-    payloads compare byte-identical iff the underlying numbers do — the
-    equivalence test between the staged graph and the eager
-    :class:`~repro.api.StagePipeline` methods serialises both sides
-    through this function.
-    """
-    selection = result.selection
-    report = result.report
-    return {
-        "label": result.label,
-        "selection": {
-            "representatives": [int(v) for v in selection.representatives],
-            "multipliers": [float(v) for v in selection.multipliers],
-            "labels": [int(v) for v in selection.labels],
-            "weights": [float(v) for v in selection.weights],
-            "run_index": int(selection.run_index),
-        },
-        "report": {
-            "error_mean": [float(v) for v in report.error_mean],
-            "error_per_thread": [
-                [float(v) for v in row] for row in report.error_per_thread
-            ],
-            "error_std": [float(v) for v in report.error_std],
-        },
-    }

@@ -28,41 +28,41 @@ __all__ = ["BarrierPointSelection", "select_barrier_points"]
 class BarrierPointSelection:
     """One barrier point set (the unit Table III counts min/max over).
 
+    Holds what reconstruction and Table IV read, and nothing that grows
+    with the barrier-point count; cluster membership stays on the
+    :class:`~repro.clustering.simpoint.ClusteringChoice` it came from.
+
     Attributes
     ----------
     representatives:
         ``(k,)`` barrier-point indices, one per cluster.
     multipliers:
         ``(k,)`` weight ratios scaling each representative's counters.
-    labels:
-        ``(n_bp,)`` cluster assignment of every barrier point.
-    weights:
-        ``(n_bp,)`` instruction weights used for the accounting columns.
+    rep_weights:
+        ``(k,)`` the representatives' instruction weights.
+    total_weight:
+        Instruction weight of the whole region of interest.
+    n_barrier_points:
+        Total dynamic barrier points ('Total' in Table III).
     run_index:
         Discovery run that produced this set.
     """
 
     representatives: np.ndarray
     multipliers: np.ndarray
-    labels: np.ndarray
-    weights: np.ndarray
+    rep_weights: np.ndarray
+    total_weight: float
+    n_barrier_points: int
     run_index: int
 
     def __post_init__(self) -> None:
-        if self.representatives.shape != self.multipliers.shape:
-            raise ValueError("representatives and multipliers must align")
-        if self.labels.shape != self.weights.shape:
-            raise ValueError("labels and weights must align")
+        if not self.representatives.shape == self.multipliers.shape == self.rep_weights.shape:
+            raise ValueError("representatives, multipliers and rep_weights must align")
 
     @property
     def k(self) -> int:
         """Number of selected barrier points ('BPs Selected' in Table IV)."""
         return int(self.representatives.size)
-
-    @property
-    def n_barrier_points(self) -> int:
-        """Total dynamic barrier points ('Total' in Table III)."""
-        return int(self.labels.size)
 
     @property
     def bp_fraction(self) -> float:
@@ -72,12 +72,12 @@ class BarrierPointSelection:
     @property
     def selected_instruction_fraction(self) -> float:
         """Fraction of instructions in the selected set (Table IV 'Total')."""
-        return float(self.weights[self.representatives].sum() / self.weights.sum())
+        return float(self.rep_weights.sum() / self.total_weight)
 
     @property
     def largest_instruction_fraction(self) -> float:
         """Largest representative's instruction share (Table IV 'Largest BP')."""
-        return float(self.weights[self.representatives].max() / self.weights.sum())
+        return float(self.rep_weights.max() / self.total_weight)
 
     @property
     def speedup(self) -> float:
@@ -113,6 +113,8 @@ def select_barrier_points(
     """
     weights = np.asarray(weights, dtype=float)
     labels = choice.result.labels
+    if labels.shape != weights.shape:
+        raise ValueError("labels and weights must align")
     projected = choice.projected
     centers = choice.result.centers
 
@@ -132,10 +134,12 @@ def select_barrier_points(
         multipliers.append(cluster_weight / rep_weight)
 
     order = np.argsort(representatives)
+    representatives = np.asarray(representatives, dtype=np.int64)[order]
     return BarrierPointSelection(
-        representatives=np.asarray(representatives, dtype=np.int64)[order],
+        representatives=representatives,
         multipliers=np.asarray(multipliers, dtype=float)[order],
-        labels=labels.copy(),
-        weights=weights.copy(),
+        rep_weights=weights[representatives],
+        total_weight=float(weights.sum()),
+        n_barrier_points=int(labels.size),
         run_index=run_index,
     )

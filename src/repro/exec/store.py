@@ -58,8 +58,10 @@ __all__ = [
 #: keeps only the representatives' mean rows, and ``profile``,
 #: ``rankify`` and ``cluster`` are no longer stored; 14: rank jobs run
 #: through ``profile`` and ``signature``, whose key now names the rank
-#: count and phases, so every stage digest moved).
-CACHE_VERSION = 14
+#: count and phases, so every stage digest moved; 15: ``select`` keeps
+#: the representatives' weights and the ROI total, not every barrier
+#: point's label and weight).
+CACHE_VERSION = 15
 
 #: The store's namespaces: cell payloads, stage payloads, and the
 #: one-shot hand-off files of the ``processes`` backend.

@@ -87,9 +87,8 @@ def drop_insignificant(
     """
     if not 0.0 <= min_weight_fraction < 1.0:
         raise ValueError("min_weight_fraction must be in [0, 1)")
-    total = selection.weights.sum()
-    covered = selection.multipliers * selection.weights[selection.representatives]
-    keep = covered / total >= min_weight_fraction
+    covered = selection.multipliers * selection.rep_weights
+    keep = covered / selection.total_weight >= min_weight_fraction
     if not keep.any():
         keep[np.argmax(covered)] = True
     scale = covered.sum() / covered[keep].sum()
@@ -97,6 +96,7 @@ def drop_insignificant(
         selection,
         representatives=selection.representatives[keep],
         multipliers=selection.multipliers[keep] * scale,
+        rep_weights=selection.rep_weights[keep],
     )
 
 

@@ -14,15 +14,9 @@ import json
 
 import numpy as np
 import pytest
+from evaluations import evaluation_payload
 
-from repro.api import (
-    ClusterStage,
-    PipelineConfig,
-    Stage,
-    StagePipeline,
-    build_pipeline,
-    evaluation_payload,
-)
+from repro.api import ClusterStage, PipelineConfig, Stage, StagePipeline, build_pipeline
 from repro.hw.machines import APM_XGENE, INTEL_I7_3770
 from repro.hw.measure import MeasurementProtocol
 from repro.isa.descriptors import ISA

@@ -76,8 +76,8 @@ class TestDropInsignificant:
         base = pipeline.discover()[0]
         reduced = drop_insignificant(base, 0.05)
         assert reduced.k <= base.k
-        base_cover = (base.multipliers * base.weights[base.representatives]).sum()
-        red_cover = (reduced.multipliers * reduced.weights[reduced.representatives]).sum()
+        base_cover = (base.multipliers * base.rep_weights).sum()
+        red_cover = (reduced.multipliers * reduced.rep_weights).sum()
         assert red_cover == pytest.approx(base_cover)
 
     def test_zero_threshold_identity(self):

@@ -30,7 +30,7 @@ class TestDiscovery:
         _, selections = minife_pipeline
         for s in selections:
             assert s.n_barrier_points == 1208
-            assert s.labels.shape == (1208,)
+            assert s.rep_weights.shape == (s.k,)
 
     def test_selection_is_small_subset(self, minife_pipeline):
         _, selections = minife_pipeline

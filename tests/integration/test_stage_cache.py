@@ -12,17 +12,21 @@ side behind them.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
+from evaluations import evaluation_payload
 
-from repro.api import PipelineConfig, build_pipeline, evaluation_payload
+from repro.api import PipelineConfig, build_pipeline
 from repro.api.builder import StagePipeline
 from repro.api.study import run_crossarch
 from repro.api.sweep import RANK_THREADS
 from repro.clustering.simpoint import SimPointOptions
+from repro.core.selection import BarrierPointSelection
 from repro.exec.stagestore import StageStore, stage_store_for
 from repro.exec.store import STAGES
+from repro.experiments.config import default_config
 from repro.hw.machines import INTEL_I7_3770
 from repro.hw.measure import MeasurementProtocol
 from repro.isa.descriptors import ISA
@@ -282,6 +286,30 @@ class TestStoredPayloads:
         ):
             assert got["totals"].tobytes() == want["totals"].tobytes()
             assert got["per_rep"].tobytes() == want["per_rep"].tobytes()
+
+    def test_quick_lulesh_select_entry_is_small_and_exact(self, store):
+        # The largest quick discovery: 9,840 barrier points x 3 runs.
+        # Nothing in the entry grows with the barrier-point count, and it
+        # decodes to the live selections, every float to the bit.
+        config = default_config("quick").pipeline_config()
+        live = build_pipeline("LULESH", threads=8, config=config).build().discover(store)
+        (entry,) = store.artifacts.entries()
+        assert entry.name.startswith("select_")
+        assert entry.stat().st_size < 16 * 1024
+        assert [s.n_barrier_points for s in live] == [9840] * 3
+
+        store.stats.reset()
+        warm = build_pipeline("LULESH", threads=8, config=config).build().discover(store)
+        assert dict(store.stats.hits) == {"select": 1} and not store.stats.run_seconds
+        for got, want in zip(warm, live, strict=True):
+            for field in fields(BarrierPointSelection):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(b, np.ndarray):
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+                    assert a.tobytes() == b.tobytes(), field.name
+                else:
+                    assert type(a) is type(b), field.name
+                    assert np.float64(a).tobytes() == np.float64(b).tobytes(), field.name
 
 
 class TestStageProfileCounters:

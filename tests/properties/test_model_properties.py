@@ -3,8 +3,11 @@
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.clustering.kmeans import KMeansResult
+from repro.clustering.simpoint import ClusteringChoice
 from repro.core.reconstruction import reconstruct_totals
-from repro.core.selection import BarrierPointSelection
+from repro.core.selection import BarrierPointSelection, select_barrier_points
+from repro.experiments.ablations import drop_insignificant
 from repro.ir.memory import MemoryPattern, PatternKind
 from repro.mem.hierarchy import miss_fraction, miss_probability
 from repro.mem.ldv import pattern_ldv_rows
@@ -109,8 +112,9 @@ def selections_with_measurements(draw):
     selection = BarrierPointSelection(
         representatives=np.asarray(reps, dtype=np.int64),
         multipliers=mult,
-        labels=labels,
-        weights=weights,
+        rep_weights=weights[reps],
+        total_weight=float(weights.sum()),
+        n_barrier_points=n,
         run_index=0,
     )
     return selection, values
@@ -134,3 +138,73 @@ def test_selection_fractions_within_bounds(case):
     assert 0 < selection.selected_instruction_fraction <= 1.0 + 1e-9
     assert 0 < selection.largest_instruction_fraction <= selection.selected_instruction_fraction + 1e-9
     assert selection.speedup >= 1.0 - 1e-9
+
+
+@st.composite
+def clusterings_with_weights(draw):
+    """A clustering of up to 400 barrier points and their weights."""
+    n = draw(st.integers(min_value=1, max_value=400))
+    k = draw(st.integers(min_value=1, max_value=min(n, 20)))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    gen = np.random.default_rng(seed)
+    labels = gen.integers(0, k, n)
+    labels[:k] = np.arange(k)
+    # Weights spanning many orders of magnitude, so that any change in
+    # the summation order would show in the low bits.
+    weights = gen.lognormal(mean=12.0, sigma=4.0, size=n)
+    projected = gen.random((n, 3))
+    centers = np.array([projected[labels == c].mean(axis=0) for c in range(k)])
+    result = KMeansResult(labels=labels, centers=centers, inertia=0.0, iterations=0)
+    choice = ClusteringChoice(k=k, result=result, projected=projected, bic_by_k={k: 0.0})
+    return choice, weights
+
+
+def _full_weight_columns(representatives, weights):
+    """Table IV's columns over every barrier point's weight: the formulas
+    selections used while they kept the whole weight vector."""
+    selected = float(weights[representatives].sum() / weights.sum())
+    largest = float(weights[representatives].max() / weights.sum())
+    return {
+        "selected_instruction_fraction": selected,
+        "largest_instruction_fraction": largest,
+        "speedup": 1.0 / selected,
+        "parallel_speedup": 1.0 / largest,
+        "offers_gain": weights.size > 1 and selected < 0.999,
+    }
+
+
+def _full_weight_drop(representatives, multipliers, weights, min_weight_fraction):
+    """``drop_insignificant`` over every barrier point's weight."""
+    total = weights.sum()
+    covered = multipliers * weights[representatives]
+    keep = covered / total >= min_weight_fraction
+    if not keep.any():
+        keep[np.argmax(covered)] = True
+    scale = covered.sum() / covered[keep].sum()
+    return representatives[keep], multipliers[keep] * scale
+
+
+def _assert_columns_bitwise(selection, representatives, weights):
+    for name, want in _full_weight_columns(representatives, weights).items():
+        got = getattr(selection, name)
+        assert type(got) is type(want), name
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+
+
+@given(clusterings_with_weights(), st.floats(min_value=0.0, max_value=0.99))
+@settings(max_examples=100)
+def test_columns_equal_the_full_weight_formulas_bitwise(case, min_weight_fraction):
+    """Keeping only the representatives' weights and the total changes
+    no bit of a Table IV column, before or after dropping clusters."""
+    choice, weights = case
+    selection = select_barrier_points(choice, weights)
+    assert selection.n_barrier_points == weights.size
+    _assert_columns_bitwise(selection, selection.representatives, weights)
+
+    dropped = drop_insignificant(selection, min_weight_fraction)
+    representatives, multipliers = _full_weight_drop(
+        selection.representatives, selection.multipliers, weights, min_weight_fraction
+    )
+    assert dropped.representatives.tobytes() == representatives.tobytes()
+    assert dropped.multipliers.tobytes() == multipliers.tobytes()
+    _assert_columns_bitwise(dropped, representatives, weights)

@@ -1,5 +1,7 @@
 """Tests for signatures, selection, reconstruction and validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,9 @@ def _selection(labels, weights, reps=None):
     return BarrierPointSelection(
         representatives=reps,
         multipliers=mult,
-        labels=labels,
-        weights=weights,
+        rep_weights=weights[reps],
+        total_weight=float(weights.sum()),
+        n_barrier_points=labels.size,
         run_index=0,
     )
 
@@ -75,15 +78,43 @@ class TestSelection:
         sig = build_signatures((obs,))
         choice = run_simpoint(sig.combined, sig.weights, np.random.default_rng(0))
         selection = select_barrier_points(choice, sig.weights)
-        assert selection.k == len(np.unique(selection.labels[selection.representatives]))
+        labels = choice.result.labels
+        assert selection.k == len(np.unique(labels[selection.representatives]))
+        assert selection.k == len(np.unique(labels))
 
     def test_representative_in_own_cluster(self):
         obs = _observation(30, seed=3)
         sig = build_signatures((obs,))
         choice = run_simpoint(sig.combined, sig.weights, np.random.default_rng(1))
         selection = select_barrier_points(choice, sig.weights)
-        for rep in selection.representatives:
-            assert selection.labels[rep] in selection.labels
+        labels = choice.result.labels
+        for rep, multiplier in zip(
+            selection.representatives, selection.multipliers, strict=True
+        ):
+            cluster = labels == labels[rep]
+            assert multiplier == sig.weights[cluster].sum() / sig.weights[rep]
+
+    def test_keeps_only_the_representatives_weights(self):
+        obs = _observation(30, seed=4)
+        sig = build_signatures((obs,))
+        choice = run_simpoint(sig.combined, sig.weights, np.random.default_rng(2))
+        selection = select_barrier_points(choice, sig.weights, run_index=5)
+        assert selection.rep_weights.shape == (selection.k,)
+        assert selection.rep_weights.tobytes() == (
+            sig.weights[selection.representatives].tobytes()
+        )
+        assert selection.total_weight == float(sig.weights.sum())
+        assert (selection.n_barrier_points, selection.run_index) == (30, 5)
+
+    def test_misaligned_inputs_rejected(self):
+        obs = _observation(20, seed=5)
+        sig = build_signatures((obs,))
+        choice = run_simpoint(sig.combined, sig.weights, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="labels and weights"):
+            select_barrier_points(choice, sig.weights[:-1])
+        selection = _selection([0, 0, 1], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="must align"):
+            replace(selection, rep_weights=selection.rep_weights[:1])
 
     def test_fraction_properties(self):
         weights = np.array([10.0, 10.0, 80.0])
