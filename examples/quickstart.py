@@ -20,8 +20,8 @@ def main() -> None:
     print(f"Application : {app.name} — {app.description}")
     print(f"Input       : {app.input_args}")
 
-    # Assemble the seven-stage graph: profile → signature → cluster →
-    # select on x86_64, then measure → reconstruct → validate per target.
+    # Assemble the six-stage graph: profile → signature → cluster →
+    # select on x86_64, then measure (and reconstruct) → validate per target.
     pipeline = (
         build_pipeline(app, threads=8, config=PipelineConfig(discovery_runs=5))
         .on(ISA.X86_64, ISA.ARMV8)

@@ -1,7 +1,7 @@
 """``repro.api`` — the composable stage-based methodology API.
 
 The paper's workflow (profile → signatures → clustering → selection →
-measurement → reconstruction → validation) is expressed as seven
+measurement and reconstruction → validation) is expressed as six
 first-class :class:`~repro.api.stage.Stage` plugins assembled by a
 fluent builder::
 
@@ -54,7 +54,6 @@ from repro.api.stages import (
     ClusterStage,
     MeasureStage,
     ProfileStage,
-    ReconstructStage,
     SelectStage,
     SignatureStage,
     ValidateStage,
@@ -101,7 +100,6 @@ __all__ = [
     "ClusterStage",
     "SelectStage",
     "MeasureStage",
-    "ReconstructStage",
     "ValidateStage",
     "evaluate_selection",
     "CrossArchResult",

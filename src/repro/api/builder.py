@@ -77,8 +77,9 @@ class PipelineRun:
     behind but its weights.  A run against a warm store holds only what
     its results needed: the artifacts of stages upstream of a loaded
     one (``observations``, ``signatures``, ``clusterings``) are absent,
-    and ``measurements`` holds, per selection, the mean rows of its
-    representatives only, never every barrier point's.
+    and no artifact holds a representative's reading: ``measurements``
+    keeps each selection's ROI reads, ``estimates`` its reconstructed
+    whole-program counters.
 
     Example
     -------

@@ -210,7 +210,7 @@ machine_registry: PluginRegistry = PluginRegistry(
     "machine", autoload="repro.hw.machines"
 )
 
-#: The seven methodology stages plus any user-registered replacements.
+#: The six methodology stages plus any user-registered replacements.
 stage_registry: PluginRegistry = PluginRegistry(
     "stage", autoload="repro.api.stages"
 )

@@ -1,4 +1,4 @@
-"""The seven first-class stages of the BarrierPoint methodology.
+"""The six first-class stages of the BarrierPoint methodology.
 
 The paper's workflow (Section V) decomposed from the old 278-line
 monolith into pluggable steps:
@@ -10,8 +10,9 @@ profile     observations  execute the binary under the Pintool
 signature   signatures    combine BBV ⊕ LDV into signature vectors
 cluster     clusterings   SimPoint-style k sweep with BIC selection
 select      selections    representatives + multipliers per cluster
-measure     measurements  the representatives' counters and the clean ROI
-reconstruct estimates     scale representatives up to whole-program
+measure     measurements  the clean ROI counters on each target, and the
+            estimates     whole-program counters rebuilt from the
+                          representatives' readings
 validate    evaluations   error vs. the clean region of interest
 =========== ============= ===============================================
 
@@ -54,7 +55,6 @@ __all__ = [
     "ClusterStage",
     "SelectStage",
     "MeasureStage",
-    "ReconstructStage",
     "ValidateStage",
     "DEFAULT_STAGE_NAMES",
     "default_stages",
@@ -68,9 +68,28 @@ DEFAULT_STAGE_NAMES = (
     "cluster",
     "select",
     "measure",
-    "reconstruct",
     "validate",
 )
+
+
+def _estimate(
+    ctx: StageContext,
+    selection: BarrierPointSelection,
+    machine: Machine,
+    isa: ISA | None = None,
+) -> dict:
+    """Step 4 on one target: scale the representatives' readings up.
+
+    ``totals`` is the ``(threads, 4)`` whole-program estimate from the
+    representatives' mean rows, ``per_rep`` the ``(repetitions,
+    threads, 4)`` estimates from their per-repetition reads.
+    """
+    bp_reps, _ = ctx.rep_samples(selection, machine, isa)
+    means = ctx.measured_means(machine, isa)
+    return {
+        "totals": reconstruct_totals(selection, means[selection.representatives]),
+        "per_rep": reconstruct_per_rep(selection, bp_reps),
+    }
 
 
 def evaluate_selection(
@@ -81,25 +100,20 @@ def evaluate_selection(
 ) -> EvaluationResult:
     """Measure → reconstruct → validate one selection on one target.
 
-    The single source of truth both the eager path
-    (:meth:`~repro.api.StagePipeline.evaluate`) and the staged graph
-    reduce to;
+    The eager path (:meth:`~repro.api.StagePipeline.evaluate`) and the
+    staged graph reconstruct through the same arithmetic;
     raises :class:`~repro.core.errors.CrossArchitectureMismatch` when
     the target's barrier sequence disagrees with discovery.  ``isa``
     defaults to the machine's own ISA.
     """
     isa = isa or machine.isa
     ctx.check_compatible(selection, machine, isa)
-    estimate = reconstruct_totals(
-        selection, ctx.measured_means(machine, isa)[selection.representatives]
-    )
-    reference = ctx.reference_totals(machine, isa)
-    bp_reps, roi_reps = ctx.rep_samples(selection, machine, isa)
+    estimate = _estimate(ctx, selection, machine, isa)
     report = validate_estimate(
-        estimate,
-        reference,
-        estimate_reps=reconstruct_per_rep(selection, bp_reps),
-        reference_reps=roi_reps,
+        estimate["totals"],
+        ctx.reference_totals(machine, isa),
+        estimate_reps=estimate["per_rep"],
+        reference_reps=ctx.rep_samples(selection, machine, isa)[1],
     )
     return EvaluationResult(
         label=ctx.binary(isa).label, selection=selection, report=report
@@ -318,28 +332,31 @@ class SelectStage(Stage):
 
 @register_stage
 class MeasureStage(Stage):
-    """Step 3: native counters on every target machine.
+    """Steps 3 and 4: measure every target and reconstruct each selection.
 
-    Per target: the clean ROI ``reference``; under ``reps[run]``, each
-    selection's representatives only (``means``, their ``(k, threads,
-    4)`` rows of the instrumented per-barrier-point means, and ``bp``
-    and ``roi``, the per-repetition reads); and ``comm_cycles``: the
-    slowest rank's noise-free network cycles (``0.0`` for shared-memory
-    jobs), which rank cells report without re-running the trace.  A
-    target whose barrier sequence disagrees with discovery (HPGMG-FV on
-    ARMv8) is recorded under ``failures`` instead of aborting the whole
-    graph.
+    Per target, ``measurements`` holds the clean ROI ``reference``;
+    ``roi``, each selection's per-repetition ROI reads; and
+    ``comm_cycles``: the slowest rank's noise-free network cycles
+    (``0.0`` for shared-memory jobs), which rank cells report without
+    re-running the trace.  ``estimates`` holds each selection's
+    whole-program ``totals`` and ``per_rep`` estimates, the
+    multiplier-weighted sums of its representatives' readings; the
+    readings themselves are not kept, so no stored row grows with k.
+    A target whose barrier sequence disagrees with discovery (HPGMG-FV
+    on ARMv8) is recorded under ``failures`` instead of aborting the
+    whole graph.
     """
 
     name = "measure"
     inputs = ("selections",)
-    outputs = ("measurements", "failures")
-    description = "measure the representatives' and the clean-ROI counters on each target"
+    outputs = ("measurements", "estimates", "failures")
+    description = "measure each target and reconstruct whole-program counters"
     cacheable = True
 
     def run(self, ctx: StageContext) -> StageContext:
         selections = ctx.require("selections")
         measurements: dict[str, dict] = {}
+        estimates: dict[str, list[dict]] = {}
         failures: dict[str, str] = dict(ctx.get("failures", {}))
         for machine in ctx.targets:
             try:
@@ -347,21 +364,14 @@ class MeasureStage(Stage):
             except CrossArchitectureMismatch as exc:
                 failures[machine.name] = str(exc)
                 continue
-            means = ctx.measured_means(machine)
-            reps = {}
-            for selection in selections:
-                bp_reps, roi_reps = ctx.rep_samples(selection, machine)
-                reps[selection.run_index] = {
-                    "means": means[selection.representatives],
-                    "bp": bp_reps,
-                    "roi": roi_reps,
-                }
+            estimates[machine.name] = [_estimate(ctx, s, machine) for s in selections]
             measurements[machine.name] = {
                 "reference": ctx.reference_totals(machine),
-                "reps": reps,
+                "roi": [ctx.rep_samples(s, machine)[1] for s in selections],
                 "comm_cycles": 0.0 if comm is None else float(comm.sum(axis=0).max()),
             }
         ctx.put("measurements", measurements)
+        ctx.put("estimates", estimates)
         ctx.put("failures", failures)
         return ctx
 
@@ -372,56 +382,11 @@ class MeasureStage(Stage):
         }
 
     def encode(self, ctx: StageContext) -> dict:
-        return {
-            "measurements": {
-                name: {
-                    "reference": entry["reference"],
-                    "reps": {str(run): dict(rows) for run, rows in entry["reps"].items()},
-                    "comm_cycles": entry["comm_cycles"],
-                }
-                for name, entry in ctx.require("measurements").items()
-            },
-            "failures": dict(ctx.require("failures")),
-        }
+        return {name: ctx.require(name) for name in self.outputs}
 
     def decode(self, payload: dict, ctx: StageContext) -> None:
-        ctx.put(
-            "measurements",
-            {
-                name: {
-                    "reference": entry["reference"],
-                    "reps": {int(run): dict(rows) for run, rows in entry["reps"].items()},
-                    "comm_cycles": entry["comm_cycles"],
-                }
-                for name, entry in payload["measurements"].items()
-            },
-        )
-        ctx.put("failures", dict(payload["failures"]))
-
-
-@register_stage
-class ReconstructStage(Stage):
-    """Step 4: scale representatives up to whole-program estimates."""
-
-    name = "reconstruct"
-    inputs = ("selections", "measurements")
-    outputs = ("estimates",)
-    description = "reconstruct whole-program counters from representatives"
-
-    def run(self, ctx: StageContext) -> StageContext:
-        selections = ctx.require("selections")
-        estimates: dict[str, list[dict]] = {}
-        for name, entry in ctx.require("measurements").items():
-            reps = [entry["reps"][selection.run_index] for selection in selections]
-            estimates[name] = [
-                {
-                    "totals": reconstruct_totals(selection, rows["means"]),
-                    "per_rep": reconstruct_per_rep(selection, rows["bp"]),
-                }
-                for selection, rows in zip(selections, reps, strict=True)
-            ]
-        ctx.put("estimates", estimates)
-        return ctx
+        for name in self.outputs:
+            ctx.put(name, payload[name])
 
 
 @register_stage
@@ -449,17 +414,19 @@ class ValidateStage(Stage):
                         estimate["totals"],
                         entry["reference"],
                         estimate_reps=estimate["per_rep"],
-                        reference_reps=entry["reps"][selection.run_index]["roi"],
+                        reference_reps=roi,
                     ),
                 )
-                for selection, estimate in zip(selections, per_selection, strict=True)
+                for selection, estimate, roi in zip(
+                    selections, per_selection, entry["roi"], strict=True
+                )
             ]
         ctx.put("evaluations", evaluations)
         return ctx
 
 
 def default_stages() -> list[Stage]:
-    """Fresh default-configured instances of the seven canonical stages."""
+    """Fresh default-configured instances of the six canonical stages."""
     from repro.api.registry import stage_registry
 
     return [stage_registry.get(name)() for name in DEFAULT_STAGE_NAMES]

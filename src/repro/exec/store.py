@@ -60,8 +60,9 @@ __all__ = [
 #: through ``profile`` and ``signature``, whose key now names the rank
 #: count and phases, so every stage digest moved; 15: ``select`` keeps
 #: the representatives' weights and the ROI total, not every barrier
-#: point's label and weight).
-CACHE_VERSION = 15
+#: point's label and weight; 16: ``measure`` keeps each selection's
+#: reconstructed estimates, not its representatives' readings).
+CACHE_VERSION = 16
 
 #: The store's namespaces: cell payloads, stage payloads, and the
 #: one-shot hand-off files of the ``processes`` backend.

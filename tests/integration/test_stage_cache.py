@@ -8,7 +8,9 @@ protocol or the targets reuses the stored selections — asserted here
 through the store's per-stage hit counters and run timers, with
 byte-identical results either way.  Loading is demand-driven: a warm
 graph looks up only ``select`` and ``measure``, never the discovery
-side behind them.
+side behind them, and runs only ``validate``.  No stored payload grows
+with k: ``measure`` keeps each selection's reconstructed estimates, not
+its representatives' readings.
 """
 
 import json
@@ -20,9 +22,11 @@ from evaluations import evaluation_payload
 
 from repro.api import PipelineConfig, build_pipeline
 from repro.api.builder import StagePipeline
+from repro.api.registry import machine_registry
 from repro.api.study import run_crossarch
-from repro.api.sweep import RANK_THREADS
+from repro.api.sweep import RANK_THREADS, SCALING_MACHINES
 from repro.clustering.simpoint import SimPointOptions
+from repro.core.reconstruction import reconstruct_per_rep, reconstruct_totals
 from repro.core.selection import BarrierPointSelection
 from repro.exec.stagestore import StageStore, stage_store_for
 from repro.exec.store import STAGES
@@ -176,7 +180,7 @@ class TestDemandDrivenLoading:
         store.stats.reset()
         _run(FAST, store)
         assert _lookups(store.stats) == ["measure", "select"]
-        assert sorted(store.stats.run_seconds) == ["reconstruct", "validate"]
+        assert sorted(store.stats.run_seconds) == ["validate"]
 
     def test_maxk_change_reruns_signature_and_cluster(self, store):
         _run(FAST, store)
@@ -185,9 +189,7 @@ class TestDemandDrivenLoading:
         warm = _run(capped, store)
         # Nothing upstream of select is stored: discovery runs again.
         assert dict(store.stats.misses) == {"select": 1, "measure": 1}
-        assert sorted(store.stats.run_seconds) == sorted(
-            REDISCOVERED + ("reconstruct", "validate")
-        )
+        assert sorted(store.stats.run_seconds) == sorted(REDISCOVERED + ("validate",))
         assert _payload(warm) == _payload(_run(capped, StageStore("")))
 
     def test_warm_trimmed_graph_exposes_selections_and_measurements(self, store):
@@ -195,7 +197,6 @@ class TestDemandDrivenLoading:
             return (
                 build_pipeline("MCB", threads=2, config=FAST)
                 .on(ISA.X86_64)
-                .without_stage("reconstruct")
                 .without_stage("validate")
                 .run(store)
             )
@@ -212,10 +213,9 @@ class TestDemandDrivenLoading:
         cold_m, warm_m = (
             r.context.require("measurements")[name] for r in (cold, warm)
         )
-        assert warm_m["reps"].keys() == cold_m["reps"].keys()
-        for run, rows in warm_m["reps"].items():
-            assert rows["means"].tobytes() == cold_m["reps"][run]["means"].tobytes()
         assert warm_m["reference"].tobytes() == cold_m["reference"].tobytes()
+        assert [r.tobytes() for r in warm_m["roi"]] == [r.tobytes() for r in cold_m["roi"]]
+        _assert_same_estimates(warm.context, cold.context, name)
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_discover_then_run_with_store(self, store, warm):
@@ -231,6 +231,45 @@ class TestDemandDrivenLoading:
         assert _lookups(store.stats) == ["measure"]
         assert _ran(store.stats, DISCOVERY + ("cluster", "select")) == []
         assert _payload(run) == _payload(_run(FAST, StageStore("")))
+
+
+def _assert_same_estimates(got_ctx, want_ctx, name):
+    """Both contexts hold the same estimates on ``name``, to the bit."""
+    got, want = (ctx.require("estimates")[name] for ctx in (got_ctx, want_ctx))
+    assert len(got) == len(want)
+    for a, b in zip(got, want, strict=True):
+        assert a.keys() == b.keys() == {"totals", "per_rep"}
+        for key in a:
+            assert (a[key].dtype, a[key].shape) == (b[key].dtype, b[key].shape), key
+            assert a[key].tobytes() == b[key].tobytes(), key
+
+
+def _keys(node):
+    """Every dict key anywhere in a payload tree."""
+    if isinstance(node, dict):
+        return set(node).union(*(_keys(value) for value in node.values()))
+    if isinstance(node, list):
+        return set().union(*(_keys(value) for value in node))
+    return set()
+
+
+def _assert_estimates_reconstruct(payload, ctx, machine):
+    """The stored estimates are Step 4 over ``ctx``'s own readings, bit for bit."""
+    estimates = payload["estimates"][machine.name]
+    means = ctx.measured_means(machine)
+    selections = ctx.require("selections")
+    assert len(estimates) == len(selections)
+    for selection, estimate in zip(selections, estimates, strict=True):
+        bp_reps, _ = ctx.rep_samples(selection, machine)
+        want = {
+            "totals": reconstruct_totals(selection, means[selection.representatives]),
+            "per_rep": reconstruct_per_rep(selection, bp_reps),
+        }
+        assert estimate.keys() == want.keys()
+        for key, array in want.items():
+            got = estimate[key]
+            assert (got.dtype, got.shape) == (array.dtype, array.shape), key
+            assert got.tobytes() == array.tobytes(), key
 
 
 def _rank_pipeline():
@@ -262,30 +301,66 @@ class TestStoredPayloads:
         assert {path.parent.parent.name for path in entries} == {STAGES}
 
     @PIPELINES
-    def test_measure_entry_holds_the_representatives_rows(self, store, pipeline):
+    def test_measure_entry_holds_the_estimates_not_the_readings(self, store, pipeline):
         cold = pipeline()
         cold.run(store)
         digest = {stage.name: digest for stage, digest in cold._chain()}["measure"]
         payload = store.load(digest, "measure")
         ctx = cold.context
+        assert set(payload) == {"measurements", "estimates", "failures"}
+        assert not {"means", "bp", "reps"} & _keys(payload)
         entry = payload["measurements"][INTEL_I7_3770.name]
-        means = ctx.measured_means(INTEL_I7_3770)  # (n_bp, threads, 4)
-        assert "means" not in entry
-        for selection in ctx.require("selections"):
-            rows = entry["reps"][str(selection.run_index)]["means"]
-            assert rows.shape == (selection.k, *means.shape[1:])
-            assert rows.tobytes() == means[selection.representatives].tobytes()
+        assert set(entry) == {"reference", "roi", "comm_cycles"}
+        assert entry["reference"].tobytes() == ctx.reference_totals(INTEL_I7_3770).tobytes()
+        selections = ctx.require("selections")
+        assert [r.tobytes() for r in entry["roi"]] == [
+            ctx.rep_samples(s, INTEL_I7_3770)[1].tobytes() for s in selections
+        ]
+        _assert_estimates_reconstruct(payload, ctx, INTEL_I7_3770)
 
         warm = pipeline()
         warm.run(store)
         assert "observations" not in warm.context.artifacts
-        for got, want in zip(
-            warm.context.require("estimates")[INTEL_I7_3770.name],
-            ctx.require("estimates")[INTEL_I7_3770.name],
-            strict=True,
-        ):
-            assert got["totals"].tobytes() == want["totals"].tobytes()
-            assert got["per_rep"].tobytes() == want["per_rep"].tobytes()
+        _assert_same_estimates(warm.context, ctx, INTEL_I7_3770.name)
+
+    def test_measure_entry_size_does_not_grow_with_k(self, tmp_path):
+        def stored(config):
+            store = StageStore(tmp_path / str(config.simpoint.max_k))
+            run = _run(config, store)
+            (entry,) = store.artifacts.root.rglob("measure_*.rpb")
+            return [s.k for s in run.selections], entry.stat().st_size
+
+        capped_k, capped = stored(replace(FAST, simpoint=SimPointOptions(max_k=2)))
+        default_k, default = stored(FAST)
+        assert max(capped_k) <= 2 < max(default_k)
+        assert capped == default
+
+    def test_quick_8_rank_lulesh_measure_entry_is_small_and_exact(self, store):
+        # The largest quick measure entry: 8 ranks x 2 threads, 3 runs,
+        # 3 machines.  Nothing in it grows with k, and its estimates are
+        # Step 4 over readings a run that stores nothing takes afresh.
+        config = default_config("quick").pipeline_config()
+        machines = tuple(machine_registry.get(name) for name in SCALING_MACHINES)
+
+        def pipeline():
+            return StagePipeline(
+                DistributedWorkload("LULESH", ranks=8), RANK_THREADS, False, config,
+                targets=machines,
+            )
+
+        cold = pipeline()
+        cold.run(store)
+        (entry,) = store.artifacts.root.rglob("measure_*.rpb")
+        assert entry.stat().st_size < 64 * 1024
+        digest = {stage.name: digest for stage, digest in cold._chain()}["measure"]
+        payload = store.load(digest, "measure")
+        assert not payload["failures"]
+
+        # Discovery is loaded, not re-run: the selections are the stored ones.
+        fresh = pipeline()
+        fresh.discover(store)
+        for machine in machines:
+            _assert_estimates_reconstruct(payload, fresh.context, machine)
 
     def test_quick_lulesh_select_entry_is_small_and_exact(self, store):
         # The largest quick discovery: 9,840 barrier points x 3 runs.

@@ -87,14 +87,14 @@ class TestBuiltinRegistries:
         assert "ARMv8 in-order (A53-class)" in machine_registry
 
     def test_builtin_stages_registered(self):
-        # The paper's seven steps, for shared-memory and rank jobs alike.
+        # The paper's steps as six stages (measure also reconstructs),
+        # for shared-memory and rank jobs alike.
         assert stage_registry.names() == (
             "profile",
             "signature",
             "cluster",
             "select",
             "measure",
-            "reconstruct",
             "validate",
         )
 

@@ -54,8 +54,9 @@ class TestReferencePages:
             for line in capsys.readouterr().out.strip().splitlines()
         ]
         page = gen_reference.generate(target_dir=None)["stages.md"]
-        for name in listed:
-            assert f"`{name}`" in page
+        # The page's table lists exactly the stages `repro stages` does.
+        assert re.findall(r"^\| `(\w+)` \|", page, re.MULTILINE) == listed
+        assert re.findall(r"^### `(\w+)`$", page, re.MULTILINE) == listed
 
 
 class TestLinks:
