@@ -1,8 +1,8 @@
 """Self-heal and fault-injection observability.
 
 The stores heal torn artifacts by design — a truncated ``.rpb``
-container or a torn journal tail reads as a clean miss and the slot is
-repaired (deleted or truncated) so the next write recovers it.  Healing *silently*, however, hides real trouble: a
+container reads as a clean miss and is deleted so the next write
+recovers it.  Healing *silently*, however, hides real trouble: a
 disk that tears one write a day looks exactly like a cold cache.  This
 module is the process-wide tally of those recoveries (and, during chaos
 runs, of injected faults), folded into the same
@@ -11,14 +11,13 @@ already ships worker increments back to the parent process — so heals
 observed inside a ``processes``-backend worker still reach the
 ``--profile`` report and ``/v1/status``.
 
-The heal sites (:mod:`repro.exec.columnar`, under every
-:class:`~repro.exec.store.ArtifactStore` read, and
-:mod:`repro.util.recordlog`) have no stage or configuration context, so
-they report through the free functions here; every
-:class:`StageCacheStats` constructed in the process registers itself as
-a sink.  Increments that arrive before any sink exists (e.g. a bare
-``read_payload_file`` call in a unit test) are buffered and flushed
-into the first sink registered.
+The heal site (:mod:`repro.exec.columnar`, under every
+:class:`~repro.exec.store.ArtifactStore` read) has no stage or
+configuration context, so it reports through the free functions here;
+every :class:`StageCacheStats` constructed in the process registers
+itself as a sink.  Increments that arrive before any sink exists
+(e.g. a bare ``read_payload_file`` call in a unit test) are buffered
+and flushed into the first sink registered.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ def register_stats_sink(stats) -> None:
 def record_heal(site: str) -> None:
     """Count one corrupt-entry recovery at a named site.
 
-    Sites: ``"container"`` (torn ``.rpb`` cache entry or spill file),
-    ``"journal"`` (torn record-log tail).
+    The one site is ``"container"`` (a torn ``.rpb`` cache entry or
+    spill file).
     """
     if _SINKS:
         for stats in _SINKS:

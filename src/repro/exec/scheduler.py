@@ -200,7 +200,7 @@ class StudyScheduler:
         self._memory: dict[StudyRequest, object] = {}
         plan = active_plan(config)
         if plan.active:
-            # Driver-side writes (store/journal) must see the plan too.
+            # Store writes in this parent process must see the plan too.
             install_plan(plan)
 
     def _policy(self) -> RetryPolicy:

@@ -105,9 +105,10 @@ class ArtifactStore:
     SHARD_PREFIX = 2
     SUFFIX = ".rpb"
 
-    #: What older versions wrote straight under the cache root, before
-    #: the version became a directory level.
-    UNVERSIONED = (CELLS, STAGES, "traces", "checkpoints", SPILL)
+    #: What older versions wrote straight under the cache root: the
+    #: layout from before the version became a directory level, the
+    #: study checkpoint and the serve daemon's journal.
+    UNVERSIONED = (CELLS, STAGES, "traces", "checkpoints", SPILL, "serve")
     _VERSION_DIR = re.compile(r"v\d+\.\d+")
 
     def __init__(self, cache_dir: str | os.PathLike) -> None:
@@ -200,7 +201,7 @@ class ArtifactStore:
 
         Stale are the sibling version directories (``v<int>.<int>``)
         and the unversioned layout older versions wrote at the root.
-        Anything else there, such as ``serve/``, is left alone.
+        Any other name there is left alone.
         """
         root = self.root
         if root is None:
@@ -300,8 +301,9 @@ class StudyStore:
     def load_by_digest(self, digest: str):
         """Decode one persisted cell payload by its full digest (None on miss).
 
-        The serve daemon answers ``GET /v1/cells/{digest}`` for cells it
-        has no in-memory record of (e.g. after a restart) this way.
+        The serve daemon answers ``GET /v1/cells/{digest}`` and its
+        ``/events`` for cells it has no in-memory record of (e.g. after a
+        restart) this way.
         """
         loaded = self.artifacts.find(CELLS, digest)
         return None if loaded is None else loaded[0]

@@ -898,7 +898,7 @@ class ExceptionSwallowRule(LintRule):
 
     ``repro.exec`` and ``repro.serve`` are exactly the packages whose
     job is to *handle* failure: supervised retries, torn-write
-    self-heals, journal replay.  A handler there that catches
+    self-heals, graceful drain.  A handler there that catches
     everything and does nothing — ``except: pass`` — doesn't handle a
     failure, it deletes the evidence: a quarantine that should have
     fired becomes a silent wrong answer, a corrupt container becomes a

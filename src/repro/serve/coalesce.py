@@ -120,20 +120,13 @@ class CellRecord:
 
 
 class Coalescer:
-    """Digest-keyed table of served cells with in-flight dedup.
+    """Digest-keyed table of served cells with in-flight dedup."""
 
-    ``journal`` (optional, a :class:`~repro.serve.journal.ServeJournal`)
-    receives one append per terminal transition (done or failed),
-    which is what makes the table restorable after a daemon restart.
-    """
-
-    def __init__(self, journal=None) -> None:
+    def __init__(self) -> None:
         self._records: dict[str, CellRecord] = {}
-        self.journal = journal
         self.submissions = 0
         self.coalesced = 0
         self.executions = 0
-        self.restored = 0
         self.active = 0
         self.peak_active = 0
 
@@ -144,40 +137,6 @@ class Coalescer:
     def records(self) -> list[CellRecord]:
         """All records (status endpoint)."""
         return list(self._records.values())
-
-    def forget(self, digest: str) -> None:
-        """Drop one record (e.g. a restored cell whose payload is gone)."""
-        self._records.pop(digest, None)
-
-    def restore(
-        self,
-        digest: str,
-        submission: CellSubmission,
-        source: str | None,
-        seconds: float | None,
-    ) -> CellRecord:
-        """Rebuild one terminal record from a journal replay.
-
-        The record carries no result — the store holds the durable
-        payload, and the server re-hydrates lazily on first hit — and
-        its event history is the replayed summary, so an ``/events``
-        reconnect after a restart sees queued → done without duplicated
-        or lost terminal records.  The restored source is always
-        ``disk`` regardless of how the cell was originally produced:
-        post-restart, disk is where its payload actually comes from.
-        """
-        del source  # journal detail; see docstring
-        record = CellRecord(digest, submission)
-        record.state = "done"
-        record.source = "disk"
-        record.seconds = seconds
-        record.publish(
-            {"event": "done", "source": record.source, "replayed": True}
-        )
-        record._done.set()
-        self._records[digest] = record
-        self.restored += 1
-        return record
 
     @property
     def in_flight(self) -> int:
@@ -192,8 +151,6 @@ class Coalescer:
         record = CellRecord(digest, submission)
         record.finish(result, source)
         self._records[digest] = record
-        if self.journal is not None:
-            self.journal.record_done(digest, submission, source, record.seconds)
         return record
 
     def submit(
@@ -230,19 +187,11 @@ class Coalescer:
                 result, source = await execute()
             except asyncio.CancelledError:  # pragma: no cover - drain path
                 record.fail("cancelled by server shutdown")
-                if self.journal is not None:
-                    self.journal.record_failed(digest, submission, record.error)
                 raise
             except Exception as exc:
                 record.fail(f"{type(exc).__name__}: {exc}")
-                if self.journal is not None:
-                    self.journal.record_failed(digest, submission, record.error)
             else:
                 record.finish(result, source)
-                if self.journal is not None:
-                    self.journal.record_done(
-                        digest, submission, source, record.seconds
-                    )
             finally:
                 self.active -= 1
 
@@ -255,7 +204,6 @@ class Coalescer:
             "submissions": self.submissions,
             "coalesced": self.coalesced,
             "executions": self.executions,
-            "restored": self.restored,
             "in_flight": self.in_flight,
             "active_executions": self.active,
             "peak_concurrent_executions": self.peak_active,

@@ -46,7 +46,6 @@ from repro.exec.stagestore import stage_store_for
 from repro.exec.store import StudyStore, cache_version
 from repro.experiments.config import SCALES, default_config
 from repro.serve.coalesce import Coalescer
-from repro.serve.journal import ServeJournal
 from repro.serve.protocol import (
     HttpError,
     HttpRequest,
@@ -116,8 +115,7 @@ class ReproServer:
             scale: StudyStore(cache_dir, config)
             for scale, config in self.configs.items()
         }
-        self.journal = ServeJournal(cache_dir)
-        self.coalescer = Coalescer(journal=self.journal)
+        self.coalescer = Coalescer()
         self.limiter = RateLimiter(rate, burst)
         self.evictor = StoreEvictor(cache_dir, budget_bytes)
         #: Stale cache layouts :meth:`start` removed from the cache root.
@@ -135,10 +133,6 @@ class ReproServer:
             "evicted_files": 0,
             "evicted_bytes": 0,
             "eviction_skipped_open": 0,
-            "journal_replayed": 0,
-            "journal_healed_bytes": 0,
-            "journal_compactions": 0,
-            "rehydrated": 0,
         }
         self._server: asyncio.AbstractServer | None = None
         self._executor: ThreadPoolExecutor | None = None
@@ -148,29 +142,6 @@ class ReproServer:
         self._stopped = asyncio.Event()
 
     # ------------------------------------------------------------ lifecycle
-    def _replay_journal(self) -> None:
-        """Restore terminal cell records from the restart journal.
-
-        Only ``done`` digests are restored (failed and in-flight cells
-        must re-execute); the records carry no payload — hydration from
-        the store happens lazily on first hit, so replaying a large
-        journal costs no disk reads.
-        """
-        from repro.api.service import CellSubmission, SubmissionError
-
-        for digest, record in self.journal.terminal_records().items():
-            if record.get("type") != "done":
-                continue
-            try:
-                submission = CellSubmission.from_json(record.get("submission", {}))
-            except (SubmissionError, TypeError, AttributeError):
-                continue  # journal written by an older schema: skip
-            self.coalescer.restore(
-                digest, submission, record.get("source"), record.get("seconds")
-            )
-            self.counters["journal_replayed"] += 1
-        self.counters["journal_healed_bytes"] += self.journal.healed_bytes
-
     async def start(self) -> None:
         """Remove stale cache layouts, bind the listener and start the
         background loops."""
@@ -180,7 +151,6 @@ class ReproServer:
         self.pruned = await asyncio.get_running_loop().run_in_executor(
             self._executor, self.evictor.artifacts.prune
         )
-        self._replay_journal()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -236,12 +206,6 @@ class ReproServer:
             if not self._connections:
                 break
             await asyncio.sleep(0.01)
-        # Drain-aware compaction: with no execution in flight the table
-        # is stable, so the journal shrinks to one summary frame per
-        # completed cell before the process exits.
-        self.journal.compact(self.coalescer.records())
-        self.journal.close()
-        self.counters["journal_compactions"] += 1
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
         self._stopped.set()
@@ -407,15 +371,6 @@ class ReproServer:
         config, store, study_request, digest = self._lower(submission)
 
         record = self.coalescer.get(digest)
-        if (
-            record is not None
-            and record.state == "done"
-            and not await self._hydrate(record)
-        ):
-            # Journal-restored record whose payload left the store
-            # (evicted, or an uncacheable kind): re-execute fresh.
-            self.coalescer.forget(digest)
-            record = None
         if record is not None and record.state != "failed":
             if record.done:
                 self.counters["warm_memo"] += 1
@@ -496,22 +451,6 @@ class ReproServer:
                     record.publish({"event": "progress", "stages": active})
         return work.result()
 
-    async def _hydrate(self, record) -> bool:
-        """Lazily reattach a journal-restored record's payload.
-
-        Restored records carry only metadata; the first hit mmaps the
-        store container by digest.  Returns False when no store holds
-        the payload anymore (the caller forgets the record).
-        """
-        if record.result is not None or record.state != "done":
-            return True
-        payload = await self._load_by_digest(record.digest)
-        if payload is None:
-            return False
-        record.result = payload
-        self.counters["rehydrated"] += 1
-        return True
-
     async def _load_by_digest(self, digest: str):
         """One persisted cell payload by digest (None on miss).
 
@@ -540,9 +479,6 @@ class ReproServer:
             if record.state == "failed":
                 return 500, self._cell_body(record)
             if record.done:
-                if not await self._hydrate(record):
-                    self.coalescer.forget(digest)
-                    raise HttpError(404, f"unknown cell digest {digest[:16]}...")
                 self.counters["warm_memo"] += 1
                 return 200, self._cell_body(record, include_result=True)
             return 202, self._cell_body(record)
@@ -563,15 +499,24 @@ class ReproServer:
         self, digest: str, writer: asyncio.StreamWriter
     ) -> None:
         record = self.coalescer.get(digest)
-        if record is None:
+        if record is None and await self._load_by_digest(digest) is None:
             raise HttpError(404, f"unknown cell digest {digest[:16]}...")
         writer.write(
             render_response(200, None, content_type="application/x-ndjson")
         )
         await writer.drain()
-        async for event in record.follow():
+
+        async def send(event: dict) -> None:
             writer.write(json.dumps(event, sort_keys=True).encode() + b"\n")
             await writer.drain()
+
+        if record is None:
+            # Unknown to this process but held by the store (computed by
+            # the batch CLI or before a restart): the cell is done.
+            await send({"event": "done", "source": "disk"})
+            return
+        async for event in record.follow():
+            await send(event)
 
     async def _get_status(self) -> tuple[int, dict]:
         # Both scales share one stage store per cache_dir, so either
@@ -595,8 +540,8 @@ class ReproServer:
                 "hits": stats.get("hits", {}),
                 "misses": stats.get("misses", {}),
                 # Self-heal observability: corrupt-entry recoveries
-                # (torn containers, journal tails) and — during chaos
-                # runs — injected-fault firings.
+                # (torn containers) and — during chaos runs —
+                # injected-fault firings.
                 "heals": stats.get("heals", {}),
                 "faults": stats.get("faults", {}),
             },
@@ -605,7 +550,6 @@ class ReproServer:
                 "bytes": sum(entry.nbytes for entry in entries),
                 "shards": len(shards),
                 "budget_bytes": self.evictor.budget_bytes,
-                "journal_bytes": self.journal.size(),
             },
         )
         return 200, status.to_json()

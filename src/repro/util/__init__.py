@@ -6,19 +6,17 @@ subpackage can use them without import cycles.
 
 from repro.util.rng import RngTree, stable_hash
 from repro.util.stats import (
-    RunningStats,
     coefficient_of_variation,
     geometric_mean,
     relative_error,
     summarize,
 )
 from repro.util.tables import format_float, render_table
-from repro.util.units import GIB, KIB, MIB, format_bytes, format_count
+from repro.util.units import GIB, KIB, MIB, format_bytes
 
 __all__ = [
     "RngTree",
     "stable_hash",
-    "RunningStats",
     "coefficient_of_variation",
     "geometric_mean",
     "relative_error",
@@ -29,5 +27,4 @@ __all__ = [
     "MIB",
     "GIB",
     "format_bytes",
-    "format_count",
 ]

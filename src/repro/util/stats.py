@@ -17,7 +17,6 @@ __all__ = [
     "coefficient_of_variation",
     "geometric_mean",
     "summarize",
-    "RunningStats",
     "Summary",
 ]
 
@@ -85,51 +84,3 @@ def summarize(samples: object) -> Summary:
         max=float(arr.max()),
         n=int(arr.size),
     )
-
-
-class RunningStats:
-    """Welford accumulator for streaming mean/variance.
-
-    Used by the measurement protocol to accumulate per-repetition counter
-    values without materialising every repetition (20 repetitions × every
-    barrier point × every thread adds up for LULESH's 9,840 regions).
-    """
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._mean: np.ndarray | float = 0.0
-        self._m2: np.ndarray | float = 0.0
-
-    def update(self, value: object) -> None:
-        """Fold one observation (scalar or array) into the accumulator."""
-        value = np.asarray(value, dtype=float)
-        self._n += 1
-        delta = value - self._mean
-        self._mean = self._mean + delta / self._n
-        self._m2 = self._m2 + delta * (value - self._mean)
-
-    @property
-    def n(self) -> int:
-        """Number of observations folded in so far."""
-        return self._n
-
-    @property
-    def mean(self) -> np.ndarray:
-        """Arithmetic mean of the observations."""
-        if self._n == 0:
-            raise ValueError("no observations")
-        return np.asarray(self._mean, dtype=float)
-
-    @property
-    def variance(self) -> np.ndarray:
-        """Unbiased sample variance (zero for a single observation)."""
-        if self._n == 0:
-            raise ValueError("no observations")
-        if self._n == 1:
-            return np.zeros_like(np.asarray(self._mean, dtype=float))
-        return np.asarray(self._m2, dtype=float) / (self._n - 1)
-
-    @property
-    def std(self) -> np.ndarray:
-        """Unbiased sample standard deviation."""
-        return np.sqrt(self.variance)

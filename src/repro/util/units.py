@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["KIB", "MIB", "GIB", "CACHE_LINE_BYTES", "format_bytes", "format_count"]
+__all__ = ["KIB", "MIB", "GIB", "CACHE_LINE_BYTES", "format_bytes"]
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -23,11 +23,3 @@ def format_bytes(n: int) -> str:
         if n >= factor:
             return f"{n / factor:.1f} {unit}"
     return f"{n} B"
-
-
-def format_count(n: float) -> str:
-    """Format a large event count with SI-ish suffixes (1.2M, 3.4G)."""
-    for suffix, factor in (("G", 1e9), ("M", 1e6), ("k", 1e3)):
-        if abs(n) >= factor:
-            return f"{n / factor:.2f}{suffix}"
-    return f"{n:.0f}"

@@ -153,6 +153,12 @@ class TestEndToEnd:
                 client.cell("f" * 64)
             assert err.value.status == 404
 
+    def test_events_of_unknown_digest_is_404(self, daemon):
+        with daemon.client() as client:
+            with pytest.raises(ServeError) as err:
+                list(client.events("f" * 64))
+            assert err.value.status == 404
+
     def test_unknown_digest_lists_its_shard_once(self, tmp_path, monkeypatch):
         import os
 
@@ -446,39 +452,35 @@ class TestRateLimitAndEviction:
                 assert value == other, key
 
 
-class TestJournalRestart:
-    """The crash-safe serve journal: restarts forget nothing terminal."""
+class TestStoreRestart:
+    """A restarted daemon answers from the store, the only durable state."""
 
-    def test_restart_replays_journal_with_warm_get_and_events(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        handle = DaemonHandle(cache)
+    def test_restart_answers_get_and_events_from_the_store(self, tmp_path):
+        cache = tmp_path / "cache"
+        handle = DaemonHandle(str(cache))
         try:
             with handle.client() as client:
                 digest = client.submit(_submission(), wait=True).digest
                 warm = client.cell(digest)
         finally:
-            handle.stop()  # graceful drain: journal compacted
+            handle.stop()
 
-        fresh = DaemonHandle(cache)
+        fresh = DaemonHandle(str(cache))
         try:
             with fresh.client() as client:
                 body = client.cell(digest)
-                events = [e["event"] for e in client.events(digest)]
-                counters = client.status().counters
+                events = list(client.events(digest))
             assert body["state"] == "done"
             assert body["source"] == "disk"
-            assert body["result"] == warm["result"]  # rehydrated, byte-equal
-            assert counters["journal_replayed"] == 1
-            assert counters["rehydrated"] == 1
-            # /events reconnect after restart: terminal history intact,
-            # exactly one done record — nothing duplicated, nothing lost.
-            assert events[0] == "queued"
-            assert events.count("done") == 1
-            assert events[-1] == "done"
+            assert body["result"] == warm["result"]  # byte-equal payload
+            # The store holds the finished cell, so its history after a
+            # restart is exactly one terminal event.
+            assert events == [{"event": "done", "source": "disk"}]
         finally:
             fresh.stop()
+        assert [p.name for p in cache.iterdir()] == [ArtifactStore(cache).root.name]
 
-    def test_boot_prunes_stale_layouts_and_keeps_the_journal(self, tmp_path):
+    def test_boot_prunes_stale_layouts(self, tmp_path):
         cache = tmp_path / "cache"
         handle = DaemonHandle(str(cache))
         try:
@@ -486,96 +488,28 @@ class TestJournalRestart:
                 digest = client.submit(_submission(), wait=True).digest
         finally:
             handle.stop()
-        for rel in ("v0.1/cells/aa/x.rpb", "stages/aa/v10.2_x.rpb", "traces/x.rpt"):
+        for rel in (
+            "v0.1/cells/aa/x.rpb",
+            "stages/aa/v10.2_x.rpb",
+            "traces/x.rpt",
+            "serve/serve.journal",
+        ):
             (cache / rel).parent.mkdir(parents=True)
             (cache / rel).write_bytes(b"stale")
 
         fresh = DaemonHandle(str(cache))
         try:
-            assert fresh.server.pruned == ["stages", "traces", "v0.1"]
-            assert sorted(p.name for p in cache.iterdir()) == [
-                "serve", ArtifactStore(cache).root.name
+            assert fresh.server.pruned == ["serve", "stages", "traces", "v0.1"]
+            assert [p.name for p in cache.iterdir()] == [
+                ArtifactStore(cache).root.name
             ]
             with fresh.client() as client:
                 body = client.cell(digest)
-                counters = client.status().counters
             assert body["state"] == "done"
-            assert counters["journal_replayed"] == 1
         finally:
             fresh.stop()
 
-    def test_compaction_folds_journal_to_terminal_summaries(self, tmp_path):
-        from pathlib import Path
-
-        from repro.serve.journal import JOURNAL_NAME
-        from repro.util.recordlog import RecordLog
-
-        cache = str(tmp_path / "cache")
-        handle = DaemonHandle(cache)
-        try:
-            with handle.client() as client:
-                client.submit(_submission(), wait=True)
-                client.submit(_submission(app="MCB"), wait=True)
-        finally:
-            handle.stop()
-
-        records = RecordLog(Path(cache) / JOURNAL_NAME).replay().records
-        # Drain-aware compaction: the submitted/progress chatter is
-        # gone; one done summary per distinct terminal cell remains.
-        assert len(records) == 2
-        assert all(r["type"] == "done" for r in records)
-        assert len({r["digest"] for r in records}) == 2
-
-    def test_live_journal_holds_only_terminal_records(self, tmp_path):
-        from pathlib import Path
-
-        from repro.serve.journal import JOURNAL_NAME
-        from repro.util.recordlog import RecordLog
-
-        cache = str(tmp_path / "cache")
-        handle = DaemonHandle(cache)
-        try:
-            with handle.client() as client:
-                client.submit(_submission(), wait=True)
-                client.submit(_submission(app="MCB"), wait=True)
-            # Read before the drain compacts: what a crash would leave.
-            records = RecordLog(Path(cache) / JOURNAL_NAME).replay().records
-        finally:
-            handle.stop()
-        assert [r["type"] for r in records] == ["done", "done"]
-
-    def test_torn_journal_tail_heals_on_boot(self, tmp_path):
-        from pathlib import Path
-
-        from repro.serve.journal import JOURNAL_NAME
-
-        cache = str(tmp_path / "cache")
-        handle = DaemonHandle(cache)
-        try:
-            with handle.client() as client:
-                first = client.submit(_submission(), wait=True).digest
-                client.submit(_submission(app="MCB"), wait=True)
-        finally:
-            handle.stop()
-
-        journal = Path(cache) / JOURNAL_NAME
-        blob = journal.read_bytes()
-        journal.write_bytes(blob[:-3])  # crash mid-append: torn frame
-
-        fresh = DaemonHandle(cache)
-        try:
-            with fresh.client() as client:
-                counters = client.status().counters
-                body = client.cell(first)
-            # The whole torn frame is healed away, not just the 3
-            # missing bytes — a partial frame is never half-trusted.
-            assert counters["journal_healed_bytes"] > 3
-            assert counters["journal_replayed"] == 1  # torn record dropped
-            assert body["state"] == "done"  # intact record still serves
-        finally:
-            fresh.stop()
-
-    def test_restored_record_with_evicted_payload_reexecutes(self, tmp_path):
+    def test_evicted_payload_recomputes_after_restart(self, tmp_path):
         import shutil
 
         cache = str(tmp_path / "cache")
@@ -586,7 +520,6 @@ class TestJournalRestart:
         finally:
             handle.stop()
 
-        # Simulate eviction taking the payload but not the journal.
         shutil.rmtree(ArtifactStore(cache).root / CELLS)
 
         fresh = DaemonHandle(cache)
@@ -595,8 +528,6 @@ class TestJournalRestart:
                 body = client.submit_raw(_submission(), wait=True)
             assert body["state"] == "done"
             assert body["digest"] == digest
-            # Hydration missed, the record was forgotten, and the cell
-            # re-executed instead of serving a payload-less answer.
             assert fresh.server.counters["computed"] == 1
         finally:
             fresh.stop()

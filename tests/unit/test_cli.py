@@ -239,8 +239,9 @@ class TestCacheLayout:
         "stages/aa/v10.2_profile_x.rpb",
         "traces/v10.2_trace_x.rpt",
         "checkpoints/study.json",
+        "serve/serve.journal",
     )
-    KEPT = ("serve/serve.journal", "notes.txt")
+    KEPT = ("notes.txt",)
 
     def _fill(self, cache, paths):
         for rel in paths:
@@ -269,11 +270,13 @@ class TestCacheLayout:
         monkeypatch.chdir(tmp_path)
         assert main(["figure1", "--quick", "--verbose"]) == 0
         assert sorted(p.name for p in cache.iterdir()) == [
-            "notes.txt", "serve", f"v{cache_version()}"
+            "notes.txt", f"v{cache_version()}"
         ]
-        assert (cache / "serve" / "serve.journal").read_bytes() == b"x"
+        assert (cache / "notes.txt").read_bytes() == b"x"
         err = capsys.readouterr().err
-        assert "[cache] removed stale layouts: cells/ checkpoints/ stages/" in err
+        assert (
+            "[cache] removed stale layouts: cells/ checkpoints/ serve/ stages/" in err
+        )
 
     def test_uncached_run_deletes_nothing(self, tmp_path, monkeypatch):
         cache = tmp_path / ".repro-cache"
@@ -298,4 +301,4 @@ class TestCacheLayout:
         assert main(["figure1", "--quick"]) == 0
         new = cache / f"v{store.cache_version()}"
         assert not old.exists() and list(new.rglob("*.rpb"))
-        assert sorted(p.name for p in cache.iterdir()) == ["notes.txt", "serve", new.name]
+        assert sorted(p.name for p in cache.iterdir()) == ["notes.txt", new.name]

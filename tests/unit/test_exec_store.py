@@ -153,12 +153,12 @@ class TestArtifactStore:
             (tmp_path / name / "aa").mkdir(parents=True)
             (tmp_path / name / "aa" / "entry").write_bytes(b"old")
         (tmp_path / "serve").mkdir()
-        (tmp_path / "serve" / "serve.journal").write_bytes(b"journal")
+        (tmp_path / "serve" / "serve.journal").write_bytes(b"journal")  # older daemons'
         (tmp_path / "v1.x").mkdir()  # not a version: an unknown name
         (tmp_path / "notes.txt").write_text("mine")
-        assert store.prune() == sorted(stale)
+        assert store.prune() == sorted(stale + ["serve"])
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "notes.txt", "serve", "v1.x", f"v{cache_version()}"
+            "notes.txt", "v1.x", f"v{cache_version()}"
         ]
         assert store.read(CELLS, "current", self.DIGEST)[0] == {"k": 4}
         assert store.prune() == []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.util.stats import (
-    RunningStats,
     coefficient_of_variation,
     geometric_mean,
     relative_error,
@@ -79,24 +78,3 @@ class TestSummarize:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             summarize([])
-
-
-class TestRunningStats:
-    def test_matches_numpy(self):
-        gen = np.random.default_rng(0)
-        samples = gen.random((20, 3))
-        acc = RunningStats()
-        for row in samples:
-            acc.update(row)
-        assert acc.n == 20
-        assert acc.mean == pytest.approx(samples.mean(axis=0))
-        assert acc.std == pytest.approx(samples.std(axis=0, ddof=1))
-
-    def test_single_observation_variance_zero(self):
-        acc = RunningStats()
-        acc.update(np.array([1.0, 2.0]))
-        assert np.all(acc.variance == 0.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            RunningStats().mean

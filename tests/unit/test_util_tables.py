@@ -3,7 +3,7 @@
 import pytest
 
 from repro.util.tables import format_float, render_table
-from repro.util.units import GIB, KIB, MIB, format_bytes, format_count
+from repro.util.units import GIB, KIB, MIB, format_bytes
 
 
 class TestRenderTable:
@@ -67,8 +67,3 @@ class TestUnits:
     def test_format_bytes_negative_raises(self):
         with pytest.raises(ValueError):
             format_bytes(-1)
-
-    def test_format_count(self):
-        assert format_count(1_200_000) == "1.20M"
-        assert format_count(3_400_000_000) == "3.40G"
-        assert format_count(999) == "999"
