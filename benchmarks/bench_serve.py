@@ -10,7 +10,7 @@ real sockets and real HTTP framing:
   pipeline, the container write, the response);
 * ``serve.warm_*``            — warm-hit ``GET /v1/cells/{digest}``
   latency distribution (p50/p99) and keep-alive throughput, answered
-  from the server's memo of the mmap'd container;
+  from the server's memo of the decoded container;
 * ``serve.coalesced_*``       — N concurrent clients submitting the
   *same* uncached cell: the coalescer must schedule exactly one
   execution (``executed`` is asserted to be 1) while every client gets

@@ -12,7 +12,7 @@ cache directory) and exercises the JSON API end to end with the typed
   digest (the exec engine's dedup address);
 * sixteen *concurrent identical* submissions — the coalescer folds
   them onto that single cached result;
-* a warm ``GET /v1/cells/{digest}`` answered from the mmap'd
+* a warm ``GET /v1/cells/{digest}`` answered from the stored
   container, timed;
 * the progress-event stream and the ``/v1/status`` counters.
 

@@ -10,7 +10,7 @@ freshly computed one, to the bit.
   table* of contiguous little-endian buffers.  The binary container in
   :mod:`repro.exec.columnar` lays those buffers out as aligned segments
   behind a small header, so :func:`decode_payload` can rebuild the tree
-  from zero-copy ``np.frombuffer`` views over an ``mmap`` — no base64,
+  from ``np.frombuffer`` views over the container's bytes — no base64,
   no ``tolist``, no text parsing of array data.
 
 * **JSON wire plane** — arrays become ``{dtype, shape, data}`` dicts
@@ -159,8 +159,8 @@ def encode_payload(payload) -> tuple[object, list[np.ndarray]]:
 def decode_payload(meta, arrays: list[np.ndarray]):
     """Rebuild the payload tree :func:`encode_payload` split apart.
 
-    ``arrays`` may be zero-copy views (the columnar container hands in
-    mmap-backed buffers); they are attached as-is, so a decoded payload
+    ``arrays`` may be views (the columnar container hands in views over
+    the bytes it read); they are attached as-is, so a decoded payload
     costs no array copies.
     """
     if isinstance(meta, dict):

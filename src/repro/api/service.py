@@ -210,7 +210,7 @@ class CellStatus:
     """Lifecycle snapshot of one served cell (``POST``/``GET`` answers).
 
     ``source`` records how the result materialised — ``"memo"`` (server
-    memory), ``"disk"`` (mmap'd container), ``"computed"`` (scheduled
+    memory), ``"disk"`` (stored container), ``"computed"`` (scheduled
     execution) — and ``coalesced`` how many submissions shared that one
     execution.
     """

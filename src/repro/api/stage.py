@@ -94,8 +94,8 @@ class Stage(abc.ABC):
     def decode(self, payload: dict, ctx: StageContext) -> None:
         """Publish outputs from a cached payload instead of running.
 
-        Arrays in ``payload`` may be read-only zero-copy views into the
-        store's mmap; copy before mutating (pipeline stages never do).
+        Arrays in ``payload`` may be read-only views into the bytes the
+        store read; copy before mutating (pipeline stages never do).
         """
         raise NotImplementedError(f"stage {self.name!r} is not cacheable")
 

@@ -1,6 +1,6 @@
 """The binary columnar payload container (``.rpb``).
 
-One file per cached payload, self-describing and mmap-readable::
+One file per cached payload, self-describing::
 
     offset 0   magic  b"RPB1"
     offset 4   uint32 little-endian header length H
@@ -13,27 +13,24 @@ The header carries the codec version, the payload's metadata plane (the
 JSON tree with ``{"__ndarray__": i}`` placeholders — see
 :mod:`repro.api.codec`), and one ``{dtype, shape, offset, nbytes}``
 descriptor per segment with *absolute* file offsets.  Readers therefore
-need nothing but this file: :func:`read_payload_file` maps it once and
-rebuilds every array as a zero-copy ``np.frombuffer`` view into the
-mapping — decoding cost is one JSON header parse regardless of how many
-megabytes of arrays the payload carries.
+need nothing but this file: :func:`read_payload_file` reads it whole
+and rebuilds every array as an ``np.frombuffer`` view into those bytes,
+so decoding costs one read and one JSON header parse.
 
 Writes go to a temp file in the same directory, are fsynced unless
 the caller opts out, and land via ``os.replace``; a torn or truncated
 file is treated as a miss and deleted so the next write heals the
 slot.  Decoded arrays are
-**read-only** (they alias the shared mapping); consumers that want to
+**read-only** (they alias the bytes read); consumers that want to
 mutate must copy, which none of the pipeline stages do.
 """
 
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import struct
 import tempfile
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +40,6 @@ __all__ = [
     "SEGMENT_ALIGN",
     "write_payload_atomic",
     "read_payload_file",
-    "open_reader_count",
-    "unlink_when_closed",
 ]
 
 MAGIC = b"RPB1"
@@ -157,28 +152,28 @@ def write_payload_atomic(path: Path, payload, durable: bool = True) -> int:
 
 
 def read_payload_file(path: Path) -> tuple[object, int] | None:
-    """Load one container zero-copy; ``(payload, nbytes)``, None on miss.
+    """Load one container whole; ``(payload, nbytes)``, None on miss.
 
-    The file is mapped read-only and every array in the payload is a
-    view into that mapping (``np.frombuffer``); the mapping stays alive
-    for as long as any view does.  A corrupt container (bad magic,
-    truncated, undecodable header) is deleted and treated as a miss.
+    The file is read into one ``bytes`` object and every array in the
+    payload is a read-only ``np.frombuffer`` view into it, so a payload
+    holds no file open and stays valid after its file is deleted.  A
+    corrupt container (bad magic, truncated, undecodable header) is
+    deleted and treated as a miss.
     """
     from repro.api.codec import decode_payload  # lazy: see write side
 
     try:
-        with open(path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            if size < 4 + _HEADER_LEN.size:
-                raise ValueError("truncated container")
-            buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        if buffer[:4] != MAGIC:
+        data = path.read_bytes()
+        size = len(data)
+        if size < 4 + _HEADER_LEN.size:
+            raise ValueError("truncated container")
+        if data[:4] != MAGIC:
             raise ValueError("bad magic")
-        (header_len,) = _HEADER_LEN.unpack(buffer[4 : 4 + _HEADER_LEN.size])
+        (header_len,) = _HEADER_LEN.unpack_from(data, 4)
         header_end = 4 + _HEADER_LEN.size + header_len
         if header_end > size:
             raise ValueError("truncated header")
-        header = json.loads(buffer[4 + _HEADER_LEN.size : header_end])
+        header = json.loads(data[4 + _HEADER_LEN.size : header_end])
         arrays = []
         for descriptor in header["arrays"]:
             dtype = np.dtype(descriptor["dtype"])
@@ -191,18 +186,9 @@ def read_payload_file(path: Path) -> tuple[object, int] | None:
             if offset + nbytes > size:
                 raise ValueError("truncated segment")
             view = np.frombuffer(
-                buffer, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset
+                data, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset
             )
             arrays.append(view.reshape(shape))
-        if any(array.nbytes for array in arrays):
-            # The decoded payload aliases the mapping through zero-copy
-            # views.  Register the mapping in the open-reader registry so
-            # reclaim/eviction defer deletion until the last view (and
-            # with it the mmap) dies; the finalizer is the reader's
-            # implicit close().
-            key = os.path.abspath(path)
-            _track_reader_open(key)
-            weakref.finalize(buffer, _track_reader_close, key)
         return decode_payload(header["meta"], arrays), size
     except FileNotFoundError:
         return None
@@ -222,55 +208,3 @@ def read_payload_file(path: Path) -> tuple[object, int] | None:
             pass
         record_heal("container")
         return None
-
-
-# Open-reader registry: cache reclamation must not delete a container
-# whose mapping live views still alias (a view would fault on platforms
-# without POSIX unlink-while-open semantics, and on POSIX the store
-# would silently free nothing until the mapping dies anyway).
-# ``unlink_when_closed`` defers deletion to the final close.  Every
-# ``.rpb`` payload read with array segments registers here, and a
-# ``weakref.finalize`` on its mapping closes it once the last zero-copy
-# view dies.
-_OPEN_READERS: dict[str, int] = {}
-_DEFERRED_UNLINKS: set[str] = set()
-
-
-def _track_reader_open(key: str) -> None:
-    _OPEN_READERS[key] = _OPEN_READERS.get(key, 0) + 1
-
-
-def _track_reader_close(key: str) -> None:
-    count = _OPEN_READERS.get(key, 0) - 1
-    if count > 0:
-        _OPEN_READERS[key] = count
-        return
-    _OPEN_READERS.pop(key, None)
-    if key in _DEFERRED_UNLINKS:
-        _DEFERRED_UNLINKS.discard(key)
-        try:
-            os.unlink(key)
-        except OSError:
-            pass
-
-
-def open_reader_count(path: Path | str) -> int:
-    """Live mappings of ``path`` still held by payload views (0 when free)."""
-    return _OPEN_READERS.get(os.path.abspath(path), 0)
-
-
-def unlink_when_closed(path: Path | str) -> bool:
-    """Delete ``path`` now, or defer until its last open reader closes.
-
-    Returns True when the file was unlinked immediately, False when the
-    deletion was deferred (or the file was already gone).
-    """
-    key = os.path.abspath(path)
-    if _OPEN_READERS.get(key, 0) > 0:
-        _DEFERRED_UNLINKS.add(key)
-        return False
-    try:
-        os.unlink(key)
-        return True
-    except OSError:
-        return False

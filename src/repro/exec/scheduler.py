@@ -139,7 +139,7 @@ def _execute_item(item: tuple[StudyRequest, object, int], attempt: int = 1):
     * a *large* payload of a cache-exempt kind computed in a foreign
       process does not ride the pickle pipe: it spills to a columnar
       hand-off file announced as ``("spilled", path)``, which the
-      scheduler reattaches via mmap.  If the spill fails (a real or
+      scheduler reads back and deletes.  If the spill fails (a real or
       injected ``ENOSPC``), the payload degrades to the inline pickle
       transport — slower, never wrong.  Every other payload comes back
       ``("inline", payload)``; the scheduler alone writes cell entries.

@@ -13,8 +13,8 @@ reads.
 Payloads are entries of the ``stages`` namespace of the
 :class:`~repro.exec.store.ArtifactStore`: binary columnar containers
 whose JSON-shaped metadata stays JSON inside the header while every
-array rides as contiguous little-endian segments, decoded zero-copy
-through one mmap.
+array rides as contiguous little-endian segments, read whole and
+decoded without a copy.
 
 Hit/miss counters are kept per stage name (:class:`StageCacheStats`),
 now alongside profiling counters: bytes encoded/decoded and wall time
@@ -344,9 +344,8 @@ class StageStore:
     def load(self, digest: str, stage_name: str):
         """Stored payload for a stage digest, or None on miss/corruption.
 
-        Containers decode zero-copy: arrays in the returned payload are
-        read-only mmap views, so the payload tree carries plain
-        ``np.ndarray`` leaves.
+        Arrays in the returned payload are read-only views into the
+        entry's bytes, read whole: plain ``np.ndarray`` leaves.
         """
         payload = None
         if self.enabled:

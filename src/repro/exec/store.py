@@ -35,7 +35,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator
 
-from repro.exec.columnar import read_payload_file, unlink_when_closed, write_payload_atomic
+from repro.exec.columnar import read_payload_file, write_payload_atomic
 from repro.exec.request import StudyRequest
 
 __all__ = [
@@ -88,8 +88,10 @@ class ArtifactStore:
     a readable label (a stage name, a cell's kind/app/threads) and
     ``digest`` a hex content address.  Cell entries are fsynced before
     they are published; stage and spill entries are not, because a torn
-    one self-heals as a miss and fsyncing hundreds of MiB of stage
-    payloads would dominate the cold path the cache exists to speed up.
+    one self-heals as a miss and an fsync per stage payload would slow
+    the cold path the cache exists to speed up.  A read loads the whole
+    entry (:func:`~repro.exec.columnar.read_payload_file`), so deleting
+    an entry never disturbs a payload already read.
 
     Parameters
     ----------
@@ -320,7 +322,7 @@ class StudyStore:
         :data:`~repro.exec.cells.CELL_LEVEL_UNCACHED` kinds as file
         handles instead of pickled bytes: the worker spills (columnar
         container, so arrays stay binary), the scheduler reattaches via
-        :meth:`reclaim` — an mmap read plus one unlink, not a pickle of
+        :meth:`reclaim` — one read plus one unlink, not a pickle of
         megabytes over a pipe.  The worker's pid is part of the name, so
         two runs spilling the same cell never share a file.
         """
@@ -333,17 +335,13 @@ class StudyStore:
         return str(path)
 
     def reclaim(self, path: str):
-        """Reattach one spilled payload (mmap read) and delete the file.
+        """Read one spilled payload back and delete its file.
 
-        Deletion goes through the columnar open-handle guard: the
-        zero-copy ``np.frombuffer`` views the ``.rpb`` read just handed
-        back register their mapping (via a finalizer on it), so the
-        unlink is deferred until the last view dies instead of yanking
-        bytes out from under a reader.
+        The read holds the whole container in memory, so the file goes
+        at once and the payload stays readable.
         """
         loaded = read_payload_file(Path(path))
         if loaded is None:
             raise RuntimeError(f"spilled payload vanished or was torn: {path}")
-        payload, _ = loaded
-        unlink_when_closed(path)
-        return payload
+        os.unlink(path)
+        return loaded[0]

@@ -55,7 +55,7 @@ from repro.hw.ingest.spec import (
     machine_to_spec,
     save_machine_spec,
 )
-from repro.hw.ingest.synth import SynthHost, render_host, synth_from_machine, write_tree
+from repro.hw.ingest.synth import SynthHost, render_host, synth_from_machine
 from repro.hw.ingest.tree import (
     VirtualTree,
     format_cpu_list,
@@ -86,5 +86,4 @@ __all__ = [
     "SynthHost",
     "render_host",
     "synth_from_machine",
-    "write_tree",
 ]

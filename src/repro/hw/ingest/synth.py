@@ -22,16 +22,14 @@ descriptor tree for the bit-identity golden tests.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.hw.ingest.descriptor import LSCPU_FILE
 from repro.hw.ingest.tree import format_cpu_list
 from repro.hw.machines import Machine
 from repro.isa.descriptors import ISA
 
-__all__ = ["SynthHost", "render_host", "write_tree", "synth_from_machine"]
+__all__ = ["SynthHost", "render_host", "synth_from_machine"]
 
 _ARCH_FOR_ISA = {ISA.X86_64: "x86_64", ISA.ARMV8: "aarch64"}
 
@@ -198,15 +196,6 @@ def _render_lscpu(host: SynthHost) -> str:
         cpulist = format_cpu_list(host.cpus_of_node(node))
         lines.append(f"NUMA node{node} CPU(s):       {cpulist}")
     return "\n".join(lines) + "\n"
-
-
-def write_tree(host: SynthHost, path: str | os.PathLike) -> Path:
-    """Write a rendered host as a descriptor tree directory."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    for name, text in render_host(host).items():
-        (root / name).write_text(text)
-    return root
 
 
 def synth_from_machine(machine: Machine) -> SynthHost:

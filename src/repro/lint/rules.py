@@ -627,8 +627,8 @@ class AsyncHygieneRule(LintRule):
       (``read_text``/``write_text``/``read_bytes``/``write_bytes``);
     * this codebase's known-blocking store surfaces:
       ``.load(...)``, ``.store(...)``, ``.load_by_digest(...)``,
-      ``.scan(...)``, ``.evict(...)`` — mmap'd container reads and
-      eviction walks do real disk work;
+      ``.scan(...)``, ``.evict(...)`` — container reads and eviction
+      walks do real disk work;
     * calls to synchronous methods of the same module that themselves
       (transitively) perform any of the above.
     """

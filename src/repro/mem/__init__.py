@@ -19,12 +19,7 @@ Both paths share one source of truth for a pattern's reuse structure:
 :func:`repro.mem.ldv.characteristic_distances`.
 """
 
-from repro.mem.cache import (
-    CacheSimulator,
-    CacheTileState,
-    HierarchySimulator,
-    SimulatedMisses,
-)
+from repro.mem.cache import CacheSimulator, CacheTileState, SimulatedMisses
 from repro.mem.hierarchy import (
     effective_capacity_lines,
     miss_fraction,
@@ -44,7 +39,6 @@ from repro.mem.streaming import (
     ReuseStreamState,
     iter_array_tiles,
     reuse_distances_streamed,
-    reuse_histogram_streamed,
 )
 from repro.mem.streams import generate_stream
 
@@ -52,13 +46,11 @@ __all__ = [
     "reuse_distances",
     "reuse_histogram",
     "reuse_distances_streamed",
-    "reuse_histogram_streamed",
     "ReuseStreamState",
     "iter_array_tiles",
     "generate_stream",
     "CacheSimulator",
     "CacheTileState",
-    "HierarchySimulator",
     "SimulatedMisses",
     "N_DISTANCE_BINS",
     "LDV_COLD_BIN",

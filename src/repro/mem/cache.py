@@ -27,7 +27,6 @@ __all__ = [
     "SimulatedMisses",
     "CacheSimulator",
     "CacheTileState",
-    "HierarchySimulator",
 ]
 
 # --- packed-LRU constants (see CacheSimulator._packed_tile) -----------------
@@ -514,49 +513,3 @@ class CacheSimulator:
         return self._lockstep_tile(
             lines, set_idx, counts, CacheTileState.cold(self.n_sets, self.associativity)
         )
-
-
-class HierarchySimulator:
-    """An inclusive multi-level hierarchy: misses of level i feed level i+1.
-
-    Mirrors the two levels the paper reports (L1D and L2 data misses),
-    plus optionally the shared L3 for stall modelling.
-    """
-
-    def __init__(self, levels: list[CacheSimulator]) -> None:
-        if not levels:
-            raise ValueError("hierarchy needs at least one level")
-        self.levels = levels
-
-    def simulate(self, lines: np.ndarray) -> list[SimulatedMisses]:
-        """Run a stream through every level; returns per-level counts."""
-        for cache in self.levels:
-            cache.reset()
-        lines = np.asarray(lines, dtype=np.int64)
-        results: list[SimulatedMisses] = []
-        current = lines
-        for cache in self.levels:
-            mask = cache.miss_mask(current)
-            results.append(
-                SimulatedMisses(accesses=int(current.size), misses=int(mask.sum()))
-            )
-            current = current[mask]
-        return results
-
-    def simulate_tiled(self, tiles) -> list[SimulatedMisses]:
-        """Tile-at-a-time hierarchy simulation with carried state.
-
-        Each tile's level-``i`` misses feed level ``i+1`` within the
-        tile; concatenated across tiles that is exactly the monolithic
-        level-to-level stream, so counts are bit-identical to
-        :meth:`simulate` while only ever holding one tile.
-        """
-        states = [cache.tile_state() for cache in self.levels]
-        for tile in tiles:
-            current = np.asarray(tile, dtype=np.int64)
-            for cache, state in zip(self.levels, states, strict=True):
-                if current.size == 0:
-                    break
-                mask = cache.miss_mask_tile(current, state)
-                current = current[mask]
-        return [state.result for state in states]

@@ -61,7 +61,6 @@ __all__ = [
     "iter_array_tiles",
     "reuse_distance_tiles",
     "reuse_distances_streamed",
-    "reuse_histogram_streamed",
 ]
 
 #: Default tile length for streamed kernels (accesses per tile).
@@ -336,20 +335,3 @@ def reuse_distances_streamed(
     if not pieces:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(pieces)
-
-
-def reuse_histogram_streamed(
-    tiles: Iterable[np.ndarray], n_bins: int
-) -> np.ndarray:
-    """Streamed LDV: accumulate the reuse histogram tile by tile.
-
-    Bit-identical to ``reuse_histogram(reuse_distances(stream))`` —
-    the histogram is a sum of non-negative integer counts, so the
-    tile-wise accumulation order cannot change the result.
-    """
-    from repro.mem.reuse import reuse_histogram
-
-    hist = np.zeros(n_bins, dtype=float)
-    for distances in reuse_distance_tiles(tiles):
-        hist += reuse_histogram(distances, n_bins)
-    return hist

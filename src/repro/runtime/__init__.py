@@ -5,8 +5,8 @@ the inter-barrier regions of a worksharing program.  This package models
 the runtime behaviour that shapes those regions:
 
 * :mod:`repro.runtime.scheduler` — static loop scheduling: how a
-  region's iterations divide over the thread team, including remainder
-  and data-dependent imbalance.
+  region's work divides over the thread team, with data-dependent
+  imbalance.
 * :mod:`repro.runtime.barriers` — barrier spin: threads that finish
   early busy-wait, which burns cycles (and a few instructions) until the
   slowest thread arrives.  This couples per-thread cycle counts exactly
@@ -21,10 +21,9 @@ the runtime behaviour that shapes those regions:
 from repro.runtime.barriers import SPIN_IPC, barrier_spin
 from repro.runtime.execution import execute_program
 from repro.runtime.interleave import signature_jitter_sigma
-from repro.runtime.scheduler import split_iterations, thread_shares
+from repro.runtime.scheduler import thread_shares
 
 __all__ = [
-    "split_iterations",
     "thread_shares",
     "barrier_spin",
     "SPIN_IPC",

@@ -2,38 +2,22 @@
 
 All eleven proxy applications use (or default to) ``schedule(static)``,
 so a region's iteration space divides into near-equal contiguous chunks.
-Two effects make the division uneven in practice, and both matter for the
-barrier-spin model:
-
-* the *remainder*: ``N mod t`` threads receive one extra iteration;
-* *data-dependent imbalance*: equal iteration counts are not equal work
-  (graph500's frontier expansions are the extreme case).  We model this
-  as a multiplicative per-thread jitter that is part of the program's
-  structural randomness (it is the same for every binary of a given run,
-  because it is a property of the input data, not of the ISA).
+Equal iteration counts are not equal work, and that imbalance is what the
+barrier-spin model feeds on (graph500's frontier expansions are the
+extreme case).  :func:`thread_shares` models it as a multiplicative
+per-thread jitter on equal fractional shares.  The jitter is part of the
+program's structural randomness: it is the same for every binary of a
+given run, because it is a property of the input data, not of the ISA.
+Shares are fractions of a region's work, so the one extra iteration that
+``N mod t`` threads receive is below the model's resolution.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["split_iterations", "thread_shares"]
+__all__ = ["thread_shares"]
 
-
-def split_iterations(total: int, threads: int) -> np.ndarray:
-    """Split ``total`` iterations over ``threads`` as ``schedule(static)`` does.
-
-    Returns an integer array of per-thread iteration counts; the first
-    ``total % threads`` threads receive the extra iteration.
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if total < 0:
-        raise ValueError(f"total must be non-negative, got {total}")
-    base, remainder = divmod(int(total), threads)
-    counts = np.full(threads, base, dtype=np.int64)
-    counts[:remainder] += 1
-    return counts
 
 def thread_shares(
     n_instances: int,

@@ -9,7 +9,7 @@ scheduler + stores over a small JSON HTTP API:
   in-flight submissions coalesce onto one execution (keyed by the exec
   engine's dedup digest),
 * ``GET  /v1/cells/{digest}``        warm hits answered straight from
-  mmap'd ``.rpb`` containers,
+  stored ``.rpb`` containers,
 * ``GET  /v1/cells/{digest}/events`` newline-delimited JSON progress,
 * ``GET  /v1/status``                store shards, hit/miss counters,
   cache version.
@@ -17,9 +17,8 @@ scheduler + stores over a small JSON HTTP API:
 Everything is stdlib: the HTTP/1.1 framing is hand-rolled on
 ``asyncio.start_server`` (:mod:`repro.serve.protocol`), the client on
 ``http.client``.  Underneath, the sharded stores get a size-budgeted
-LRU eviction loop (:mod:`repro.exec.eviction`) that can never unlink a
-container a live reader still maps, per-client token-bucket rate
-limiting, and graceful drain on SIGTERM.
+LRU eviction loop (:mod:`repro.exec.eviction`), per-client
+token-bucket rate limiting, and graceful drain on SIGTERM.
 """
 
 from repro.serve.client import ServeClient

@@ -76,7 +76,7 @@ def _serve_parser() -> argparse.ArgumentParser:
         default="0",
         metavar="BYTES",
         help="store size budget for LRU eviction, e.g. '64MiB' "
-        "(0 disables eviction; open-reader containers are never evicted)",
+        "(0 disables eviction)",
     )
     parser.add_argument(
         "--evict-interval",

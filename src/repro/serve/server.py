@@ -12,7 +12,7 @@ Request flow for ``POST /v1/cells``:
 2. validate the typed submission and lower it to the *same*
    :class:`~repro.exec.request.StudyRequest` the batch CLI declares,
 3. compute the exec engine's dedup digest — the public cell address,
-4. memo hit → answer immediately; disk hit → mmap the ``.rpb``
+4. memo hit → answer immediately; disk hit → read the ``.rpb``
    container and answer; otherwise coalesce onto the digest's
    execution (creating it if this is the first submission).
 
@@ -20,9 +20,9 @@ Request flow for ``POST /v1/cells``:
 cancelling that wait (client gone) never cancels the execution.
 
 A background loop keeps the sharded store under its byte budget
-(:class:`~repro.exec.eviction.StoreEvictor` — LRU, open readers are
-untouchable), and SIGTERM/SIGINT trigger a graceful drain: stop
-accepting, let in-flight cells finish (bounded), then exit.
+(:class:`~repro.exec.eviction.StoreEvictor`, LRU), and SIGTERM/SIGINT
+trigger a graceful drain: stop accepting, let in-flight cells finish
+(bounded), then exit.
 """
 
 from __future__ import annotations
@@ -132,7 +132,6 @@ class ReproServer:
             "eviction_passes": 0,
             "evicted_files": 0,
             "evicted_bytes": 0,
-            "eviction_skipped_open": 0,
         }
         self._server: asyncio.AbstractServer | None = None
         self._executor: ThreadPoolExecutor | None = None
@@ -216,19 +215,19 @@ class ReproServer:
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.evict_interval)
-            report = await loop.run_in_executor(None, self.evictor.evict)
-            self.counters["eviction_passes"] += 1
-            self.counters["evicted_files"] += report.evicted_files
-            self.counters["evicted_bytes"] += report.evicted_bytes
-            self.counters["eviction_skipped_open"] += report.skipped_open
+            # Counted here, on the loop thread that owns the counters.
+            self._count_eviction(
+                await loop.run_in_executor(None, self.evictor.evict)
+            )
 
     def evict_now(self):
         """One synchronous eviction pass (tests and the CLI use this)."""
-        report = self.evictor.evict()
+        return self._count_eviction(self.evictor.evict())
+
+    def _count_eviction(self, report):
         self.counters["eviction_passes"] += 1
         self.counters["evicted_files"] += report.evicted_files
         self.counters["evicted_bytes"] += report.evicted_bytes
-        self.counters["eviction_skipped_open"] += report.skipped_open
         return report
 
     # ----------------------------------------------------------- connection
@@ -379,7 +378,7 @@ class ReproServer:
                 return 200, self._cell_body(record, include_result=True)
             record, _ = self.coalescer.submit(digest, submission, None)
         else:
-            # Disk warm hit: the mmap'd container answers without any
+            # Disk warm hit: the stored container answers without any
             # scheduling (uncached kinds have no cell-level entry and
             # always execute — their stages still hit the stage store).
             # The container read touches disk, so it runs on the
@@ -484,7 +483,7 @@ class ReproServer:
             return 202, self._cell_body(record)
         # Unknown to this process: probe the sharded store by digest —
         # cells computed by the batch CLI (or before a restart) answer
-        # straight from their mmap'd container.
+        # straight from their stored container.
         payload = await self._load_by_digest(digest)
         if payload is None:
             raise HttpError(404, f"unknown cell digest {digest[:16]}...")

@@ -11,7 +11,7 @@ from repro.experiments.ablations import drop_insignificant
 from repro.ir.memory import MemoryPattern, PatternKind
 from repro.mem.hierarchy import miss_fraction, miss_probability
 from repro.mem.ldv import pattern_ldv_rows
-from repro.runtime.scheduler import split_iterations, thread_shares
+from repro.runtime.scheduler import thread_shares
 from repro.util.stats import relative_error
 
 pattern_kinds = st.sampled_from(list(PatternKind))
@@ -66,14 +66,6 @@ def test_ldv_rows_are_distributions(kind, threads, fp_scale, hot_scale):
     )
     assert np.all(rows >= 0)
     assert rows.sum() == 1.0 or abs(rows.sum() - 1.0) < 1e-9
-
-
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=64))
-@settings(max_examples=100)
-def test_split_iterations_conserves_and_balances(total, threads):
-    counts = split_iterations(total, threads)
-    assert counts.sum() == total
-    assert counts.max() - counts.min() <= 1
 
 
 @given(

@@ -12,14 +12,14 @@ tolerance.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.mem.cache import CacheSimulator, HierarchySimulator
+from repro.instrumentation.streamed import StreamedSignatureCollector
+from repro.mem.cache import CacheSimulator
 from repro.mem.ldv import N_DISTANCE_BINS
 from repro.mem.reuse import reuse_distances, reuse_histogram
 from repro.mem.streaming import (
     ReuseStreamState,
     iter_array_tiles,
     reuse_distances_streamed,
-    reuse_histogram_streamed,
 )
 
 line_streams = st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=300)
@@ -47,17 +47,6 @@ def test_streamed_reuse_on_wide_random_streams(seed, size):
     oracle = reuse_distances(arr)
     for tile_size in TILE_SIZES:
         assert np.array_equal(reuse_distances_streamed(arr, tile_size), oracle)
-
-
-@given(line_streams, st.sampled_from(TILE_SIZES))
-@settings(max_examples=60)
-def test_streamed_ldv_equals_monolithic(lines, tile_size):
-    arr = np.asarray(lines)
-    oracle = reuse_histogram(reuse_distances(arr), N_DISTANCE_BINS)
-    streamed = reuse_histogram_streamed(
-        iter_array_tiles(arr, tile_size), N_DISTANCE_BINS
-    )
-    assert np.array_equal(streamed, oracle)
 
 
 @given(line_streams)
@@ -120,18 +109,37 @@ def test_tiled_cache_packed_path_on_wide_random_streams(seed, size):
         assert np.array_equal(mask, oracle_mask)
 
 
+LEVELS = (("L1D", 2 * 1024, 2), ("L2", 8 * 1024, 4))
+
+
+def _collect(arr, tile_size):
+    """Feed ``arr`` tile by tile through the collector production runs."""
+    collector = StreamedSignatureCollector(n_blocks=1, levels=LEVELS)
+    for tile in iter_array_tiles(arr, tile_size):
+        collector.feed(0, tile)
+    return collector.result()
+
+
+@given(line_streams, st.sampled_from(TILE_SIZES))
+@settings(max_examples=60)
+def test_streamed_ldv_equals_monolithic(lines, tile_size):
+    arr = np.asarray(lines)
+    oracle = reuse_histogram(reuse_distances(arr), N_DISTANCE_BINS)
+    assert np.array_equal(_collect(arr, tile_size)["ldv"], oracle)
+
+
 @given(line_streams, st.sampled_from(TILE_SIZES))
 @settings(max_examples=60)
 def test_tiled_hierarchy_equals_monolithic(lines, tile_size):
+    """The collector's per-level counts equal a chained ``miss_mask``
+    cascade over the whole stream."""
     arr = np.asarray(lines)
-
-    def levels():
-        return [CacheSimulator(2 * 1024, 2), CacheSimulator(8 * 1024, 4)]
-
-    mono = HierarchySimulator(levels()).simulate(arr)
-    tiled = HierarchySimulator(levels()).simulate_tiled(
-        iter_array_tiles(arr, tile_size)
-    )
-    for got, want in zip(tiled, mono, strict=True):
-        assert got.accesses == want.accesses
-        assert got.misses == want.misses
+    result = _collect(arr, tile_size)
+    substream = arr
+    for name, size, associativity in LEVELS:
+        mask = CacheSimulator(size, associativity).miss_mask(substream)
+        assert result["levels"][name] == {
+            "accesses": int(substream.size),
+            "misses": int(mask.sum()),
+        }
+        substream = substream[mask]

@@ -82,7 +82,7 @@ class TestContainer:
         write_payload_atomic(path, PAYLOAD)
         payload, _ = read_payload_file(path)
         bbv = payload["observations"][0]["bbv"]
-        assert not bbv.flags.owndata  # a view into the mapping
+        assert not bbv.flags.owndata  # a view into the bytes read
         assert not bbv.flags.writeable
         with pytest.raises(ValueError):
             bbv[0, 0] = 1.0

@@ -1,27 +1,22 @@
 """Unit tests for the size-budgeted LRU store evictor.
 
-The three properties the serve daemon leans on:
+The properties the serve daemon leans on:
 
 * eviction unlinks coldest-first and stops at the byte budget;
-* an entry with live mmap readers is *never* unlinked, no matter how
-  cold (and its bytes keep counting against the budget);
+* a payload still held does not pin its entry: a read holds the whole
+  container in memory, so the held arrays outlive the eviction;
 * eviction is loss-free — an evicted cell is a cache miss whose
   recompute/refetch is byte-identical to what was dropped.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 from pathlib import Path
 
 import numpy as np
 
-from repro.exec.columnar import (
-    open_reader_count,
-    read_payload_file,
-    write_payload_atomic,
-)
+from repro.exec.columnar import read_payload_file, write_payload_atomic
 from repro.exec.eviction import StoreEvictor
 from repro.exec.store import CELLS, SPILL, STAGES, ArtifactStore
 
@@ -91,30 +86,17 @@ class TestEvict:
         StoreEvictor(tmp_path, budget_bytes=touched.stat().st_size).evict()
         assert touched.exists() and not other.exists()
 
-    def test_open_reader_is_never_evicted(self, tmp_path):
-        """The 64 MiB-budget property: mapped containers are untouchable."""
+    def test_held_payload_does_not_pin_its_entry(self, tmp_path):
         payload = {"big": np.arange(32 * KIB, dtype=np.int64)}
-        target = ArtifactStore(tmp_path).path(STAGES, "mapped", "aa" + "0" * 62)
+        target = ArtifactStore(tmp_path).path(STAGES, "held", "aa" + "0" * 62)
         write_payload_atomic(target, payload)
-        os.utime(target, (1.0, 1.0))  # coldest possible
-        loaded, _ = read_payload_file(target)  # zero-copy views hold the mmap
-        assert open_reader_count(target) == 1
+        loaded, _ = read_payload_file(target)
 
-        evictor = StoreEvictor(tmp_path, budget_bytes=1)
-        report = evictor.evict()
-        assert target.exists()
-        assert report.skipped_open == 1
-        assert report.evicted_files == 0
-        # The payload stays readable *through* the eviction pass.
-        assert np.array_equal(loaded["big"], payload["big"])
-
-        # Once the views die the entry is fair game again.
-        del loaded
-        gc.collect()
-        assert open_reader_count(target) == 0
-        report = evictor.evict()
-        assert not target.exists()
+        report = StoreEvictor(tmp_path, budget_bytes=1).evict()
         assert report.evicted_files == 1
+        assert not target.exists()
+        # The held arrays still equal what was written.
+        assert np.array_equal(loaded["big"], payload["big"])
 
     def test_eviction_is_loss_free(self, tmp_path):
         """Evict → refetch reproduces the container byte-identically."""

@@ -32,7 +32,6 @@ from repro.hw.ingest import (
     render_host,
     save_machine_spec,
     synth_from_machine,
-    write_tree,
 )
 from repro.hw.ingest.numa import parse_node_tree
 from repro.hw.machines import APM_XGENE, ARMV8_IN_ORDER, INTEL_I7_3770
@@ -445,7 +444,10 @@ class TestGoldenRoundTrip:
         assert np.array_equal(ours.values, theirs.values)
 
     def test_write_tree_round_trips_via_filesystem(self, tmp_path):
-        root = write_tree(synth_from_machine(APM_XGENE), tmp_path / "xgene")
+        root = tmp_path / "xgene"
+        root.mkdir()
+        for name, text in render_host(synth_from_machine(APM_XGENE)).items():
+            (root / name).write_text(text)
         desc = HostDescriptor.from_tree(root)
         twin = lower_descriptor(
             desc, name=APM_XGENE.name, donor=APM_XGENE

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from reuse_reference import reuse_distances_fenwick
 
-from repro.mem.cache import CacheSimulator, HierarchySimulator
+from repro.mem.cache import CacheSimulator
 from repro.mem.ldv import N_DISTANCE_BINS
 from repro.mem.reuse import (
     reuse_distances,
@@ -186,19 +186,3 @@ class TestCacheSimulator:
         cache = CacheSimulator(2048, 4)
         assert cache.miss_mask(np.array([], dtype=np.int64)).size == 0
         assert cache.simulate([]).accesses == 0
-
-
-class TestHierarchySimulator:
-    def test_l2_misses_subset_of_l1(self):
-        gen = np.random.default_rng(5)
-        lines = gen.integers(0, 4000, size=5000)
-        hierarchy = HierarchySimulator(
-            [CacheSimulator(4096, 4), CacheSimulator(64 * 1024, 8)]
-        )
-        l1, l2 = hierarchy.simulate(lines)
-        assert l2.accesses == l1.misses
-        assert l2.misses <= l1.misses
-
-    def test_empty_hierarchy_rejected(self):
-        with pytest.raises(ValueError):
-            HierarchySimulator([])

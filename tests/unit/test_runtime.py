@@ -8,27 +8,7 @@ from repro.isa.descriptors import ISA, BinaryConfig
 from repro.runtime.barriers import SPIN_IPC, SPIN_WINDOW_CYCLES, barrier_spin
 from repro.runtime.execution import execute_program
 from repro.runtime.interleave import signature_jitter_sigma
-from repro.runtime.scheduler import split_iterations, thread_shares
-
-
-class TestSplitIterations:
-    def test_even_split(self):
-        assert list(split_iterations(8, 4)) == [2, 2, 2, 2]
-
-    def test_remainder_to_first_threads(self):
-        assert list(split_iterations(10, 4)) == [3, 3, 2, 2]
-
-    def test_conserves_total(self):
-        for total in (0, 1, 7, 100):
-            assert split_iterations(total, 3).sum() == total
-
-    def test_invalid_threads(self):
-        with pytest.raises(ValueError):
-            split_iterations(10, 0)
-
-    def test_negative_total(self):
-        with pytest.raises(ValueError):
-            split_iterations(-1, 2)
+from repro.runtime.scheduler import thread_shares
 
 
 class TestThreadShares:

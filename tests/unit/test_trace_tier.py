@@ -1,7 +1,7 @@
 """Unit tests: the streamed trace tier and its satellites.
 
-Covers the open-handle deferred-unlink guard that `StudyStore.reclaim`
-rides, the tile-size-invariant stream generator, the streamed signature
+Covers the whole-file container read that `StudyStore.reclaim` rides,
+the tile-size-invariant stream generator, the streamed signature
 collector and every trace cell against the monolithic oracles, the
 per-stage peak-RSS counter family, and the perf gate's missing-metric
 tolerance.
@@ -15,12 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.exec.columnar import (
-    open_reader_count,
-    read_payload_file,
-    unlink_when_closed,
-    write_payload_atomic,
-)
 from repro.exec.stagestore import StageCacheStats
 from repro.experiments import trace as trace_exp
 from repro.experiments.config import default_config
@@ -49,40 +43,41 @@ def _pattern(kind=PatternKind.STREAM, hot_fraction=0.5):
     )
 
 
-def _write_payload(path):
-    write_payload_atomic(path, {"lines": np.arange(100, dtype=np.int64)})
-    return path
+DIGEST = "aa" + "0" * 62
+LINES = np.arange(100, dtype=np.int64)
 
 
-class TestOpenHandleGuard:
-    def test_unlink_defers_until_last_close(self, tmp_path):
-        """Deleting a container whose mapping live payload views still
-        alias must wait until the last of those views dies."""
-        path = _write_payload(tmp_path / "t.rpb")
-        first, _ = read_payload_file(path)
-        second, _ = read_payload_file(path)
-        assert open_reader_count(path) == 2
-        unlink_when_closed(path)
-        assert path.exists()  # still mapped: deletion deferred
-        del second
-        gc.collect()
-        assert path.exists()  # one reader left
-        assert first["lines"][0] == 0  # the mapping stays valid throughout
-        del first
-        gc.collect()
-        assert not path.exists()  # the last view's death performs the unlink
-        assert open_reader_count(path) == 0
+def _store_with_entry(tmp_path):
+    from repro.exec.store import STAGES, ArtifactStore
 
-    def test_unlink_immediate_without_readers(self, tmp_path):
-        path = _write_payload(tmp_path / "t.rpb")
-        payload, _ = read_payload_file(path)
-        del payload
+    store = ArtifactStore(tmp_path)
+    store.write(STAGES, "lines", DIGEST, {"lines": LINES})
+    return store, STAGES
+
+
+class TestWholeRead:
+    def test_payload_outlives_its_unlinked_file(self, tmp_path):
+        """A read holds the whole container in memory: deleting the
+        entry leaves the payload equal and read-only."""
+        store, ns = _store_with_entry(tmp_path)
+        payload, _ = store.read(ns, "lines", DIGEST)
+        store.path(ns, "lines", DIGEST).unlink()
         gc.collect()
-        assert open_reader_count(path) == 0
-        assert unlink_when_closed(path) is True
+        assert np.array_equal(payload["lines"], LINES)
+        assert not payload["lines"].flags.writeable
+
+    def test_unlinked_entry_misses_on_the_next_read(self, tmp_path):
+        """No open payload pins the file: the unlink is immediate and
+        the next read of that entry misses."""
+        store, ns = _store_with_entry(tmp_path)
+        payload, _ = store.read(ns, "lines", DIGEST)
+        path = store.path(ns, "lines", DIGEST)
+        path.unlink()
         assert not path.exists()
+        assert store.read(ns, "lines", DIGEST) is None
+        assert payload["lines"][0] == 0
 
-    def test_store_reclaim_uses_the_guard(self, tmp_path):
+    def test_store_reclaim_deletes_the_spill_file_at_once(self, tmp_path):
         from repro.exec.request import StudyRequest
         from repro.exec.store import StudyStore
         from repro.experiments.config import ExperimentConfig
@@ -92,18 +87,9 @@ class TestOpenHandleGuard:
         request = StudyRequest(kind="scaling", app="LULESH", threads=2)
         spilled = store.spill(request, {"x": np.arange(8.0)})
         payload = store.reclaim(spilled)
-        # Regression (PR 7): the reclaimed arrays are np.frombuffer
-        # views into the container's mapping, and the ``.rpb`` read
-        # registered that mapping as an open reader — so reclaim defers
-        # the unlink and reading *after* reclaim is safe everywhere,
-        # not just on POSIX unlink-while-open semantics.
-        assert Path(spilled).exists()
-        assert open_reader_count(spilled) == 1
-        assert np.array_equal(payload["x"], np.arange(8.0))
-        del payload
+        assert not Path(spilled).exists()
         gc.collect()
-        assert open_reader_count(spilled) == 0
-        assert not Path(spilled).exists()  # last view gone: deleted
+        assert np.array_equal(payload["x"], np.arange(8.0))  # read after reclaim
 
 
 class TestStreamTileGenerator:
