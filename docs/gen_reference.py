@@ -62,8 +62,8 @@ def _stage_page() -> str:
         "Every pipeline stage registered in `repro.api.stage_registry` —\n"
         "the same table `repro stages` prints.  Stages compose through\n"
         "the artifacts they consume and publish; `build_pipeline`\n"
-        "assembles the canonical six, and a `RankAxis` sweep runs the\n"
-        "same six.\n\n"
+        "assembles the canonical five, and a `RankAxis` sweep runs the\n"
+        "same five.\n\n"
         f"{_table(rows)}\n\n## Stage contracts\n\n" + "\n".join(details)
     )
 

@@ -20,8 +20,9 @@ def main() -> None:
     print(f"Application : {app.name} — {app.description}")
     print(f"Input       : {app.input_args}")
 
-    # Assemble the six-stage graph: profile → signature → cluster →
-    # select on x86_64, then measure (and reconstruct) → validate per target.
+    # Assemble the five-stage graph: profile → signature → cluster →
+    # select on x86_64, then measure (which also reconstructs and
+    # validates) per target.
     pipeline = (
         build_pipeline(app, threads=8, config=PipelineConfig(discovery_runs=5))
         .on(ISA.X86_64, ISA.ARMV8)
@@ -37,7 +38,8 @@ def main() -> None:
     print(f"Speed-up        : {best.speedup:.0f}x "
           f"(largest barrier point {100 * best.largest_instruction_fraction:.2f}%)")
 
-    # Steps 3-5: measure, reconstruct, validate — on both platforms.
+    # Steps 3-5: measure, reconstruct and validate — on both platforms,
+    # through the same arithmetic the graph's measure stage runs.
     for isa in (ISA.X86_64, ISA.ARMV8):
         result = pipeline.evaluate(best, isa)
         errors = ", ".join(

@@ -13,11 +13,12 @@ Quickstart
 >>> best = min(run.evaluations_on("ARMv8"),
 ...            key=lambda e: e.report.primary_error)  # doctest: +SKIP
 
-The stage-based API lives in :mod:`repro.api`: six pluggable stages
-(profile → signature → cluster → select → measure → validate, where
-``measure`` also reconstructs the whole-program estimates) assembled
-by :func:`repro.api.build_pipeline`, with open ``@register_workload``
-/ ``@register_machine`` / ``@register_stage`` registries.
+The stage-based API lives in :mod:`repro.api`: five pluggable stages
+(profile → signature → cluster → select → measure, where ``measure``
+also reconstructs the whole-program estimates and validates them)
+assembled by :func:`repro.api.build_pipeline`, with open
+``@register_workload`` / ``@register_machine`` / ``@register_stage``
+registries.
 
 See ``docs/architecture.md`` for the system inventory and
 ``docs/paper-map.md`` for the module and command behind every table and

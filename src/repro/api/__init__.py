@@ -1,7 +1,7 @@
 """``repro.api`` — the composable stage-based methodology API.
 
 The paper's workflow (profile → signatures → clustering → selection →
-measurement and reconstruction → validation) is expressed as six
+measurement, reconstruction and validation) is expressed as five
 first-class :class:`~repro.api.stage.Stage` plugins assembled by a
 fluent builder::
 
@@ -56,7 +56,6 @@ from repro.api.stages import (
     ProfileStage,
     SelectStage,
     SignatureStage,
-    ValidateStage,
     default_stages,
     evaluate_selection,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "ClusterStage",
     "SelectStage",
     "MeasureStage",
-    "ValidateStage",
     "evaluate_selection",
     "CrossArchResult",
     "run_crossarch",

@@ -19,7 +19,8 @@ swaps or inserts stages by name, ``on`` adds evaluation targets
 optionally against a :class:`~repro.exec.stagestore.StageStore`, caching
 every cacheable stage under a digest chain of upstream cache keys.  A
 stored run loads only the stages its results read: a warm default
-graph loads ``select`` and ``measure`` and nothing upstream of them.
+graph loads ``select`` and ``measure``, looks up nothing upstream of
+them and runs no stage.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ class PipelineRun:
     behind but its weights.  A run against a warm store holds only what
     its results needed: the artifacts of stages upstream of a loaded
     one (``observations``, ``signatures``, ``clusterings``) are absent,
-    and no artifact holds a representative's reading: ``measurements``
-    keeps each selection's ROI reads, ``estimates`` its reconstructed
-    whole-program counters.
+    and no artifact holds a representative's reading or a
+    per-repetition read: ``estimates`` keeps each selection's
+    reconstructed whole-program counters and the spread of its error.
 
     Example
     -------
@@ -342,7 +343,7 @@ class PipelineBuilder:
     -------
     >>> from repro.api import PipelineBuilder
     >>> builder = PipelineBuilder("MCB", threads=4).on("x86_64")
-    >>> builder.without_stage("validate").build().threads
+    >>> builder.without_stage("measure").build().threads
     4
     """
 

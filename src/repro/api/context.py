@@ -4,7 +4,7 @@ A :class:`StageContext` owns one (application, thread count, vectorised?)
 configuration: its randomness tree, the lazily-built traces and true
 counters per (ISA, machine), the measurement memos, and the ``artifacts``
 mapping the stages read from and write to (observations → signatures →
-clusterings → selections → measurements and estimates → evaluations).
+clusterings → selections → measurements, estimates and evaluations).
 
 The per-run discovery artifacts (``observations`` and ``signatures``)
 are :class:`RunSequence` objects: each run is built when it is read, so
@@ -114,8 +114,8 @@ class StageContext:
     app / threads / vectorised / config:
         The configuration under study.
     targets:
-        Machines the evaluation-side stages (measure → validate)
-        operate on.  Defaults to the discovery machine.
+        Machines the evaluation-side stage (``measure``) operates on.
+        Defaults to the discovery machine.
     discovery_isa:
         Where barrier points are discovered; the paper always uses
         x86_64 ("our objective is to extract the representative regions

@@ -210,7 +210,7 @@ machine_registry: PluginRegistry = PluginRegistry(
     "machine", autoload="repro.hw.machines"
 )
 
-#: The six methodology stages plus any user-registered replacements.
+#: The five methodology stages plus any user-registered replacements.
 stage_registry: PluginRegistry = PluginRegistry(
     "stage", autoload="repro.api.stages"
 )

@@ -1,4 +1,4 @@
-"""The six first-class stages of the BarrierPoint methodology.
+"""The five first-class stages of the BarrierPoint methodology.
 
 The paper's workflow (Section V) decomposed from the old 278-line
 monolith into pluggable steps:
@@ -10,10 +10,10 @@ profile     observations  execute the binary under the Pintool
 signature   signatures    combine BBV ⊕ LDV into signature vectors
 cluster     clusterings   SimPoint-style k sweep with BIC selection
 select      selections    representatives + multipliers per cluster
-measure     measurements  the clean ROI counters on each target, and the
+measure     measurements  the clean ROI counters on each target, the
             estimates     whole-program counters rebuilt from the
-                          representatives' readings
-validate    evaluations   error vs. the clean region of interest
+            evaluations   representatives' readings, and their error
+                          against the clean region of interest
 =========== ============= ===============================================
 
 Each stage takes its knobs either from the shared
@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from repro.api.context import RunSequence, StageContext
 from repro.api.registry import register_stage
 from repro.api.stage import Stage
@@ -43,7 +45,7 @@ from repro.core.errors import CrossArchitectureMismatch
 from repro.core.reconstruction import reconstruct_per_rep, reconstruct_totals
 from repro.core.selection import BarrierPointSelection, select_barrier_points
 from repro.core.signatures import build_signatures
-from repro.core.validation import validate_estimate
+from repro.core.validation import EstimationReport, validate_estimate
 from repro.hw.machines import Machine
 from repro.hw.pmu import INSTRUCTIONS
 from repro.instrumentation.collector import CleanSignatures, DiscoveryObservation
@@ -55,7 +57,6 @@ __all__ = [
     "ClusterStage",
     "SelectStage",
     "MeasureStage",
-    "ValidateStage",
     "DEFAULT_STAGE_NAMES",
     "default_stages",
     "evaluate_selection",
@@ -68,7 +69,6 @@ DEFAULT_STAGE_NAMES = (
     "cluster",
     "select",
     "measure",
-    "validate",
 )
 
 
@@ -77,19 +77,23 @@ def _estimate(
     selection: BarrierPointSelection,
     machine: Machine,
     isa: ISA | None = None,
-) -> dict:
-    """Step 4 on one target: scale the representatives' readings up.
+) -> tuple[np.ndarray, EstimationReport]:
+    """Steps 4 and 5 of one selection on one target: ``(totals, report)``.
 
-    ``totals`` is the ``(threads, 4)`` whole-program estimate from the
-    representatives' mean rows, ``per_rep`` the ``(repetitions,
-    threads, 4)`` estimates from their per-repetition reads.
+    ``totals`` is the ``(threads, 4)`` estimate from the representatives'
+    mean rows; the report's ``error_std`` compares the estimates from
+    their per-repetition reads with the ROI's.
     """
-    bp_reps, _ = ctx.rep_samples(selection, machine, isa)
+    bp_reps, roi_reps = ctx.rep_samples(selection, machine, isa)
     means = ctx.measured_means(machine, isa)
-    return {
-        "totals": reconstruct_totals(selection, means[selection.representatives]),
-        "per_rep": reconstruct_per_rep(selection, bp_reps),
-    }
+    totals = reconstruct_totals(selection, means[selection.representatives])
+    report = validate_estimate(
+        totals,
+        ctx.reference_totals(machine, isa),
+        estimate_reps=reconstruct_per_rep(selection, bp_reps),
+        reference_reps=roi_reps,
+    )
+    return totals, report
 
 
 def evaluate_selection(
@@ -101,23 +105,44 @@ def evaluate_selection(
     """Measure → reconstruct → validate one selection on one target.
 
     The eager path (:meth:`~repro.api.StagePipeline.evaluate`) and the
-    staged graph reconstruct through the same arithmetic;
+    ``measure`` stage estimate and validate through the same arithmetic;
     raises :class:`~repro.core.errors.CrossArchitectureMismatch` when
     the target's barrier sequence disagrees with discovery.  ``isa``
     defaults to the machine's own ISA.
     """
     isa = isa or machine.isa
     ctx.check_compatible(selection, machine, isa)
-    estimate = _estimate(ctx, selection, machine, isa)
-    report = validate_estimate(
-        estimate["totals"],
-        ctx.reference_totals(machine, isa),
-        estimate_reps=estimate["per_rep"],
-        reference_reps=ctx.rep_samples(selection, machine, isa)[1],
-    )
+    _, report = _estimate(ctx, selection, machine, isa)
     return EvaluationResult(
         label=ctx.binary(isa).label, selection=selection, report=report
     )
+
+
+def _evaluations(ctx: StageContext) -> dict[str, list[EvaluationResult]]:
+    """Every selection's report on every target, from what ``measure`` keeps.
+
+    The mean and per-thread errors are :func:`validate_estimate` of the
+    stored ``totals`` against the target's ``reference``; the spread is
+    the stored ``error_std``.  A live and a loaded ``measure`` both
+    publish through here, so their reports agree to the bit.
+    """
+    selections = ctx.require("selections")
+    measurements = ctx.require("measurements")
+    labels = {machine.name: ctx.binary(machine.isa).label for machine in ctx.targets}
+    return {
+        name: [
+            EvaluationResult(
+                label=labels[name],
+                selection=selection,
+                report=replace(
+                    validate_estimate(estimate["totals"], measurements[name]["reference"]),
+                    error_std=estimate["error_std"],
+                ),
+            )
+            for selection, estimate in zip(selections, per_selection, strict=True)
+        ]
+        for name, per_selection in ctx.require("estimates").items()
+    }
 
 
 @register_stage
@@ -332,25 +357,24 @@ class SelectStage(Stage):
 
 @register_stage
 class MeasureStage(Stage):
-    """Steps 3 and 4: measure every target and reconstruct each selection.
+    """Steps 3 to 5: measure every target, reconstruct and validate each selection.
 
-    Per target, ``measurements`` holds the clean ROI ``reference``;
-    ``roi``, each selection's per-repetition ROI reads; and
+    Per target, ``measurements`` holds the clean ROI ``reference`` and
     ``comm_cycles``: the slowest rank's noise-free network cycles
     (``0.0`` for shared-memory jobs), which rank cells report without
     re-running the trace.  ``estimates`` holds each selection's
-    whole-program ``totals`` and ``per_rep`` estimates, the
-    multiplier-weighted sums of its representatives' readings; the
-    readings themselves are not kept, so no stored row grows with k.
-    A target whose barrier sequence disagrees with discovery (HPGMG-FV
-    on ARMv8) is recorded under ``failures`` instead of aborting the
-    whole graph.
+    whole-program ``totals`` and ``error_std``, its error's spread over
+    the repetitions; ``evaluations``, rebuilt from them on load, each
+    selection's report.  No readings or per-repetition arrays are kept,
+    so nothing stored grows with k or the repetitions.  A target whose
+    barrier sequence disagrees with discovery (HPGMG-FV on ARMv8) is
+    recorded under ``failures`` instead of aborting the whole graph.
     """
 
     name = "measure"
     inputs = ("selections",)
-    outputs = ("measurements", "estimates", "failures")
-    description = "measure each target and reconstruct whole-program counters"
+    outputs = ("measurements", "estimates", "evaluations", "failures")
+    description = "measure each target, reconstruct and validate each selection"
     cacheable = True
 
     def run(self, ctx: StageContext) -> StageContext:
@@ -364,15 +388,18 @@ class MeasureStage(Stage):
             except CrossArchitectureMismatch as exc:
                 failures[machine.name] = str(exc)
                 continue
-            estimates[machine.name] = [_estimate(ctx, s, machine) for s in selections]
             measurements[machine.name] = {
                 "reference": ctx.reference_totals(machine),
-                "roi": [ctx.rep_samples(s, machine)[1] for s in selections],
                 "comm_cycles": 0.0 if comm is None else float(comm.sum(axis=0).max()),
             }
+            estimates[machine.name] = [
+                {"totals": totals, "error_std": report.error_std}
+                for totals, report in (_estimate(ctx, s, machine) for s in selections)
+            ]
         ctx.put("measurements", measurements)
         ctx.put("estimates", estimates)
         ctx.put("failures", failures)
+        ctx.put("evaluations", _evaluations(ctx))
         return ctx
 
     def cache_key(self, ctx: StageContext) -> dict:
@@ -382,51 +409,16 @@ class MeasureStage(Stage):
         }
 
     def encode(self, ctx: StageContext) -> dict:
-        return {name: ctx.require(name) for name in self.outputs}
+        return {name: ctx.require(name) for name in ("measurements", "estimates", "failures")}
 
     def decode(self, payload: dict, ctx: StageContext) -> None:
-        for name in self.outputs:
-            ctx.put(name, payload[name])
-
-
-@register_stage
-class ValidateStage(Stage):
-    """Step 5: validate each estimate against the clean ROI reference."""
-
-    name = "validate"
-    inputs = ("selections", "measurements", "estimates")
-    outputs = ("evaluations",)
-    description = "validate estimates against the clean region of interest"
-
-    def run(self, ctx: StageContext) -> StageContext:
-        selections = ctx.require("selections")
-        measurements = ctx.require("measurements")
-        by_name = {machine.name: machine for machine in ctx.targets}
-        evaluations: dict[str, list[EvaluationResult]] = {}
-        for name, per_selection in ctx.require("estimates").items():
-            entry = measurements[name]
-            label = ctx.binary(by_name[name].isa).label
-            evaluations[name] = [
-                EvaluationResult(
-                    label=label,
-                    selection=selection,
-                    report=validate_estimate(
-                        estimate["totals"],
-                        entry["reference"],
-                        estimate_reps=estimate["per_rep"],
-                        reference_reps=roi,
-                    ),
-                )
-                for selection, estimate, roi in zip(
-                    selections, per_selection, entry["roi"], strict=True
-                )
-            ]
-        ctx.put("evaluations", evaluations)
-        return ctx
+        for name, value in payload.items():
+            ctx.put(name, value)
+        ctx.put("evaluations", _evaluations(ctx))
 
 
 def default_stages() -> list[Stage]:
-    """Fresh default-configured instances of the six canonical stages."""
+    """Fresh default-configured instances of the five canonical stages."""
     from repro.api.registry import stage_registry
 
     return [stage_registry.get(name)() for name in DEFAULT_STAGE_NAMES]

@@ -9,7 +9,7 @@ widths × machines through the registered stage graph.  The
 
 * :class:`ThreadAxis` — the OpenMP team of one shared-memory node,
   through the canonical graph (profile → signature → cluster → select
-  → measure → validate);
+  → measure);
 * :class:`RankAxis` — the number of MPI-style ranks, each a fixed-width
   team on its own node, through the same graph: ``profile`` instruments
   every rank and ``signature`` concatenates the per-rank signatures

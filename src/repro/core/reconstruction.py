@@ -8,8 +8,9 @@ sum of the representatives' measured counters:
 The multipliers come from the x86_64 discovery analysis; the measured
 counters come from whichever platform is being estimated — this is the
 paper's cross-architectural step.  The ``measure`` stage applies both
-functions to every selection on every target as it measures them, and
-stores their results instead of the representatives' readings.
+functions to every selection on every target as it measures them,
+validates the results, and stores the totals and the error spread
+instead of the representatives' readings.
 """
 
 from __future__ import annotations

@@ -61,8 +61,10 @@ __all__ = [
 #: count and phases, so every stage digest moved; 15: ``select`` keeps
 #: the representatives' weights and the ROI total, not every barrier
 #: point's label and weight; 16: ``measure`` keeps each selection's
-#: reconstructed estimates, not its representatives' readings).
-CACHE_VERSION = 16
+#: reconstructed estimates, not its representatives' readings; 17:
+#: ``measure`` also validates, and keeps each selection's error spread,
+#: not its per-repetition estimates and ROI reads).
+CACHE_VERSION = 17
 
 #: The store's namespaces: cell payloads, stage payloads, and the
 #: one-shot hand-off files of the ``processes`` backend.

@@ -50,7 +50,7 @@ def _grid_config(tmp_path, **overrides):
 
 class TestRankStages:
     def test_rank_stages_registered(self):
-        # A rank job runs the registry's six canonical stages.
+        # A rank job runs the registry's five canonical stages.
         pipeline = StagePipeline(DistributedWorkload("MCB", ranks=2), RANK_THREADS, False, FAST)
         assert tuple(stage.name for stage in pipeline.stages) == DEFAULT_STAGE_NAMES
 

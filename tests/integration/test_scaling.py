@@ -183,8 +183,8 @@ class TestProcessBackendStageStats:
             assert parent_stats.hit_count(stage) > 0, stage
         assert not parent_stats.misses
         # The workers' run timers merge too: none of them re-ran discovery
-        # or measured again, so validate is all that ran live.
-        assert sorted(parent_stats.run_seconds) == ["validate"]
+        # or measured again, so no stage ran live.
+        assert not parent_stats.run_seconds
         assert "no stage cache traffic" not in parent_stats.describe()
 
     def test_pooled_grid_computes_each_discovery_once(self, tmp_path):

@@ -8,9 +8,10 @@ protocol or the targets reuses the stored selections — asserted here
 through the store's per-stage hit counters and run timers, with
 byte-identical results either way.  Loading is demand-driven: a warm
 graph looks up only ``select`` and ``measure``, never the discovery
-side behind them, and runs only ``validate``.  No stored payload grows
-with k: ``measure`` keeps each selection's reconstructed estimates, not
-its representatives' readings.
+side behind them, and runs no stage.  No stored payload grows with k or
+with the measurement repetitions: ``measure`` keeps each selection's
+reconstructed estimate and error spread, not its representatives'
+readings or its per-repetition reads.
 """
 
 import json
@@ -28,6 +29,7 @@ from repro.api.sweep import RANK_THREADS, SCALING_MACHINES
 from repro.clustering.simpoint import SimPointOptions
 from repro.core.reconstruction import reconstruct_per_rep, reconstruct_totals
 from repro.core.selection import BarrierPointSelection
+from repro.core.validation import EstimationReport, validate_estimate
 from repro.exec.stagestore import StageStore, stage_store_for
 from repro.exec.store import STAGES
 from repro.experiments.config import default_config
@@ -180,7 +182,7 @@ class TestDemandDrivenLoading:
         store.stats.reset()
         _run(FAST, store)
         assert _lookups(store.stats) == ["measure", "select"]
-        assert sorted(store.stats.run_seconds) == ["validate"]
+        assert not store.stats.run_seconds
 
     def test_maxk_change_reruns_signature_and_cluster(self, store):
         _run(FAST, store)
@@ -189,21 +191,13 @@ class TestDemandDrivenLoading:
         warm = _run(capped, store)
         # Nothing upstream of select is stored: discovery runs again.
         assert dict(store.stats.misses) == {"select": 1, "measure": 1}
-        assert sorted(store.stats.run_seconds) == sorted(REDISCOVERED + ("validate",))
+        assert sorted(store.stats.run_seconds) == sorted(REDISCOVERED)
         assert _payload(warm) == _payload(_run(capped, StageStore("")))
 
-    def test_warm_trimmed_graph_exposes_selections_and_measurements(self, store):
-        def trimmed():
-            return (
-                build_pipeline("MCB", threads=2, config=FAST)
-                .on(ISA.X86_64)
-                .without_stage("validate")
-                .run(store)
-            )
-
-        cold = trimmed()
+    def test_warm_graph_exposes_what_it_loads(self, store):
+        cold = _run(FAST, store)
         store.stats.reset()
-        warm = trimmed()
+        warm = _run(FAST, store)
         assert _lookups(store.stats) == ["measure", "select"]
         assert not store.stats.misses and not store.stats.run_seconds
         assert [s.representatives.tolist() for s in warm.selections] == [
@@ -213,8 +207,9 @@ class TestDemandDrivenLoading:
         cold_m, warm_m = (
             r.context.require("measurements")[name] for r in (cold, warm)
         )
+        assert set(warm_m) == set(cold_m) == {"reference", "comm_cycles"}
         assert warm_m["reference"].tobytes() == cold_m["reference"].tobytes()
-        assert [r.tobytes() for r in warm_m["roi"]] == [r.tobytes() for r in cold_m["roi"]]
+        assert warm_m["comm_cycles"] == cold_m["comm_cycles"]
         _assert_same_estimates(warm.context, cold.context, name)
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -238,7 +233,7 @@ def _assert_same_estimates(got_ctx, want_ctx, name):
     got, want = (ctx.require("estimates")[name] for ctx in (got_ctx, want_ctx))
     assert len(got) == len(want)
     for a, b in zip(got, want, strict=True):
-        assert a.keys() == b.keys() == {"totals", "per_rep"}
+        assert a.keys() == b.keys() == {"totals", "error_std"}
         for key in a:
             assert (a[key].dtype, a[key].shape) == (b[key].dtype, b[key].shape), key
             assert a[key].tobytes() == b[key].tobytes(), key
@@ -253,23 +248,48 @@ def _keys(node):
     return set()
 
 
+def _arrays(node):
+    """Every array anywhere in a payload tree."""
+    if isinstance(node, np.ndarray):
+        return [node]
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [array for value in node for array in _arrays(value)]
+    return []
+
+
 def _assert_estimates_reconstruct(payload, ctx, machine):
-    """The stored estimates are Step 4 over ``ctx``'s own readings, bit for bit."""
+    """The stored estimates are Steps 4 and 5 over ``ctx``'s own readings, bit for bit."""
     estimates = payload["estimates"][machine.name]
     means = ctx.measured_means(machine)
+    reference = ctx.reference_totals(machine)
     selections = ctx.require("selections")
     assert len(estimates) == len(selections)
     for selection, estimate in zip(selections, estimates, strict=True):
-        bp_reps, _ = ctx.rep_samples(selection, machine)
-        want = {
-            "totals": reconstruct_totals(selection, means[selection.representatives]),
-            "per_rep": reconstruct_per_rep(selection, bp_reps),
-        }
+        bp_reps, roi_reps = ctx.rep_samples(selection, machine)
+        totals = reconstruct_totals(selection, means[selection.representatives])
+        report = validate_estimate(
+            totals,
+            reference,
+            estimate_reps=reconstruct_per_rep(selection, bp_reps),
+            reference_reps=roi_reps,
+        )
+        want = {"totals": totals, "error_std": report.error_std}
         assert estimate.keys() == want.keys()
         for key, array in want.items():
             got = estimate[key]
             assert (got.dtype, got.shape) == (array.dtype, array.shape), key
             assert got.tobytes() == array.tobytes(), key
+
+
+def _assert_same_reports(got, want):
+    """Two evaluations carry the same label and report, every float to the bit."""
+    assert got.label == want.label
+    for field in fields(EstimationReport):
+        a, b = getattr(got.report, field.name), getattr(want.report, field.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+        assert a.tobytes() == b.tobytes(), field.name
 
 
 def _rank_pipeline():
@@ -307,21 +327,40 @@ class TestStoredPayloads:
         digest = {stage.name: digest for stage, digest in cold._chain()}["measure"]
         payload = store.load(digest, "measure")
         ctx = cold.context
-        assert set(payload) == {"measurements", "estimates", "failures"}
-        assert not {"means", "bp", "reps"} & _keys(payload)
-        entry = payload["measurements"][INTEL_I7_3770.name]
-        assert set(entry) == {"reference", "roi", "comm_cycles"}
+        name = INTEL_I7_3770.name
+        assert _keys(payload) == {
+            "measurements", "estimates", "failures", name,
+            "reference", "comm_cycles", "totals", "error_std",
+        }
+        entry = payload["measurements"][name]
         assert entry["reference"].tobytes() == ctx.reference_totals(INTEL_I7_3770).tobytes()
-        selections = ctx.require("selections")
-        assert [r.tobytes() for r in entry["roi"]] == [
-            ctx.rep_samples(s, INTEL_I7_3770)[1].tobytes() for s in selections
-        ]
+        # No stored array has a repetitions axis: a (contexts, 4)
+        # reference or estimate, or a (4,) error spread.
+        contexts = entry["reference"].shape[0]
+        assert {array.shape for array in _arrays(payload)} == {(contexts, 4), (4,)}
         _assert_estimates_reconstruct(payload, ctx, INTEL_I7_3770)
 
         warm = pipeline()
         warm.run(store)
         assert "observations" not in warm.context.artifacts
-        _assert_same_estimates(warm.context, ctx, INTEL_I7_3770.name)
+        _assert_same_estimates(warm.context, ctx, name)
+
+    @PIPELINES
+    def test_warm_reports_equal_cold_to_the_bit(self, store, pipeline):
+        cold = pipeline().run(store)
+        store.stats.reset()
+        warm = pipeline().run(store)
+        assert not store.stats.misses and not store.stats.run_seconds
+        # The eager path validates the per-repetition reads afresh.
+        eager = pipeline()
+        eager.discover(store)
+        assert warm.evaluations.keys() == cold.evaluations.keys() == {INTEL_I7_3770.name}
+        for name, evaluations in cold.evaluations.items():
+            assert len(warm.evaluations[name]) == len(evaluations) > 0
+            for got, want in zip(warm.evaluations[name], evaluations, strict=True):
+                _assert_same_reports(got, want)
+                live = eager.evaluate(got.selection, INTEL_I7_3770.isa, INTEL_I7_3770)
+                _assert_same_reports(got, live)
 
     def test_measure_entry_size_does_not_grow_with_k(self, tmp_path):
         def stored(config):
@@ -337,8 +376,9 @@ class TestStoredPayloads:
 
     def test_quick_8_rank_lulesh_measure_entry_is_small_and_exact(self, store):
         # The largest quick measure entry: 8 ranks x 2 threads, 3 runs,
-        # 3 machines.  Nothing in it grows with k, and its estimates are
-        # Step 4 over readings a run that stores nothing takes afresh.
+        # 3 machines.  Nothing in it grows with k or the repetitions, and
+        # its estimates and error spreads are Steps 4 and 5 over readings
+        # a run that stores nothing takes afresh.
         config = default_config("quick").pipeline_config()
         machines = tuple(machine_registry.get(name) for name in SCALING_MACHINES)
 
@@ -351,10 +391,11 @@ class TestStoredPayloads:
         cold = pipeline()
         cold.run(store)
         (entry,) = store.artifacts.root.rglob("measure_*.rpb")
-        assert entry.stat().st_size < 64 * 1024
+        assert entry.stat().st_size <= 10 * 1024
         digest = {stage.name: digest for stage, digest in cold._chain()}["measure"]
         payload = store.load(digest, "measure")
         assert not payload["failures"]
+        assert max(array.ndim for array in _arrays(payload)) == 2
 
         # Discovery is loaded, not re-run: the selections are the stored ones.
         fresh = pipeline()

@@ -1,6 +1,6 @@
 """Property tests: the payload codecs round-trip exactly.
 
-The six registered stages emit float64/int64/int32/bool arrays in 0-d,
+The five registered stages emit float64/int64/int32/bool arrays in 0-d,
 1-d and 2-d shapes (including empty axes); the strategies below cover
 that envelope plus the adjacent dtypes, and every draw must survive both
 the columnar container and the JSON wire plane bit-for-bit.

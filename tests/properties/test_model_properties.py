@@ -1,7 +1,7 @@
 """Property-based tests for analytic models and methodology invariants."""
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.clustering.kmeans import KMeansResult
 from repro.clustering.simpoint import ClusteringChoice

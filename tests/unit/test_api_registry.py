@@ -87,15 +87,14 @@ class TestBuiltinRegistries:
         assert "ARMv8 in-order (A53-class)" in machine_registry
 
     def test_builtin_stages_registered(self):
-        # The paper's steps as six stages (measure also reconstructs),
-        # for shared-memory and rank jobs alike.
+        # The paper's steps as five stages (measure also reconstructs
+        # and validates), for shared-memory and rank jobs alike.
         assert stage_registry.names() == (
             "profile",
             "signature",
             "cluster",
             "select",
             "measure",
-            "validate",
         )
 
     def test_third_party_workload_roundtrip(self):

@@ -196,11 +196,11 @@ class TestRegistryListings:
         assert out.count("\n") >= 11
         assert "miniFE" in out and "XSBench" in out
 
-    def test_stages_lists_all_six(self, capsys):
+    def test_stages_lists_all_five(self, capsys):
         assert main(["stages"]) == 0
         out = capsys.readouterr().out
         assert [line.split()[0] for line in out.strip().splitlines()] == [
-            "profile", "signature", "cluster", "select", "measure", "validate",
+            "profile", "signature", "cluster", "select", "measure",
         ]
         assert "Pintool" in out  # descriptions shown
 

@@ -1,8 +1,5 @@
 """Tests for the experiment driver data structures and rendering."""
 
-import numpy as np
-import pytest
-
 from repro.experiments.figure2 import PANEL_IDS, Figure2, Figure2Panel, Figure2Point
 from repro.experiments.runner import ConfigSummary, StudySummary
 from repro.experiments.table3 import PAPER_TABLE3, Table3

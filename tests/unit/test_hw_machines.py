@@ -5,7 +5,7 @@ import pytest
 
 from repro.hw.machines import APM_XGENE, INTEL_I7_3770, machine_for
 from repro.hw.overhead import DEFAULT_OVERHEAD, InstrumentationOverhead
-from repro.hw.pmu import N_METRICS, PMU_METRICS, PmuNoiseSpec
+from repro.hw.pmu import N_METRICS, PmuNoiseSpec
 from repro.ir.memory import PatternKind
 from repro.isa.descriptors import ISA
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ir.memory import MemoryPattern, PatternKind
+from repro.ir.memory import PatternKind
 from repro.mem.hierarchy import (
     effective_capacity_lines,
     miss_fraction,

@@ -1,7 +1,6 @@
 """Tests for the deterministic RNG tree."""
 
 import numpy as np
-import pytest
 
 from repro.util.rng import RngTree, stable_hash
 
