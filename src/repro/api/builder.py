@@ -36,7 +36,7 @@ from repro.api.stage import Stage
 from repro.api.stages import default_stages, evaluate_selection
 from repro.api.types import EvaluationResult, PipelineConfig, SupportsProgram
 from repro.core.selection import BarrierPointSelection
-from repro.exec.stagestore import StageStore, base_digest, chain_digest
+from repro.exec.stagestore import StageStore, base_digest, chain_digest, maxrss_kib
 from repro.hw.machines import Machine, machine_for
 from repro.hw.perf import TrueCounters
 from repro.ir.trace import ExecutionTrace
@@ -267,13 +267,13 @@ class StagePipeline:
             if payload is not None:
                 stage.decode(payload, self.context)
             else:
-                started = time.perf_counter()
+                started, maxrss = time.perf_counter(), maxrss_kib()
                 stage.run(self.context)
                 if store is not None:
                     # Accounted even when the store is disabled, so
                     # --profile works under --no-cache.
                     store.stats.record_run(
-                        stage.name, time.perf_counter() - started
+                        stage.name, time.perf_counter() - started, maxrss
                     )
                 if cached and stage.cacheable:
                     store.store(digest, stage.name, stage.encode(self.context))

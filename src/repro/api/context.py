@@ -314,6 +314,19 @@ class StageContext:
             self._reps[key] = (bp_reps, roi_reps)
         return self._reps[key]
 
+    def release(self, machine: Machine, isa: ISA | None = None) -> None:
+        """Forget a target's counters, means and per-repetition reads.
+
+        ``measure`` calls this once it has estimated every selection on
+        the target, so it holds one target's counters at a time; a
+        later read builds them again from the same paths, bit for bit.
+        """
+        key = (isa or machine.isa, machine.name)
+        self._counters.pop(key, None)
+        self._measured.pop(key, None)
+        for rep_key in [rep_key for rep_key in self._reps if rep_key[:2] == key]:
+            del self._reps[rep_key]
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"StageContext({self.app.name!r}, threads={self.threads}, "

@@ -224,11 +224,12 @@ class SignatureStage(Stage):
     """Step 2: combine each run's BBV and LDV into signature vectors.
 
     Publishes a run sequence: reading run r draws its ranks'
-    observations one at a time and signs each into its rank-major slice
-    of the run's matrix (:func:`~repro.core.signatures.build_signatures`),
-    so the work is charged to the stage that reads it (``cluster``).
-    Not cacheable: it only normalises and concatenates the ``profile``
-    observations.
+    observations and keeps their jittered nonzeros as the run's
+    :class:`~repro.core.signatures.SignatureMatrix`
+    (:func:`~repro.core.signatures.build_signatures`), whose rows
+    ``cluster`` builds and projects a block at a time, so the work is
+    charged to the stage that reads it.  Not cacheable: it only
+    normalises and concatenates the ``profile`` observations.
     """
 
     name = "signature"
@@ -292,7 +293,7 @@ class ClusterStage(Stage):
                 "simpoint", ctx.app.name, ctx.threads, label, run
             )
             clusterings.append(
-                run_simpoint(signature.combined, signature.weights, gen, options)
+                run_simpoint(signature, signature.weights, gen, options)
             )
             del signature
         ctx.put("clusterings", clusterings)
@@ -369,6 +370,9 @@ class MeasureStage(Stage):
     so nothing stored grows with k or the repetitions.  A target whose
     barrier sequence disagrees with discovery (HPGMG-FV on ARMv8) is
     recorded under ``failures`` instead of aborting the whole graph.
+    Each target's counters, means and per-repetition reads are released
+    from the context once it is done, so one target's are held at a
+    time.
     """
 
     name = "measure"
@@ -387,15 +391,16 @@ class MeasureStage(Stage):
                 comm = ctx.check_compatible(selections[0], machine).comm_cycles
             except CrossArchitectureMismatch as exc:
                 failures[machine.name] = str(exc)
-                continue
-            measurements[machine.name] = {
-                "reference": ctx.reference_totals(machine),
-                "comm_cycles": 0.0 if comm is None else float(comm.sum(axis=0).max()),
-            }
-            estimates[machine.name] = [
-                {"totals": totals, "error_std": report.error_std}
-                for totals, report in (_estimate(ctx, s, machine) for s in selections)
-            ]
+            else:
+                measurements[machine.name] = {
+                    "reference": ctx.reference_totals(machine),
+                    "comm_cycles": 0.0 if comm is None else float(comm.sum(axis=0).max()),
+                }
+                estimates[machine.name] = [
+                    {"totals": totals, "error_std": report.error_std}
+                    for totals, report in (_estimate(ctx, s, machine) for s in selections)
+                ]
+            ctx.release(machine)
         ctx.put("measurements", measurements)
         ctx.put("estimates", estimates)
         ctx.put("failures", failures)

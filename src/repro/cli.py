@@ -87,7 +87,7 @@ _EXPERIMENTS = {
 #: Peak RSS of one worker, rounded up from the heaviest process of a
 #: cold ``all --scale full`` (279 MiB: a worker running the 10**7-access
 #: ``trace`` cells; the heaviest discovery cell, 8-rank LULESH, peaks
-#: at 138 MiB); the command's default worker count never plans more of
+#: at 101 MiB); the command's default worker count never plans more of
 #: them than the available memory.
 _WORKER_PEAK_BYTES = 320 * 2**20
 

@@ -14,18 +14,19 @@ import numpy as np
 __all__ = ["random_projection"]
 
 
-def random_projection(
-    data: np.ndarray, dims: int, gen: np.random.Generator
-) -> np.ndarray:
+def random_projection(data, dims: int, gen: np.random.Generator) -> np.ndarray:
     """Project rows of ``data`` to ``dims`` dimensions.
 
     Parameters
     ----------
     data:
-        ``(n, D)`` matrix of signatures.
+        ``(n, D)`` signatures: an array, or a
+        :class:`~repro.core.signatures.SignatureMatrix`, whose rows are
+        built and multiplied a block at a time
+        (:meth:`~repro.core.signatures.SignatureMatrix.project`).
     dims:
         Target dimensionality (SimPoint's default region is ~15).  If
-        ``D <= dims`` the data is returned unchanged (already small).
+        ``D <= dims`` the rows are returned unprojected (already small).
     gen:
         Seeded generator; different discovery runs use different
         projections, one source of the run-to-run selection variation.
@@ -35,13 +36,15 @@ def random_projection(
     numpy.ndarray
         ``(n, dims)`` projected matrix.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
+    dense = not hasattr(data, "project")
+    if dense:
+        data = np.asarray(data, dtype=float)
+    if len(data.shape) != 2:
         raise ValueError(f"data must be 2-D, got shape {data.shape}")
     if dims < 1:
         raise ValueError(f"dims must be >= 1, got {dims}")
-    n_features = data.shape[1]
+    n, n_features = data.shape
     if n_features <= dims:
-        return data.copy()
+        return data.copy() if dense else data.rows(0, n)
     matrix = gen.standard_normal((n_features, dims)) / np.sqrt(dims)
-    return data @ matrix
+    return data @ matrix if dense else data.project(matrix)

@@ -113,7 +113,7 @@ class ClusteringChoice:
 
 
 def run_simpoint(
-    signatures: np.ndarray,
+    signatures,
     weights: np.ndarray,
     gen: np.random.Generator,
     options: SimPointOptions | None = None,
@@ -123,7 +123,9 @@ def run_simpoint(
     Parameters
     ----------
     signatures:
-        ``(n_bp, D)`` combined signature matrix.
+        ``(n_bp, D)`` combined signatures: a
+        :class:`~repro.core.signatures.SignatureMatrix`, which is
+        projected a block of rows at a time, or an array.
     weights:
         ``(n_bp,)`` instruction weights.
     gen:
@@ -137,11 +139,9 @@ def run_simpoint(
         Smallest k reaching the BIC threshold, with its clustering.
     """
     options = options or SimPointOptions()
-    signatures = np.asarray(signatures, dtype=float)
-    if signatures.ndim != 2 or signatures.shape[0] == 0:
-        raise ValueError(f"signatures must be non-empty 2-D, got {signatures.shape}")
-
     projected = random_projection(signatures, options.projected_dims, gen)
+    if projected.shape[0] == 0:
+        raise ValueError(f"signatures must be non-empty 2-D, got {signatures.shape}")
     grid = options.k_grid(projected.shape[0])
 
     results: dict[int, KMeansResult] = {}

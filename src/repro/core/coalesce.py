@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.instrumentation.collector import DiscoveryObservation
+from repro.instrumentation.collector import DiscoveryObservation, Nonzeros
 
 __all__ = ["coalesce_groups", "aggregate_observation", "aggregate_values"]
 
@@ -87,6 +87,21 @@ def aggregate_values(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
     return out
 
 
+def _aggregate_nonzeros(half: Nonzeros, groups: np.ndarray, n_groups: int) -> Nonzeros:
+    """:func:`aggregate_values` of a half's dense form, bit for bit.
+
+    The kept entries are added in row order, as the dense sum adds its
+    rows.  Every group sum starts at +0.0, so it is never -0.0, and
+    adding the +0.0 entries this sum skips would change no bit of it.
+    """
+    width = half.shape[1]
+    rows, cols = np.divmod(half.index, width)
+    index, slot = np.unique(groups[rows] * width + cols, return_inverse=True)
+    values = np.zeros(len(index))
+    np.add.at(values, slot, half.values)
+    return Nonzeros(shape=(n_groups, width), index=index, values=values)
+
+
 def aggregate_observation(
     observation: DiscoveryObservation, groups: np.ndarray
 ) -> DiscoveryObservation:
@@ -96,9 +111,10 @@ def aggregate_observation(
     regions, so the merged observation is exactly what the Pintool would
     have collected with the reads hoisted.
     """
+    weights = aggregate_values(observation.weights, groups)
     return DiscoveryObservation(
-        bbv=aggregate_values(observation.bbv, groups),
-        ldv=aggregate_values(observation.ldv, groups),
-        weights=aggregate_values(observation.weights, groups),
+        bbv=_aggregate_nonzeros(observation.bbv, groups, len(weights)),
+        ldv=_aggregate_nonzeros(observation.ldv, groups, len(weights)),
+        weights=weights,
         run_index=observation.run_index,
     )

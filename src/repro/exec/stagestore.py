@@ -96,12 +96,17 @@ _SITE_COUNTER_NAMES = ("heals", "faults", "store_errors")
 #: High-water-mark families: snapshotted with the rest but merged with
 #: ``max`` instead of ``+`` — a peak observed by two workers is one
 #: peak, not their sum.
-_MAX_COUNTER_NAMES = ("rss_peak_kib",)
+_MAX_COUNTER_NAMES = ("rss_rise_kib",)
 
 _COUNTER_NAMES = _SUM_COUNTER_NAMES + _MAX_COUNTER_NAMES
 
 #: ``ru_maxrss`` unit: kibibytes on Linux, bytes on macOS.
 _RU_MAXRSS_TO_KIB = 1024 if sys.platform == "darwin" else 1
+
+
+def maxrss_kib() -> int:
+    """This process's ``ru_maxrss`` high-water mark, in KiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // _RU_MAXRSS_TO_KIB
 
 
 @dataclass
@@ -112,10 +117,11 @@ class StageCacheStats:
     ``bytes_encoded`` the container bytes read and written per stage;
     ``run_seconds``/``load_seconds``/``store_seconds`` the wall time
     spent executing, decoding and persisting each stage.
-    ``rss_peak_kib`` is the process ``ru_maxrss`` high-water mark
-    observed right after each stage's live execution — the streaming
+    ``rss_rise_kib`` is the most one live execution of each stage
+    raised the process ``ru_maxrss`` high-water mark — the streaming
     kernels exist to bound it, and the ``--profile`` table is where
-    that bound becomes visible.  All families travel across the
+    that bound becomes visible.  A stage that runs below a peak set
+    earlier raises it by nothing.  All families travel across the
     ``processes`` backend as one delta; the additive ones merge with
     ``+``, the high-water one with ``max``.
     """
@@ -130,7 +136,7 @@ class StageCacheStats:
     heals: Counter = field(default_factory=Counter)
     faults: Counter = field(default_factory=Counter)
     store_errors: Counter = field(default_factory=Counter)
-    rss_peak_kib: Counter = field(default_factory=Counter)
+    rss_rise_kib: Counter = field(default_factory=Counter)
 
     def hit_count(self, stage: str) -> int:
         """Cache hits recorded for one stage name."""
@@ -140,18 +146,15 @@ class StageCacheStats:
         """Cache misses recorded for one stage name."""
         return self.misses[stage]
 
-    def record_run(self, stage: str, seconds: float) -> None:
-        """Account one live execution of a stage (time + RSS peak)."""
-        self.run_seconds[stage] += seconds
-        self.record_rss(stage)
+    def record_run(self, stage: str, seconds: float, maxrss_before_kib: int) -> None:
+        """Account one live execution of a stage and how far it raised ``ru_maxrss``.
 
-    def record_rss(self, stage: str) -> None:
-        """Fold the current ``ru_maxrss`` into a stage's RSS high-water."""
-        kib = (
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // _RU_MAXRSS_TO_KIB
-        )
-        if kib > self.rss_peak_kib[stage]:
-            self.rss_peak_kib[stage] = kib
+        ``maxrss_before_kib`` is :func:`maxrss_kib` read before it ran.
+        """
+        self.run_seconds[stage] += seconds
+        rise = maxrss_kib() - maxrss_before_kib
+        if rise > self.rss_rise_kib[stage]:
+            self.rss_rise_kib[stage] = rise
 
     def reset(self) -> None:
         """Zero every counter (tests isolate phases with this)."""
@@ -258,7 +261,7 @@ class StageCacheStats:
                     _human_bytes(self.bytes_decoded[stage]),
                     f"{self.store_seconds[stage]:.3f}",
                     _human_bytes(self.bytes_encoded[stage]),
-                    _human_rss(self.rss_peak_kib[stage]),
+                    _human_rss(self.rss_rise_kib[stage]),
                 )
             )
         totals = (
@@ -271,7 +274,7 @@ class StageCacheStats:
             f"{sum(self.store_seconds.values()):.3f}",
             _human_bytes(sum(self.bytes_encoded.values())),
             # A high-water mark totals as a max, not a sum.
-            _human_rss(max(self.rss_peak_kib.values(), default=0)),
+            _human_rss(max(self.rss_rise_kib.values(), default=0)),
         )
         table = render_table(
             (
@@ -282,7 +285,7 @@ class StageCacheStats:
                 "Decoded",
                 "Store (s)",
                 "Encoded",
-                "Peak RSS",
+                "RSS rise",
             ),
             rows + [totals],
             title="Stage profile",
@@ -292,7 +295,7 @@ class StageCacheStats:
 
 
 def _human_rss(kib: int) -> str:
-    """Render an RSS high-water mark ('-' when never recorded)."""
+    """Render an RSS rise ('-' when none was recorded)."""
     if kib <= 0:
         return "-"
     if kib < 1024:

@@ -100,9 +100,7 @@ def _evaluate_grouped(
     gen = pipeline.context.tree.generator(
         "coalesce-simpoint", pipeline.app.name, pipeline.threads
     )
-    choice = run_simpoint(
-        signatures.combined, signatures.weights, gen, pipeline.config.simpoint
-    )
+    choice = run_simpoint(signatures, signatures.weights, gen, pipeline.config.simpoint)
     selection = select_barrier_points(choice, signatures.weights)
 
     # Target-side measurement: true counters per *group*, one read each.

@@ -107,9 +107,10 @@ def _trace_blocks(app: str, threads: int):
 
 def trace_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
     """Executor for ``"trace"`` cells: stream the accesses, return the row."""
+    from repro.exec.stagestore import maxrss_kib, stage_store_for
     from repro.instrumentation.streamed import StreamedSignatureCollector
 
-    started = time.perf_counter()
+    started, maxrss = time.perf_counter(), maxrss_kib()
     register_config_machines(config)
     machine_name = request.param("machine")
     blocks = _trace_blocks(request.app, request.threads)
@@ -134,11 +135,12 @@ def trace_cell(request: StudyRequest, config: ExperimentConfig) -> dict:
     payload["threads"] = request.threads
     payload["machine"] = machine_name
     # The whole point of the tiled kernels is a bounded RSS; record the
-    # cell's time and high-water mark under its own stage name so the
-    # --profile table carries the evidence (worker deltas merge it back).
-    from repro.exec.stagestore import stage_store_for
-
-    stage_store_for(config).stats.record_run("trace", time.perf_counter() - started)
+    # cell's time and how far it raised the high-water mark under its
+    # own stage name so the --profile table carries the evidence
+    # (worker deltas merge it back).
+    stage_store_for(config).stats.record_run(
+        "trace", time.perf_counter() - started, maxrss
+    )
     return payload
 
 

@@ -73,16 +73,20 @@ def measure_barrier_point_means(
 
     Returns ``(n_bp, threads, 4)``; non-negative.  With ``instrumented``
     (the per-barrier-point configuration) every barrier point carries
-    one PMU read's overhead per thread.
+    one PMU read's overhead per thread.  The draw is scaled and shifted
+    in place: ``z * sigma + values`` has the bits of ``values + sigma *
+    z``, as IEEE ``*`` and ``+`` commute.
     """
     values = true.values
     if instrumented:
         values = protocol.overhead.apply(values, reads=1.0)
     sigma = machine.pmu.read_sigma(values, true.threads, protocol.pinned)
-    sigma = sigma / np.sqrt(protocol.repetitions)
+    sigma /= np.sqrt(protocol.repetitions)
     gen = rng.generator("measure-mean", machine.isa.value, str(instrumented))
-    measured = values + sigma * gen.standard_normal(values.shape)
-    return np.maximum(measured, 0.0)
+    measured = gen.standard_normal(values.shape)
+    measured *= sigma
+    measured += values
+    return np.maximum(measured, 0.0, out=measured)
 
 
 def measure_roi_totals(

@@ -31,8 +31,8 @@ class DiscoveryObservation:
     Attributes
     ----------
     bbv / ldv:
-        ``(n_bp, D)`` matrices as the Pintool would emit them — already
-        perturbed by this run's interleaving.
+        The nonzeros of the ``(n_bp, D)`` matrices the Pintool would
+        emit — already perturbed by this run's interleaving.
     weights:
         ``(n_bp,)`` per-barrier-point instruction counts (Pin counts
         instructions exactly, so these carry no measurement noise).
@@ -40,8 +40,8 @@ class DiscoveryObservation:
         Which of the configuration's discovery runs this is.
     """
 
-    bbv: np.ndarray
-    ldv: np.ndarray
+    bbv: Nonzeros
+    ldv: Nonzeros
     weights: np.ndarray
     run_index: int
 
@@ -51,21 +51,27 @@ class DiscoveryObservation:
         return int(self.weights.shape[0])
 
 
+#: Rows of normals one :meth:`Nonzeros.jittered` draw holds at a time.
+_DRAW_ROWS = 1024
+
+
 @dataclass(frozen=True)
 class Nonzeros:
-    """The nonzero entries of one clean ``(n_bp, D)`` BBV or LDV.
+    """The nonzero entries of one ``(n_bp, D)`` BBV or LDV.
 
     A barrier point runs only its own region's blocks and fills few
     reuse-distance bins, so most clean entries are zero (about 6% of
-    LULESH's BBV entries and 12% of its LDV entries are not).
+    LULESH's BBV entries and 12% of its LDV entries are not), and a
+    discovery run jitters only those.
 
     Attributes
     ----------
     shape:
         ``(n_bp, D)`` of the dense matrix.
     index:
-        Ascending flat positions of the entries whose bits are not
-        those of +0.0; a -0.0 is kept, so it jitters to the dense
+        Ascending flat positions of the kept entries; every other
+        entry is +0.0.  :meth:`of` keeps the entries whose bits are not
+        those of +0.0, so a -0.0 is kept and jitters to the dense
         form's -0.0.
     values:
         The entries at ``index``.
@@ -81,23 +87,43 @@ class Nonzeros:
         index = np.flatnonzero(dense.view(np.int64))
         return cls(shape=dense.shape, index=index, values=dense.ravel()[index])
 
-    def jittered(self, sigma: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    def _span(self, start: int, stop: int) -> tuple[int, int]:
+        """The positions in ``index`` of rows ``[start, stop)``."""
+        width = self.shape[1]
+        lo, hi = np.searchsorted(self.index, (start * width, stop * width))
+        return int(lo), int(hi)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``[start, stop)`` of the dense matrix, as a new C-contiguous array."""
+        lo, hi = self._span(start, stop)
+        out = np.zeros((stop - start, self.shape[1]))
+        out.reshape(-1)[self.index[lo:hi] - start * self.shape[1]] = self.values[lo:hi]
+        return out
+
+    def jittered(self, sigma: np.ndarray, gen: np.random.Generator) -> Nonzeros:
         """``dense * exp(sigma[:, None] * z)``, ``z ~ N(0, 1)``, bit for bit.
 
-        The whole ``z`` is drawn, so ``gen`` advances exactly as the
-        dense expression advances it.  Each nonzero gets the dense
-        form's three operations; every other entry is the +0.0 that
-        ``exp(...) * 0.0`` gives, written into ``z``'s zeroed buffer.
+        ``z`` is drawn :data:`_DRAW_ROWS` rows at a time.  The generator
+        draws one normal after another whatever the call's size, so it
+        advances exactly as one whole ``standard_normal(shape)`` does
+        and the LDV draws still follow the BBV draws.  Each kept entry
+        gets the dense form's three operations; every other entry is
+        the +0.0 that ``exp(...) * 0.0`` gives, so the result keeps
+        this ``index``.
         """
-        z = gen.standard_normal(self.shape)
-        flat = z.reshape(-1)
-        jitter = flat[self.index]
-        jitter *= sigma[self.index // self.shape[1]]
-        np.exp(jitter, out=jitter)
-        jitter *= self.values
-        flat.fill(0.0)
-        flat[self.index] = jitter
-        return z
+        n_bp, width = self.shape
+        values = np.empty_like(self.values)
+        for start in range(0, n_bp, _DRAW_ROWS):
+            stop = min(start + _DRAW_ROWS, n_bp)
+            z = gen.standard_normal((stop - start, width))
+            lo, hi = self._span(start, stop)
+            index = self.index[lo:hi]
+            jitter = z.reshape(-1)[index - start * width]
+            jitter *= sigma[index // width]
+            np.exp(jitter, out=jitter)
+            jitter *= self.values[lo:hi]
+            values[lo:hi] = jitter
+        return Nonzeros(shape=self.shape, index=self.index, values=values)
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,7 @@ class TestBuilderComposition:
                 clusterings = []
                 for sig in ctx.require("signatures"):
                     n = sig.n_barrier_points
-                    projected = sig.combined[:, :1]
+                    projected = sig.project(np.ones((sig.shape[1], 1)))
                     clusterings.append(
                         ClusteringChoice(
                             k=1,

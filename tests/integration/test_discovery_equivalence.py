@@ -2,8 +2,8 @@
 
 ``ProfileStage`` collects each rank's BBV/LDV once (a shared-memory
 trace is one rank), keeps their nonzeros and jitters those per
-discovery run.  Its observations must equal, bit for bit, the per-run
-expression they replace::
+discovery run.  The dense form of its observations must equal, bit for
+bit, the per-run expression they replace::
 
     collect_bbv(trace) * np.exp(sigma[:, None] * gen.standard_normal(shape))
 
@@ -48,8 +48,8 @@ def _bits(array):
 
 def _assert_observation(obs, trace, weights, gen, run):
     bbv, ldv = _per_run_expression(trace, weights, gen)
-    assert np.array_equal(_bits(obs.bbv), _bits(bbv))
-    assert np.array_equal(_bits(obs.ldv), _bits(ldv))
+    assert np.array_equal(_bits(obs.bbv.rows(0, len(bbv))), _bits(bbv))
+    assert np.array_equal(_bits(obs.ldv.rows(0, len(ldv))), _bits(ldv))
     assert np.array_equal(obs.weights, weights)
     assert obs.run_index == run
 

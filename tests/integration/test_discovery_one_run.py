@@ -1,4 +1,4 @@
-"""Discovery holds one run, and one rank of it, at a time.
+"""Discovery holds one run at a time, and measure one target at a time.
 
 ``observations`` and ``signatures`` are run sequences built when read,
 and run r of ``observations`` is a sequence over ranks.  A cold graph
@@ -6,8 +6,8 @@ must therefore draw each ``(run, rank)`` observation exactly once,
 inside ``cluster`` and right before that run is clustered; ``select``
 must read the weights ``cluster`` left behind instead of drawing a run
 again; run r's signature matrix must be gone before run r + 1's is
-built; and signing a run must hold one rank's observation next to the
-run's matrix, not every rank's.
+built; signing a run must keep only its jittered nonzeros; and
+``measure`` must let go of each target's counters once it is done.
 """
 
 from __future__ import annotations
@@ -91,7 +91,8 @@ def test_run_matrices_are_freed_before_the_next_run_is_built(execute, ranks, mon
     def spy_build(*args, **kwargs):
         alive_at_build.append(sum(ref() is not None for ref in matrices))
         signatures = build(*args, **kwargs)
-        matrices.append(weakref.ref(signatures.combined))
+        matrices.append(weakref.ref(signatures))
+        matrices.extend(weakref.ref(half.values) for half in signatures.bbv + signatures.ldv)
         return signatures
 
     monkeypatch.setattr(stages, "build_signatures", spy_build)
@@ -101,11 +102,11 @@ def test_run_matrices_are_freed_before_the_next_run_is_built(execute, ranks, mon
     assert all(ref() is None for ref in matrices)
 
 
-def test_signing_a_rank_run_holds_one_rank_next_to_the_matrix():
-    # Four ranks of two threads: each rank's observation is a quarter
-    # of the run's matrix.  Signing every rank before concatenating
-    # them peaks at about twice the matrix; signing each straight into
-    # its slice peaks at about 1.3 times.
+def test_signing_a_rank_run_keeps_only_the_jittered_nonzeros():
+    # Four ranks of two threads.  Signing used to fill the whole
+    # (n_bp, D) matrix, about 1.3 times its bytes at the peak; now a
+    # run keeps each rank's jittered nonzeros, drawn a chunk of rows at
+    # a time, and builds no row until it is projected.
     ctx = StageContext(
         DistributedWorkload("AMGMk", ranks=4), threads=RANK_THREADS, config=CONFIG
     )
@@ -115,11 +116,22 @@ def test_signing_a_rank_run_holds_one_rank_next_to_the_matrix():
     tracemalloc.start()
     try:
         signatures = build_signatures(observations[0], CONFIG.bbv_weight)
-        _, peak = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
-    assert peak < 1.5 * signatures.combined.nbytes
+    dense_bytes = signatures.shape[0] * signatures.shape[1] * 8
+    assert peak < 0.6 * dense_bytes
+    assert retained < 0.25 * dense_bytes
+
+
+@PIPELINES
+def test_measure_releases_every_targets_counters_and_means(execute, ranks):
+    # measure is the last stage to read a target's counters, means and
+    # per-repetition reads; it drops each target's once it is done.
+    context = execute().context
+    assert context.artifacts["evaluations"]
+    assert (context._counters, context._measured, context._reps) == ({}, {}, {})
 
 
 def test_profile_keeps_only_the_clean_nonzeros():

@@ -2,10 +2,14 @@
 
 * ``Program.instance_index`` sorts once instead of looping over every
   barrier point; it must give the loop's int64 array.
-* ``CleanSignatures.observe`` jitters only the clean nonzeros; it must
-  give the dense expression ``clean * np.exp(sigma[:, None] * z)`` bit
-  for bit (a zero's sign included) and leave the generator where that
+* ``CleanSignatures.observe`` jitters only the clean nonzeros, drawing
+  ``z`` a chunk of rows at a time; the dense form of what it keeps must
+  be the expression ``clean * np.exp(sigma[:, None] * z)`` bit for bit
+  (a zero's sign included), and it must leave the generator where that
   expression leaves it, since the LDV draws follow the BBV draws.
+* ``aggregate_observation`` sums only the kept entries of each half;
+  their dense form must be ``aggregate_values`` of the dense halves,
+  bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +19,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.instrumentation.collector import CleanSignatures, Nonzeros
+from repro.core.coalesce import aggregate_observation, aggregate_values
+from repro.instrumentation.collector import (
+    _DRAW_ROWS,
+    CleanSignatures,
+    DiscoveryObservation,
+    Nonzeros,
+)
 from repro.ir.blocks import BasicBlock
 from repro.ir.memory import MemoryPattern, PatternKind
 from repro.ir.mix import InstructionMix
@@ -69,6 +79,10 @@ def _bits(array: np.ndarray) -> np.ndarray:
     return array.view(np.int64)
 
 
+def _dense(half: Nonzeros) -> np.ndarray:
+    return half.rows(0, half.shape[0])
+
+
 # Clean entries as collected (nonnegative) plus what must survive
 # anyway: signed zeros, negatives, subnormals.
 _ENTRIES = st.one_of(
@@ -107,9 +121,22 @@ def _dense_run(bbv, ldv, sigma, gen):
     return bbv, ldv
 
 
+#: A run that spans two draw chunks; the BBV keeps nothing in the
+#: first 1,000 rows, so its kept entries start late in the first chunk.
+_TWO_CHUNKS = _DRAW_ROWS + 9
+_SPANNING = (
+    np.vstack(
+        [np.zeros((1_000, 5)), np.tile([0.0, 2.0, -0.0, 7.5, 0.0], (_TWO_CHUNKS - 1_000, 1))]
+    ),
+    np.tile([1.0, 0.0, 3.0], (_TWO_CHUNKS, 1)),
+    np.linspace(0.0, 1.0, _TWO_CHUNKS),
+)
+
+
 @given(_clean_pairs(), st.integers(0, 2**32 - 1))
 @example((np.zeros((3, 4)), np.zeros((3, 2)), np.full(3, 0.3)), 1)
 @example((np.arange(1.0, 13.0).reshape(3, 4), np.eye(3), np.full(3, 0.3)), 2)
+@example(_SPANNING, 3)
 @settings(max_examples=150, deadline=None)
 def test_sparse_observe_is_the_dense_expression(clean, seed):
     bbv, ldv, sigma = clean
@@ -122,6 +149,31 @@ def test_sparse_observe_is_the_dense_expression(clean, seed):
     obs = signatures.observe(sparse_gen, run_index=0)
     want_bbv, want_ldv = _dense_run(bbv, ldv, sigma, dense_gen)
 
-    assert np.array_equal(_bits(obs.bbv), _bits(want_bbv))
-    assert np.array_equal(_bits(obs.ldv), _bits(want_ldv))
+    assert np.array_equal(_bits(_dense(obs.bbv)), _bits(want_bbv))
+    assert np.array_equal(_bits(_dense(obs.ldv)), _bits(want_ldv))
     assert sparse_gen.bit_generator.state == dense_gen.bit_generator.state
+
+
+@st.composite
+def _grouped(draw):
+    """Two clean halves and a group per barrier point (any order)."""
+    bbv, ldv, _ = draw(_clean_pairs())
+    groups = draw(arrays(np.int64, len(bbv), elements=st.integers(0, 3)))
+    return bbv, ldv, groups
+
+
+@given(_grouped())
+@example(
+    (np.array([[-0.0, 1.0], [0.0, -1.0]]), np.array([[-0.0], [-0.0]]), np.zeros(2, np.int64))
+)
+@settings(max_examples=150, deadline=None)
+def test_sparse_aggregate_is_the_dense_sum(grouped):
+    bbv, ldv, groups = grouped
+    observation = DiscoveryObservation(
+        bbv=Nonzeros.of(bbv), ldv=Nonzeros.of(ldv), weights=np.ones(len(bbv)), run_index=0
+    )
+
+    merged = aggregate_observation(observation, groups)
+
+    assert np.array_equal(_bits(_dense(merged.bbv)), _bits(aggregate_values(bbv, groups)))
+    assert np.array_equal(_bits(_dense(merged.ldv)), _bits(aggregate_values(ldv, groups)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.coalesce import aggregate_observation, aggregate_values, coalesce_groups
-from repro.instrumentation.collector import DiscoveryObservation
+from repro.instrumentation.collector import DiscoveryObservation, Nonzeros
 
 
 class TestCoalesceGroups:
@@ -67,9 +67,10 @@ class TestAggregation:
 
     def test_aggregate_observation(self):
         gen = np.random.default_rng(3)
+        bbv = gen.random((6, 4))
         obs = DiscoveryObservation(
-            bbv=gen.random((6, 4)),
-            ldv=gen.random((6, 5)),
+            bbv=Nonzeros.of(bbv),
+            ldv=Nonzeros.of(gen.random((6, 5))),
             weights=np.ones(6),
             run_index=2,
         )
@@ -77,5 +78,6 @@ class TestAggregation:
         merged = aggregate_observation(obs, groups)
         assert merged.n_barrier_points == 2
         assert merged.run_index == 2
-        assert merged.bbv.sum() == pytest.approx(obs.bbv.sum())
+        assert merged.bbv.shape == (2, 4)
+        assert merged.bbv.values.sum() == pytest.approx(bbv.sum())
         assert merged.weights.sum() == pytest.approx(6.0)

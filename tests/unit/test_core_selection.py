@@ -11,7 +11,7 @@ from repro.core.selection import BarrierPointSelection, select_barrier_points
 from repro.core.signatures import build_signatures
 from repro.core.validation import validate_estimate
 from repro.hw.pmu import PMU_METRICS
-from repro.instrumentation.collector import DiscoveryObservation
+from repro.instrumentation.collector import DiscoveryObservation, Nonzeros
 
 
 def _observation(n=20, seed=0):
@@ -19,7 +19,9 @@ def _observation(n=20, seed=0):
     bbv = gen.random((n, 6)) + 0.1
     ldv = gen.random((n, 8)) + 0.1
     weights = gen.random(n) * 1e6 + 1e5
-    return DiscoveryObservation(bbv=bbv, ldv=ldv, weights=weights, run_index=0)
+    return DiscoveryObservation(
+        bbv=Nonzeros.of(bbv), ldv=Nonzeros.of(ldv), weights=weights, run_index=0
+    )
 
 
 def _selection(labels, weights, reps=None):
@@ -44,18 +46,19 @@ def _selection(labels, weights, reps=None):
 class TestSignatures:
     def test_halves_normalised(self):
         sig = build_signatures((_observation(),), bbv_weight=0.5)
-        bbv_part = sig.combined[:, : sig.bbv_dims]
-        ldv_part = sig.combined[:, sig.bbv_dims :]
+        rows = sig.rows(0, sig.n_barrier_points)
+        bbv_part = rows[:, : sig.bbv_dims]
+        ldv_part = rows[:, sig.bbv_dims :]
         assert np.allclose(bbv_part.sum(axis=1), 0.5)
         assert np.allclose(ldv_part.sum(axis=1), 0.5)
 
     def test_bbv_only(self):
         sig = build_signatures((_observation(),), bbv_weight=1.0)
-        assert np.allclose(sig.combined[:, sig.bbv_dims :], 0.0)
+        assert np.allclose(sig.rows(0, sig.n_barrier_points)[:, sig.bbv_dims :], 0.0)
 
     def test_ldv_only(self):
         sig = build_signatures((_observation(),), bbv_weight=0.0)
-        assert np.allclose(sig.combined[:, : sig.bbv_dims], 0.0)
+        assert np.allclose(sig.rows(0, sig.n_barrier_points)[:, : sig.bbv_dims], 0.0)
 
     def test_invalid_weight(self):
         with pytest.raises(ValueError):
@@ -66,7 +69,7 @@ class TestSelection:
     def test_multipliers_cover_total_weight(self):
         obs = _observation(40, seed=1)
         sig = build_signatures((obs,))
-        choice = run_simpoint(sig.combined, sig.weights, np.random.default_rng(0))
+        choice = run_simpoint(sig, sig.weights, np.random.default_rng(0))
         selection = select_barrier_points(choice, sig.weights)
         estimated_total = (
             selection.multipliers * sig.weights[selection.representatives]
@@ -76,7 +79,7 @@ class TestSelection:
     def test_one_representative_per_cluster(self):
         obs = _observation(40, seed=2)
         sig = build_signatures((obs,))
-        choice = run_simpoint(sig.combined, sig.weights, np.random.default_rng(0))
+        choice = run_simpoint(sig, sig.weights, np.random.default_rng(0))
         selection = select_barrier_points(choice, sig.weights)
         labels = choice.result.labels
         assert selection.k == len(np.unique(labels[selection.representatives]))
@@ -85,7 +88,7 @@ class TestSelection:
     def test_representative_in_own_cluster(self):
         obs = _observation(30, seed=3)
         sig = build_signatures((obs,))
-        choice = run_simpoint(sig.combined, sig.weights, np.random.default_rng(1))
+        choice = run_simpoint(sig, sig.weights, np.random.default_rng(1))
         selection = select_barrier_points(choice, sig.weights)
         labels = choice.result.labels
         for rep, multiplier in zip(
@@ -97,7 +100,7 @@ class TestSelection:
     def test_keeps_only_the_representatives_weights(self):
         obs = _observation(30, seed=4)
         sig = build_signatures((obs,))
-        choice = run_simpoint(sig.combined, sig.weights, np.random.default_rng(2))
+        choice = run_simpoint(sig, sig.weights, np.random.default_rng(2))
         selection = select_barrier_points(choice, sig.weights, run_index=5)
         assert selection.rep_weights.shape == (selection.k,)
         assert selection.rep_weights.tobytes() == (
@@ -109,7 +112,7 @@ class TestSelection:
     def test_misaligned_inputs_rejected(self):
         obs = _observation(20, seed=5)
         sig = build_signatures((obs,))
-        choice = run_simpoint(sig.combined, sig.weights, np.random.default_rng(0))
+        choice = run_simpoint(sig, sig.weights, np.random.default_rng(0))
         with pytest.raises(ValueError, match="labels and weights"):
             select_barrier_points(choice, sig.weights[:-1])
         selection = _selection([0, 0, 1], [1.0, 2.0, 3.0])

@@ -14,7 +14,7 @@ from repro.hw.machines import APM_XGENE, INTEL_I7_3770
 from repro.hw.network import NetworkSpec
 from repro.hw.perf import PerfModel
 from repro.hw.pmu import CYCLES, INSTRUCTIONS, N_METRICS
-from repro.instrumentation.collector import DiscoveryObservation
+from repro.instrumentation.collector import DiscoveryObservation, Nonzeros
 from repro.ir.comm import CommEvent, CommKind, CommSchedule, ring_exchange
 from repro.isa.descriptors import ISA, BinaryConfig
 from repro.runtime.distributed import execute_distributed
@@ -365,8 +365,8 @@ class TestCoalesceSignatures:
     @staticmethod
     def _observation(bbv_row, ldv_row, weight, n_bp=3):
         return DiscoveryObservation(
-            bbv=np.tile(np.asarray(bbv_row, dtype=float), (n_bp, 1)),
-            ldv=np.tile(np.asarray(ldv_row, dtype=float), (n_bp, 1)),
+            bbv=Nonzeros.of(np.tile(np.asarray(bbv_row, dtype=float), (n_bp, 1))),
+            ldv=Nonzeros.of(np.tile(np.asarray(ldv_row, dtype=float), (n_bp, 1))),
             weights=np.full(n_bp, float(weight)),
             run_index=0,
         )
@@ -374,28 +374,29 @@ class TestCoalesceSignatures:
     def test_rank_major_layout(self):
         ranks = [self._observation([1, 3], [1, 1], 1), self._observation([3, 1], [0, 2], 2)]
         merged = build_signatures(ranks)
-        assert merged.combined.shape == (3, 8)
+        assert merged.shape == (3, 8)
         assert merged.bbv_dims == 4 and merged.ldv_dims == 4
         # [bbv(rank0) | bbv(rank1) | ldv(rank0) | ldv(rank1)], each
         # rank's half row-normalised on its own.
         np.testing.assert_array_equal(
-            merged.combined[0], [0.125, 0.375, 0.375, 0.125, 0.25, 0.25, 0.0, 0.5]
+            merged.rows(0, 1)[0], [0.125, 0.375, 0.375, 0.125, 0.25, 0.25, 0.0, 0.5]
         )
         np.testing.assert_array_equal(merged.weights, [3, 3, 3])
 
     def test_single_rank_is_identity(self):
         gen = np.random.default_rng(5)
+        bbv, ldv = gen.random((4, 3)), gen.random((4, 2))
+        ldv[1] = 0.0
         one = DiscoveryObservation(
-            bbv=gen.random((4, 3)), ldv=gen.random((4, 2)), weights=gen.random(4), run_index=0
+            bbv=Nonzeros.of(bbv), ldv=Nonzeros.of(ldv), weights=gen.random(4), run_index=0
         )
-        one.ldv[1] = 0.0
         sig = build_signatures([one], bbv_weight=0.3)
-        ldv_totals = one.ldv.sum(axis=1, keepdims=True)
+        ldv_totals = ldv.sum(axis=1, keepdims=True)
         expected = np.hstack([
-            one.bbv / one.bbv.sum(axis=1, keepdims=True) * 0.3,
-            one.ldv / np.where(ldv_totals > 0, ldv_totals, 1.0) * (1.0 - 0.3),
+            bbv / bbv.sum(axis=1, keepdims=True) * 0.3,
+            ldv / np.where(ldv_totals > 0, ldv_totals, 1.0) * (1.0 - 0.3),
         ])
-        assert sig.combined.tobytes() == expected.tobytes()
+        assert sig.rows(0, 4).tobytes() == expected.tobytes()
         assert sig.weights is one.weights
         assert (sig.bbv_dims, sig.ldv_dims) == (3, 2)
 

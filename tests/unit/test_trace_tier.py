@@ -3,7 +3,7 @@
 Covers the whole-file container read that `StudyStore.reclaim` rides,
 the tile-size-invariant stream generator, the streamed signature
 collector and every trace cell against the monolithic oracles, the
-per-stage peak-RSS counter family, and the perf gate's missing-metric
+per-stage RSS-rise counter family, and the perf gate's missing-metric
 tolerance.
 """
 
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.exec.stagestore import StageCacheStats
+from repro.exec.stagestore import StageCacheStats, maxrss_kib
 from repro.experiments import trace as trace_exp
 from repro.experiments.config import default_config
 from repro.experiments.trace import (
@@ -250,46 +250,69 @@ class TestTraceCell:
         for request, payload in zip(requests, small):
             assert trace_cell(request, config) == payload, request.app
 
-    def test_cell_records_run_time_and_rss_for_the_profile(self, tmp_path):
-        from repro.exec.stagestore import stage_store_for
+    def test_cell_records_run_time_and_rss_for_the_profile(self, tmp_path, monkeypatch):
+        from repro.exec import stagestore
 
+        marks = iter([1_000, 1_500])  # the cell's start, then its end
+        monkeypatch.setattr(stagestore, "maxrss_kib", lambda: next(marks))
         config = replace(
             default_config("quick"), cache_dir=str(tmp_path), trace_accesses=2000
         )
         trace_cell(trace_request("MCB", 2000), config)
-        stats = stage_store_for(config).stats
+        stats = stagestore.stage_store_for(config).stats
         assert stats.run_seconds["trace"] > 0
-        assert stats.rss_peak_kib["trace"] > 0
+        assert stats.rss_rise_kib["trace"] == 500
 
 
 class TestRssCounters:
-    def test_record_run_captures_a_peak(self):
+    def test_record_run_keeps_how_far_a_stage_raised_the_peak(self, monkeypatch):
+        from repro.exec import stagestore
+
+        # The mark after "big" (64 MiB above its start), then after
+        # "small", which ran below that peak.
+        marks = iter([150_000, 150_000])
+        monkeypatch.setattr(stagestore, "maxrss_kib", lambda: next(marks))
         stats = StageCacheStats()
-        stats.record_run("profile", 0.1)
-        assert stats.rss_peak_kib["profile"] > 0
+        stats.record_run("big", 0.1, 150_000 - (64 << 10))
+        stats.record_run("small", 0.1, 150_000)
+
+        assert stats.rss_rise_kib == {"big": 64 << 10}
+        cells = [
+            [cell.strip() for cell in line.split("|")]
+            for line in stats.profile_table().splitlines()
+        ]
+        rise = {row[0]: row[-1] for row in cells}
+        # The stage that ran below the peak shows no rise, not the
+        # process's whole high-water mark.
+        assert (rise["big"], rise["small"], rise["total"]) == ("64 MiB", "-", "64 MiB")
+
+    def test_a_fall_is_no_rise(self):
+        stats = StageCacheStats()
+        stats.record_run("profile", 0.1, maxrss_kib() + 1_000)
+        assert "profile" not in stats.rss_rise_kib
 
     def test_delta_and_merge_use_max_semantics(self):
         stats = StageCacheStats()
         snap = stats.snapshot()
-        stats.rss_peak_kib["trace"] = 1000
+        stats.rss_rise_kib["trace"] = 1000
         delta = stats.delta_since(snap)
-        assert delta["rss_peak_kib"] == {"trace": 1000}
+        assert delta["rss_rise_kib"] == {"trace": 1000}
 
         higher = StageCacheStats()
-        higher.rss_peak_kib["trace"] = 2000
+        higher.rss_rise_kib["trace"] = 2000
         higher.merge(delta)
-        assert higher.rss_peak_kib["trace"] == 2000  # max, not 3000
+        assert higher.rss_rise_kib["trace"] == 2000  # max, not 3000
 
         lower = StageCacheStats()
-        lower.rss_peak_kib["trace"] = 500
+        lower.rss_rise_kib["trace"] = 500
         lower.merge(delta)
-        assert lower.rss_peak_kib["trace"] == 1000
+        assert lower.rss_rise_kib["trace"] == 1000
 
     def test_profile_table_has_rss_column(self):
         stats = StageCacheStats()
-        stats.record_run("cluster", 0.5)
+        stats.record_run("cluster", 0.5, 0)
         table = stats.profile_table()
-        assert "Peak RSS" in table
+        assert "RSS rise" in table
         assert "MiB" in table or "KiB" in table or "GiB" in table
 
 
