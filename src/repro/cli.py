@@ -435,9 +435,9 @@ def main(argv: list[str] | None = None) -> int:
         # and the profile table are accurate at every worker count.
         stats = stage_store_for(config).stats
         if args.verbose:
-            backend = scheduler.backend
+            supervision = scheduler.supervision
             print(
-                f"[scheduler] {backend.name} × {backend.jobs}: "
+                f"[scheduler] {supervision.name} × {supervision.jobs}: "
                 f"{scheduler.stats.describe()}",
                 file=sys.stderr,
             )

@@ -14,13 +14,11 @@ of where and in what order it executes: parallel runs are bit-identical
 to serial ones.
 """
 
-from repro.exec.backends import ExecutionBackend
 from repro.exec.request import StudyRequest
 from repro.exec.scheduler import SchedulerStats, StudyScheduler
 from repro.exec.store import StudyStore, config_fingerprint
 
 __all__ = [
-    "ExecutionBackend",
     "StudyRequest",
     "SchedulerStats",
     "StudyScheduler",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from repro.exec.faults import FaultPlan, install_plan, reset_fault_state
@@ -101,7 +102,7 @@ def _run_once(experiment: str, config):
 
 def chaos_main(argv: list[str] | None = None) -> int:
     """Entry point of ``repro chaos``; returns a process exit code."""
-    from repro.exec.stagestore import stage_store_for
+    from repro.exec.health import FAULTS, HEALS
     from repro.experiments.config import default_config
 
     args = _build_parser().parse_args(argv)
@@ -147,17 +148,18 @@ def chaos_main(argv: list[str] | None = None) -> int:
         if clean_error is not None:  # pragma: no cover - broken baseline
             print(f"FAIL: fault-free reference run failed: {clean_error}", file=sys.stderr)
             return 1
+        # The tallies are process-wide: report what the chaos run added.
+        faults_before, heals_before = Counter(FAULTS), Counter(HEALS)
         survived, scheduler, quarantined_error = _run_once(
             args.experiment, chaos_config
         )
 
         stats = scheduler.stats
-        health = stage_store_for(chaos_config).stats
         fired = " ".join(
-            f"{site}:{count}" for site, count in sorted(health.faults.items())
+            f"{site}:{count}" for site, count in sorted((FAULTS - faults_before).items())
         )
         heals = " ".join(
-            f"{site}:{count}" for site, count in sorted(health.heals.items())
+            f"{site}:{count}" for site, count in sorted((HEALS - heals_before).items())
         )
         print(f"injected faults: {fired or 'none fired'}")
         print(f"self-heals: {heals or 'none'}")

@@ -5,44 +5,28 @@ container reads as a clean miss and is deleted so the next write
 recovers it.  Healing *silently*, however, hides real trouble: a
 disk that tears one write a day looks exactly like a cold cache.  This
 module is the process-wide tally of those recoveries (and, during chaos
-runs, of injected faults), folded into the same
-:class:`~repro.exec.stagestore.StageCacheStats` counter plumbing that
-already ships worker increments back to the parent process — so heals
-observed inside a ``processes``-backend worker still reach the
+runs, of injected faults): :data:`HEALS` and :data:`FAULTS`.  Every
+:class:`~repro.exec.stagestore.StageCacheStats` reports these two
+counters as its ``heals`` and ``faults``, so they ride the counter
+plumbing that already ships worker increments back to the parent
+process — heals observed inside a pool worker still reach the
 ``--profile`` report and ``/v1/status``.
 
 The heal site (:mod:`repro.exec.columnar`, under every
 :class:`~repro.exec.store.ArtifactStore` read) has no stage or
-configuration context, so it reports through the free functions here;
-every :class:`StageCacheStats` constructed in the process registers
-itself as a sink.  Increments that arrive before any sink exists
-(e.g. a bare ``read_payload_file`` call in a unit test) are buffered
-and flushed into the first sink registered.
+configuration context, so it reports through the free functions here.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-__all__ = ["record_heal", "record_fault", "register_stats_sink"]
+__all__ = ["HEALS", "FAULTS", "record_heal", "record_fault"]
 
-#: Stats objects receiving heal/fault increments (one per StageStore).
-_SINKS: list = []
-#: Increments observed before the first sink registered.
-_PENDING_HEALS: Counter = Counter()
-_PENDING_FAULTS: Counter = Counter()
-
-
-def register_stats_sink(stats) -> None:
-    """Attach one ``StageCacheStats`` as a heal/fault counter sink."""
-    if stats in _SINKS:
-        return
-    _SINKS.append(stats)
-    if len(_SINKS) == 1:
-        stats.heals.update(_PENDING_HEALS)
-        stats.faults.update(_PENDING_FAULTS)
-        _PENDING_HEALS.clear()
-        _PENDING_FAULTS.clear()
+#: Corrupt-entry recoveries observed in this process, by site.
+HEALS: Counter = Counter()
+#: Injected-fault firings in this process, by site.
+FAULTS: Counter = Counter()
 
 
 def record_heal(site: str) -> None:
@@ -51,17 +35,9 @@ def record_heal(site: str) -> None:
     The one site is ``"container"`` (a torn ``.rpb`` cache entry or
     spill file).
     """
-    if _SINKS:
-        for stats in _SINKS:
-            stats.heals[site] += 1
-    else:
-        _PENDING_HEALS[site] += 1
+    HEALS[site] += 1
 
 
 def record_fault(site: str) -> None:
     """Count one *injected* fault firing at a named site (chaos runs)."""
-    if _SINKS:
-        for stats in _SINKS:
-            stats.faults[site] += 1
-    else:
-        _PENDING_FAULTS[site] += 1
+    FAULTS[site] += 1

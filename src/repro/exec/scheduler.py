@@ -6,10 +6,10 @@ table and figure obtains its study cells.  One ``run`` call:
 1. deduplicates the requested cells (preserving first-seen order),
 2. satisfies what it can from the in-process memo and the on-disk
    :class:`~repro.exec.store.StudyStore`,
-3. fans the remaining misses out over ``config.jobs`` workers
-   (:mod:`repro.exec.backends`) under per-cell supervision
-   (:mod:`repro.exec.supervise`: bounded retries, timeouts, crashed
-   worker respawn, quarantine), one cell of each discovery group
+3. fans the remaining misses out over ``config.jobs`` workers under
+   per-cell supervision (:mod:`repro.exec.supervise`: bounded
+   retries, timeouts, crashed worker respawn, quarantine), one cell of
+   each discovery group
    (:func:`~repro.exec.cells.discovery_group`) at a time, and
 4. persists fresh results *as each cell completes* before handing the
    full request → payload mapping back.
@@ -38,13 +38,12 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.exec.backends import ExecutionBackend, ProcessPoolBackend
 from repro.exec.cells import CELL_LEVEL_UNCACHED, discovery_group, execute_request
 from repro.exec.faults import active_plan, install_plan
 from repro.exec.request import StudyRequest
 from repro.exec.stagestore import stage_store_for
 from repro.exec.store import StudyStore
-from repro.exec.supervise import QuarantinedCellError, RetryPolicy
+from repro.exec.supervise import ProcessSupervision, QuarantinedCellError, RetryPolicy
 
 __all__ = ["SchedulerStats", "StudyScheduler"]
 
@@ -125,17 +124,17 @@ def _execute_item(item: tuple[StudyRequest, object, int], attempt: int = 1):
     """Picklable worker entry point: one (request, config, parent_pid).
 
     Consults the fault plane first — an injected fault here either
-    SIGKILLs the worker (``processes`` backend; degraded to a raised
+    SIGKILLs the worker (degraded to a raised
     :class:`~repro.exec.faults.InjectedWorkerKill` when the cell runs
     in the driver) or raises, and supervision retries the cell.
 
     Returns ``((transport, value), pid, stage_stats_delta)``:
 
     * the stage-cache counter increments this cell produced travel back
-      alongside the payload, because under the ``processes`` backend
-      they land in a worker-local :func:`stage_store_for` memo the
-      parent can't see — the pid lets the scheduler recognise (and skip
-      re-merging) deltas produced in its own process;
+      alongside the payload, because in a pool worker they land in a
+      worker-local :func:`stage_store_for` memo the parent can't see —
+      the pid lets the scheduler recognise (and skip re-merging)
+      deltas produced in its own process;
     * a *large* payload of a cache-exempt kind computed in a foreign
       process does not ride the pickle pipe: it spills to a columnar
       hand-off file announced as ``("spilled", path)``, which the
@@ -187,14 +186,18 @@ class StudyScheduler:
     config:
         :class:`~repro.experiments.config.ExperimentConfig`; supplies
         the protocol (part of every cache address), the worker count
-        and the supervision budget.
-    backend:
-        Override the backend instance (tests inject doubles here).
+        and the supervision budget, which build :attr:`supervision`.
     """
 
-    def __init__(self, config, backend: ExecutionBackend | None = None) -> None:
+    def __init__(self, config) -> None:
         self.config = config
-        self.backend = backend or ProcessPoolBackend(config.jobs)
+        policy = RetryPolicy(
+            retries=max(0, int(config.cell_retries)),
+            timeout=max(0.0, float(config.cell_timeout)),
+            backoff=max(0.0, float(config.retry_backoff)),
+            seed=config.seed,
+        )
+        self.supervision = ProcessSupervision(config.jobs, policy)
         self.store = StudyStore(config.cache_dir, config)
         self.stats = SchedulerStats()
         self._memory: dict[StudyRequest, object] = {}
@@ -202,14 +205,6 @@ class StudyScheduler:
         if plan.active:
             # Store writes in this parent process must see the plan too.
             install_plan(plan)
-
-    def _policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            retries=max(0, int(self.config.cell_retries)),
-            timeout=max(0.0, float(self.config.cell_timeout)),
-            backoff=max(0.0, float(self.config.retry_backoff)),
-            seed=self.config.seed,
-        )
 
     # ------------------------------------------------------------ running
     def run(self, requests: Iterable[StudyRequest]) -> dict[StudyRequest, object]:
@@ -257,9 +252,7 @@ class StudyScheduler:
 
             keys = [request.describe() for request in missing]
             groups = [discovery_group(request) for request in missing]
-            _, report = self.backend.map_supervised(
-                _execute_item, items, keys, self._policy(), finish, groups
-            )
+            _, report = self.supervision.run(_execute_item, items, keys, finish, groups)
             self.stats.retries += report.retries
             self.stats.respawns += report.respawns
             self.stats.timeouts += report.timeouts

@@ -41,6 +41,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.exec import health
 from repro.exec.store import STAGES, ArtifactStore, cache_version
 
 __all__ = [
@@ -105,7 +106,20 @@ _RU_MAXRSS_TO_KIB = 1024 if sys.platform == "darwin" else 1
 
 
 def maxrss_kib() -> int:
-    """This process's ``ru_maxrss`` high-water mark, in KiB."""
+    """This process's resident-set high-water mark, in KiB.
+
+    Linux's ``VmHWM`` (``/proc/self/status``) where that file exists:
+    ``ru_maxrss``, the fallback elsewhere, carries the high-water mark
+    of whatever process ran before ``exec``, so a process started from
+    a larger one would read that one's peak.
+    """
+    try:
+        with open("/proc/self/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // _RU_MAXRSS_TO_KIB
 
 
@@ -118,12 +132,14 @@ class StageCacheStats:
     ``run_seconds``/``load_seconds``/``store_seconds`` the wall time
     spent executing, decoding and persisting each stage.
     ``rss_rise_kib`` is the most one live execution of each stage
-    raised the process ``ru_maxrss`` high-water mark — the streaming
-    kernels exist to bound it, and the ``--profile`` table is where
-    that bound becomes visible.  A stage that runs below a peak set
-    earlier raises it by nothing.  All families travel across the
-    ``processes`` backend as one delta; the additive ones merge with
-    ``+``, the high-water one with ``max``.
+    raised the process's resident high-water mark (:func:`maxrss_kib`)
+    — the streaming kernels exist to bound it, and the ``--profile``
+    table is where that bound becomes visible.  A stage that runs
+    below a peak set earlier raises it by nothing.  ``heals`` and
+    ``faults`` are the process-wide tallies of :mod:`repro.exec.health`,
+    the same two counters in every instance.  All families travel from
+    a pool worker to the parent as one delta; the additive ones merge
+    with ``+``, the high-water one with ``max``.
     """
 
     hits: Counter = field(default_factory=Counter)
@@ -133,10 +149,18 @@ class StageCacheStats:
     run_seconds: Counter = field(default_factory=Counter)
     load_seconds: Counter = field(default_factory=Counter)
     store_seconds: Counter = field(default_factory=Counter)
-    heals: Counter = field(default_factory=Counter)
-    faults: Counter = field(default_factory=Counter)
     store_errors: Counter = field(default_factory=Counter)
     rss_rise_kib: Counter = field(default_factory=Counter)
+
+    @property
+    def heals(self) -> Counter:
+        """Self-heal recoveries by site (:data:`repro.exec.health.HEALS`)."""
+        return health.HEALS
+
+    @property
+    def faults(self) -> Counter:
+        """Injected-fault firings by site (:data:`repro.exec.health.FAULTS`)."""
+        return health.FAULTS
 
     def hit_count(self, stage: str) -> int:
         """Cache hits recorded for one stage name."""
@@ -147,7 +171,7 @@ class StageCacheStats:
         return self.misses[stage]
 
     def record_run(self, stage: str, seconds: float, maxrss_before_kib: int) -> None:
-        """Account one live execution of a stage and how far it raised ``ru_maxrss``.
+        """Account one live execution of a stage and how far it raised the RSS peak.
 
         ``maxrss_before_kib`` is :func:`maxrss_kib` read before it ran.
         """
@@ -332,12 +356,6 @@ class StageStore:
     def __init__(self, cache_dir: str | os.PathLike) -> None:
         self.artifacts = ArtifactStore(cache_dir)
         self.stats = StageCacheStats()
-        # Heal/fault increments from the store and columnar layers (which
-        # have no stage context) land in these counters via the sink
-        # registry, so they ride the existing worker-delta round trip.
-        from repro.exec.health import register_stats_sink
-
-        register_stats_sink(self.stats)
 
     @property
     def enabled(self) -> bool:

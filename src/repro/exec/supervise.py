@@ -4,15 +4,17 @@ The scheduler's fan-out used to assume every cell either returns or
 raises; a worker that dies (OOM killer, segfaulting native extension,
 an injected SIGKILL from the :mod:`fault plane <repro.exec.faults>`)
 took the whole ``ProcessPoolExecutor`` — and the study — down with it.
-This module wraps the backend's map with a supervisor that
+This module's :class:`ProcessSupervision` is the study's one supervised
+map, at every worker count.  It
 
 * retries a failed cell up to :attr:`RetryPolicy.retries` times, with
   exponential backoff and deterministic jitter
   (:func:`repro.exec.faults.backoff_delay` — replayable by seed);
 * enforces a per-cell wall-clock timeout.  In a process pool an
   overrunning cell's workers are killed and the pool is respawned; a
-  cell run inline (at one worker) cannot be preempted, so there the
-  overrun is recorded post-hoc and the result kept;
+  cell run in the calling process (at one worker) cannot be
+  preempted, so there the overrun is recorded post-hoc and the result
+  kept;
 * detects a crashed worker (``BrokenProcessPool``), respawns the pool,
   and charges the retry budget only to the cells that were *observed
   running* when it broke — innocent queued cells are resubmitted for
@@ -25,8 +27,9 @@ This module wraps the backend's map with a supervisor that
   :func:`repro.exec.cells.discovery_group`) back while another cell of
   the group is in flight (:class:`GroupHold`), so the pool computes
   each shared discovery once and the rest of the group loads it;
-* runs a grid's leading cheap cells in the calling process before the
-  process pool takes the rest (:class:`ProcessSupervision`).
+* runs every cell in the calling process at one worker, and at more
+  runs a grid's leading cheap cells there before the process pool
+  takes the rest.
 
 Completion callbacks fire in the *supervisor's* process as each cell
 finishes (never from a pool thread), which is what lets the scheduler
@@ -36,6 +39,7 @@ the cells in flight.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -51,7 +55,6 @@ __all__ = [
     "SupervisionReport",
     "QuarantinedCellError",
     "GroupHold",
-    "run_sequential_supervised",
     "ProcessSupervision",
 ]
 
@@ -150,21 +153,6 @@ class GroupHold:
         return [held.popleft()] if held else []
 
 
-def run_sequential_supervised(
-    fn: Callable,
-    items: Sequence,
-    keys: Sequence[str],
-    policy: RetryPolicy,
-    on_complete: Callable | None = None,
-) -> tuple[list, SupervisionReport]:
-    """Supervised serial map: retry inline, record post-hoc timeouts."""
-    report = SupervisionReport()
-    results: list = [None] * len(items)
-    for index in range(len(items)):
-        _run_inline(fn, items, keys, index, policy, results, report, on_complete)
-    return results, report
-
-
 def _run_inline(fn, items, keys, index, policy, results, report, on_complete) -> None:
     """Run cell ``index`` in this process until it succeeds or exhausts
     its retry budget (then it is quarantined in ``report``)."""
@@ -195,23 +183,25 @@ def _run_inline(fn, items, keys, index, policy, results, report, on_complete) ->
 
 
 class ProcessSupervision:
-    """Supervised process-pool map with crash detection and respawn.
+    """Supervised map over ``jobs`` workers: serial at one, else a pool.
 
-    Supervision submits one future per cell: per-cell completion events
-    are what enable crash attribution, per-cell timeouts and
-    per-completion persistence.  Cells of one group wait in a
-    :class:`GroupHold` until the group's cell in flight settles; after
-    a pool break each fresh pool holds the groups' pending cells again.
+    ``fn`` must be picklable and safe to run in the calling process.
+    At one worker every cell runs here, in input order, which already
+    runs each group's first cell first; :attr:`name` is then
+    ``serial``, and ``processes`` otherwise.
 
-    With ``inline_seconds`` (only for an ``fn`` that is safe to run in
-    the calling process) the supervisor first runs cells itself, in
-    input order, while each takes at most :attr:`CHEAP_CELL_SECONDS`
-    and until ``inline_seconds`` of wall time have passed; the pool gets
-    only what is left.  A grid of cheap cells (a warm re-render's
-    cache-exempt cells take about a millisecond each) then costs no
-    pool dispatch at all, and a grid with real work loses one cell's
-    worth of overlap.  Not with a per-cell timeout, which only a worker
-    can enforce.
+    At more, supervision submits one future per cell: per-cell
+    completion events are what enable crash attribution, per-cell
+    timeouts and per-completion persistence.  Cells of one group wait
+    in a :class:`GroupHold` until the group's cell in flight settles;
+    after a pool break each fresh pool holds the groups' pending cells
+    again.  The supervisor first runs cells itself, in input order,
+    while each takes at most :attr:`CHEAP_CELL_SECONDS` and until
+    :attr:`INLINE_SECONDS` of wall time have passed; the pool gets only
+    what is left.  A grid of cheap cells then costs no pool dispatch
+    at all, and a grid with real work loses one cell's worth of
+    overlap.  Not with a per-cell timeout, which only a worker can
+    enforce.
     """
 
     #: How often the supervisor samples future states (running-worker
@@ -223,12 +213,22 @@ class ProcessSupervision:
     #: under a millisecond per cell, so a cell this long amortises it.
     CHEAP_CELL_SECONDS = 0.05
 
-    def __init__(
-        self, jobs: int, policy: RetryPolicy, inline_seconds: float = 0.0
-    ) -> None:
+    #: At most this many wall seconds of cheap cells run in the calling
+    #: process before the pool takes the rest: a warm ``repro all
+    #: --quick`` re-renders its 56 cache-exempt cells here in well
+    #: under a second, where dispatching them cost more CPU than it
+    #: saved.  The cap bounds how long a grid of many cheap cells runs
+    #: serially.
+    INLINE_SECONDS = 2.0
+
+    def __init__(self, jobs: int, policy: RetryPolicy) -> None:
         self.jobs = max(1, int(jobs))
         self.policy = policy
-        self.inline_seconds = inline_seconds
+
+    @property
+    def name(self) -> str:
+        """``serial`` at one worker, ``processes`` at more."""
+        return "serial" if self.jobs == 1 else "processes"
 
     def run(
         self,
@@ -258,13 +258,18 @@ class ProcessSupervision:
         charged = [0] * len(items)
         pending = set(range(len(items)))
         pool = None
-        if self.inline_seconds and not self.policy.timeout and len(items) > 1:
-            # Start the workers before the inline cells grow this
-            # process: a fork-started worker would copy on write every
-            # page of the heap it inherits.
-            pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(items)))
-            pool.submit(int)
-            until = time.monotonic() + self.inline_seconds
+        serial = self.jobs == 1
+        if serial or (self.INLINE_SECONDS and not self.policy.timeout and len(items) > 1):
+            if not serial:
+                # Start the workers before the inline cells grow this
+                # process: a fork-started worker would copy on write
+                # every page of the heap it inherits.
+                pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(items)))
+                pool.submit(int)
+            # At one worker neither bound applies: every cell runs here.
+            budget = math.inf if serial else self.INLINE_SECONDS
+            cheap = math.inf if serial else self.CHEAP_CELL_SECONDS
+            until = time.monotonic() + budget
             for index in range(len(items)):
                 started = time.monotonic()
                 if started >= until:
@@ -273,9 +278,9 @@ class ProcessSupervision:
                     fn, items, keys, index, self.policy, results, report, on_complete
                 )
                 pending.discard(index)
-                if time.monotonic() - started > self.CHEAP_CELL_SECONDS:
+                if time.monotonic() - started > cheap:
                     break
-            if not pending:
+            if pool is not None and not pending:
                 pool.shutdown(wait=False)
         # Backstop: a pool that keeps breaking beyond every cell's
         # combined retry budget is burning, not converging.

@@ -50,7 +50,7 @@ class ExperimentConfig:
         stale summary.
     jobs:
         Study-graph execution: worker processes (1 runs every cell
-        inline, see :class:`repro.exec.backends.ProcessPoolBackend`).
+        inline, see :class:`repro.exec.supervise.ProcessSupervision`).
         Execution-only — it affects neither any computed number nor the
         cache fingerprint.
     trace_accesses:

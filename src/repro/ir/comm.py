@@ -164,15 +164,6 @@ class CommSchedule:
                 positions.add(event.position)
         return tuple(sorted(positions))
 
-    def events_at(self, position: int) -> tuple[CommEvent, ...]:
-        """Every event scheduled at one barrier-point position."""
-        return tuple(e for e in self.events if e.position == position)
-
-    @property
-    def n_collectives(self) -> int:
-        """Number of distinct collective positions."""
-        return len(self.collective_positions())
-
 
 def ring_exchange(position: int, n_ranks: int, nbytes: float) -> list[CommEvent]:
     """Halo-exchange SEND pairs around a 1-D ring at one position.

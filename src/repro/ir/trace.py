@@ -140,11 +140,3 @@ class ExecutionTrace:
             mask = self.bp_template == t_idx
             out[mask] = values[self.bp_instance[mask]]
         return out
-
-    def bp_hot_scale(self) -> np.ndarray:
-        """Per-barrier-point hot-fraction drift multiplier, in bp order."""
-        return self.gather_instance_values([t.hot_scale for t in self.template_traces])
-
-    def bp_phase(self) -> np.ndarray:
-        """Per-barrier-point phase within its template, in bp order."""
-        return self.gather_instance_values([t.phase for t in self.template_traces])

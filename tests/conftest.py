@@ -26,12 +26,13 @@ def pytest_configure(config: pytest.Config) -> None:
 
 @pytest.fixture(autouse=True)
 def _pool_starts_in_workers(monkeypatch):
-    """Tests of the processes backend exercise the pool itself: its
-    first cells run in workers unless a test turns the inline start
-    (``ProcessPoolBackend.INLINE_SECONDS``) back on."""
-    from repro.exec.backends import ProcessPoolBackend
+    """Tests of a pool exercise the pool itself: its first cells run in
+    workers unless a test turns the inline start
+    (``ProcessSupervision.INLINE_SECONDS``) back on.  One worker still
+    runs every cell in the test process."""
+    from repro.exec.supervise import ProcessSupervision
 
-    monkeypatch.setattr(ProcessPoolBackend, "INLINE_SECONDS", 0.0)
+    monkeypatch.setattr(ProcessSupervision, "INLINE_SECONDS", 0.0)
 
 
 @pytest.fixture

@@ -220,7 +220,7 @@ class TestReferenceTransport:
         assert transport == "inline"
 
     def test_scheduler_stores_payloads_once(self, tmp_path, monkeypatch):
-        """End-to-end: a backend double running cells as a foreign worker."""
+        """End-to-end: a supervision double running cells as a foreign worker."""
         import numpy as np
 
         from repro.exec import cells, scheduler as sched
@@ -236,12 +236,11 @@ class TestReferenceTransport:
             or store(self, request, payload),
         )
 
-        class ForeignBackend:
-            name, jobs = "double", 1
+        class ForeignSupervision:
+            def __init__(self, jobs, policy):
+                pass
 
-            def map_supervised(
-                self, fn, items, keys, policy, on_complete=None, groups=None
-            ):
+            def run(self, fn, items, keys, on_complete=None, groups=None):
                 # Re-tag each item with a fake parent pid so the worker
                 # side runs as in a real process pool.
                 results = [fn((req, cfg, -1), 1) for req, cfg, _ in items]
@@ -249,8 +248,9 @@ class TestReferenceTransport:
                     on_complete(index, result, 1)
                 return results, SupervisionReport()
 
+        monkeypatch.setattr(sched, "ProcessSupervision", ForeignSupervision)
         config = _config(cache_dir=str(tmp_path))
-        scheduler = StudyScheduler(config, backend=ForeignBackend())
+        scheduler = StudyScheduler(config)
         request = crossarch_request("MCB", 2)
         results = scheduler.run([request])
         assert np.array_equal(results[request]["big"], big["big"])

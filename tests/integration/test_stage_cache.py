@@ -15,6 +15,7 @@ readings or its per-repetition reads.
 """
 
 import json
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.clustering.simpoint import SimPointOptions
 from repro.core.reconstruction import reconstruct_per_rep, reconstruct_totals
 from repro.core.selection import BarrierPointSelection
 from repro.core.validation import EstimationReport, validate_estimate
+from repro.exec import health
 from repro.exec.stagestore import StageStore, stage_store_for
 from repro.exec.store import STAGES
 from repro.experiments.config import default_config
@@ -174,6 +176,20 @@ class TestStageCache:
         disabled = StageStore("")
         _run(FAST, disabled)
         assert not disabled.stats.hits and not disabled.stats.misses
+
+    def test_a_heal_in_a_second_store_is_counted_once(self, tmp_path):
+        # A store built while another's counters are all zero (the two
+        # compare equal) still reports a heal read through it, once.
+        first, second = StageStore(tmp_path / "a"), StageStore(tmp_path / "b")
+        digest = "0" * 64
+        second.store(digest, "select", {"weights": np.arange(4.0)})
+        (path,) = second.artifacts.root.rglob("select_*.rpb")
+        path.write_bytes(b"RPB1\xff\xff\xff\xfftorn")
+        before = Counter(second.stats.heals)
+        assert second.load(digest, "select") is None
+        assert second.stats.heals - before == Counter(container=1)
+        # One process-wide tally: the first store reads the same count.
+        assert first.stats.heals is second.stats.heals is health.HEALS
 
 
 class TestDemandDrivenLoading:

@@ -6,7 +6,6 @@ import pytest
 
 from repro import cli
 from repro.cli import _build_parser, _config_from_args, main
-from repro.exec.backends import ProcessPoolBackend
 from repro.exec.scheduler import StudyScheduler
 
 
@@ -174,11 +173,12 @@ class TestJobsDefault:
         config = _config_from_args(
             _build_parser(3).parse_args(["table3", "--quick", "--no-cache", "--jobs", "1"])
         )
-        assert StudyScheduler(config).backend.name == "serial"
+        assert StudyScheduler(config).supervision.name == "serial"
         pooled = _config_from_args(
             _build_parser(3).parse_args(["table3", "--quick", "--no-cache"])
         )
-        assert isinstance(StudyScheduler(pooled).backend, ProcessPoolBackend)
+        supervision = StudyScheduler(pooled).supervision
+        assert (supervision.name, supervision.jobs) == ("processes", 3)
 
     def test_python_caller_keeps_the_serial_default(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_available_memory", lambda: AMPLE)

@@ -1,17 +1,16 @@
-"""Tests for the execution backends and the request type."""
+"""Tests for the worker-count execution choice and the request type."""
 
 import pytest
 
 from repro.cli import main
-from repro.exec.backends import ProcessPoolBackend
 from repro.exec.request import StudyRequest
 from repro.exec.scheduler import StudyScheduler
-from repro.exec.supervise import RetryPolicy
+from repro.exec.supervise import ProcessSupervision, RetryPolicy
 from repro.experiments.config import default_config
 
 
 def _square(x, attempt):
-    """Module-level so the process backend can pickle it."""
+    """Module-level so the process pool can pickle it."""
     return x * x
 
 
@@ -41,27 +40,28 @@ class TestStudyRequest:
 class TestBackends:
     @pytest.mark.parametrize("jobs", [1, 3], ids=["serial", "processes"])
     def test_map_preserves_order(self, jobs):
-        backend = ProcessPoolBackend(jobs)
         items = list(range(10))
         keys = [f"cell{x}" for x in items]
-        results, report = backend.map_supervised(
-            _square, items, keys, RetryPolicy(retries=0, backoff=0.0)
-        )
+        results, report = ProcessSupervision(
+            jobs, RetryPolicy(retries=0, backoff=0.0)
+        ).run(_square, items, keys)
         assert results == [x * x for x in items]
         assert report.quarantined == []
 
     def test_serial_is_default_for_one_job(self):
         scheduler = StudyScheduler(default_config("quick", cache_dir="", jobs=1))
-        assert (scheduler.backend.name, scheduler.backend.jobs) == ("serial", 1)
+        supervision = scheduler.supervision
+        assert (supervision.name, supervision.jobs) == ("serial", 1)
 
     def test_processes_is_default_for_many_jobs(self):
         scheduler = StudyScheduler(default_config("quick", cache_dir="", jobs=4))
-        assert (scheduler.backend.name, scheduler.backend.jobs) == ("processes", 4)
+        supervision = scheduler.supervision
+        assert (supervision.name, supervision.jobs) == ("processes", 4)
 
     def test_explicit_names(self):
-        # The worker count names the backend: one worker runs inline.
-        assert ProcessPoolBackend(1).name == "serial"
-        assert ProcessPoolBackend(4).name == "processes"
+        # The worker count names what runs: one worker runs inline.
+        assert ProcessSupervision(1, RetryPolicy()).name == "serial"
+        assert ProcessSupervision(4, RetryPolicy()).name == "processes"
 
     def test_unknown_backend_rejected(self, capsys):
         # The CLI's --backend names only the two worker-count spellings.
@@ -71,5 +71,5 @@ class TestBackends:
         assert "--backend" in capsys.readouterr().err
 
     def test_jobs_floored_at_one(self):
-        assert ProcessPoolBackend(0).jobs == 1
-        assert ProcessPoolBackend(0).name == "serial"
+        assert ProcessSupervision(0, RetryPolicy()).jobs == 1
+        assert ProcessSupervision(0, RetryPolicy()).name == "serial"

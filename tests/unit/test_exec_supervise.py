@@ -1,9 +1,11 @@
-"""Tests for the supervisors' discovery-group hold.
+"""Tests for the supervised map: one worker, the inline start, the group hold.
 
-Cells of one group must never overlap and must run in input order,
-while ungrouped cells keep the pool busy; a settled cell (finished or
-quarantined) releases the next cell of its group, and a held cell is
-never dispatched before its turn, so a pool break does not touch it.
+At one worker every cell runs in the calling process, in input order.
+In a pool, cells of one group must never overlap and must run in input
+order, while ungrouped cells keep the pool busy; a settled cell
+(finished or quarantined) releases the next cell of its group, and a
+held cell is never dispatched before its turn, so a pool break does not
+touch it.
 """
 
 import os
@@ -12,7 +14,7 @@ import time
 
 import pytest
 
-from repro.exec.backends import ProcessPoolBackend
+from repro.exec import supervise
 from repro.exec.cells import discovery_group
 from repro.exec.request import StudyRequest
 from repro.exec.supervise import GroupHold, ProcessSupervision, RetryPolicy
@@ -131,10 +133,77 @@ class TestPooledHold:
         assert results[0][3] <= results[1][2] and results[1][3] <= results[2][2]
 
 
+class TestSerial:
+    """One worker: every cell in the calling process, no pool at all."""
+
+    @pytest.fixture(autouse=True)
+    def _no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-worker map started a process pool")
+
+        monkeypatch.setattr(supervise, "ProcessPoolExecutor", refuse)
+
+    @staticmethod
+    def _logged(log, fails=None, slow=()):
+        """A cell function that logs each call; ``fails[i]`` attempts of
+        cell ``i`` raise, and the cells in ``slow`` take 100 ms."""
+
+        def fn(index, attempt):
+            log.append((index, attempt, os.getpid()))
+            if attempt <= (fails or {}).get(index, 0):
+                raise RuntimeError(f"cell {index} fails")
+            time.sleep(0.1 if index in slow else 0.0)
+            return index
+
+        return fn
+
+    def test_every_cell_runs_here_in_input_order(self):
+        # The conftest's INLINE_SECONDS of 0 turns off only a pool's
+        # inline start.
+        assert ProcessSupervision.INLINE_SECONDS == 0.0
+        log, done = [], []
+        results, report = ProcessSupervision(1, NO_RETRY).run(
+            self._logged(log), ITEMS, KEYS,
+            lambda index, result, attempts: done.append(index), GROUPS,
+        )
+        assert results == ITEMS and done == ITEMS
+        assert log == [(i, 1, os.getpid()) for i in ITEMS]
+        assert report == supervise.SupervisionReport()
+
+    def test_a_cell_timeout_is_recorded_after_the_fact(self):
+        log = []
+        policy = RetryPolicy(retries=0, backoff=0.0, timeout=0.05)
+        results, report = ProcessSupervision(1, policy).run(
+            self._logged(log, slow={1, 3}), ITEMS, KEYS
+        )
+        assert results == ITEMS
+        assert [entry[0] for entry in log] == ITEMS
+        assert {entry[2] for entry in log} == {os.getpid()}
+        assert report.timeouts == 2 and report.quarantined == []
+
+    def test_a_failing_cell_retries_then_is_quarantined(self):
+        log = []
+        policy = RetryPolicy(retries=1, backoff=0.0)
+        # Cell 1 fails once and recovers; cell 3 fails every attempt.
+        results, report = ProcessSupervision(1, policy).run(
+            self._logged(log, fails={1: 1, 3: 9}), ITEMS, KEYS
+        )
+        assert results == [0, 1, 2, None, 4]
+        assert [entry[:2] for entry in log] == [
+            (0, 1), (1, 1), (1, 2), (2, 1), (3, 1), (3, 2), (4, 1)
+        ]
+        assert report.retries == 2
+        (failure,) = report.quarantined
+        assert (failure.key, failure.attempts) == ("cell3", 2)
+        assert "cell 3 fails" in failure.error
+
+
 class TestInlineStart:
-    def test_cheap_cells_run_here_until_the_budget_then_in_workers(self):
-        supervision = ProcessSupervision(2, NO_RETRY, inline_seconds=0.05)
-        results, report = supervision.run(_pid, list(range(8)), [str(i) for i in range(8)])
+    def test_cheap_cells_run_here_until_the_budget_then_in_workers(self, monkeypatch):
+        monkeypatch.setattr(ProcessSupervision, "INLINE_SECONDS", 0.05)
+        results, report = ProcessSupervision(2, NO_RETRY).run(
+            _pid, list(range(8)), [str(i) for i in range(8)]
+        )
         here = [pid == os.getpid() for pid in results]
         # Eight 0.02 s cells overrun a 0.05 s budget: an inline prefix,
         # then the pool.
@@ -142,23 +211,22 @@ class TestInlineStart:
         assert here == sorted(here, reverse=True)
         assert report.quarantined == [] and report.respawns == 0
 
-    def test_a_slow_cell_hands_the_rest_to_the_pool(self):
-        supervision = ProcessSupervision(2, NO_RETRY, inline_seconds=60.0)
-        results, _ = supervision.run(_slow_third, ITEMS, KEYS)
+    def test_a_slow_cell_hands_the_rest_to_the_pool(self, monkeypatch):
+        monkeypatch.setattr(ProcessSupervision, "INLINE_SECONDS", 60.0)
+        results, _ = ProcessSupervision(2, NO_RETRY).run(_slow_third, ITEMS, KEYS)
         here = [pid == os.getpid() for pid in results]
         assert here == [True, True, True, False, False]
 
-    def test_a_cell_timeout_keeps_every_cell_in_workers(self):
+    def test_a_cell_timeout_keeps_every_cell_in_workers(self, monkeypatch):
+        monkeypatch.setattr(ProcessSupervision, "INLINE_SECONDS", 60.0)
         policy = RetryPolicy(retries=0, backoff=0.0, timeout=30.0)
-        results, _ = ProcessSupervision(2, policy, inline_seconds=60.0).run(
-            _pid, ITEMS, KEYS
-        )
+        results, _ = ProcessSupervision(2, policy).run(_pid, ITEMS, KEYS)
         assert os.getpid() not in results
 
     def test_the_backend_runs_a_cheap_grid_inline(self, monkeypatch):
-        monkeypatch.setattr(ProcessPoolBackend, "INLINE_SECONDS", 60.0)
-        results, report = ProcessPoolBackend(2).map_supervised(
-            _pid, ITEMS, KEYS, NO_RETRY, None, GROUPS
+        monkeypatch.setattr(ProcessSupervision, "INLINE_SECONDS", 60.0)
+        results, report = ProcessSupervision(2, NO_RETRY).run(
+            _pid, ITEMS, KEYS, None, GROUPS
         )
         assert results == [os.getpid()] * len(ITEMS)
         assert report.quarantined == []

@@ -8,6 +8,8 @@ tolerance.
 """
 
 import gc
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.exec.stagestore import StageCacheStats, maxrss_kib
 from repro.experiments import trace as trace_exp
 from repro.experiments.config import default_config
@@ -285,6 +288,24 @@ class TestRssCounters:
         # The stage that ran below the peak shows no rise, not the
         # process's whole high-water mark.
         assert (rise["big"], rise["small"], rise["total"]) == ("64 MiB", "-", "64 MiB")
+
+    def test_a_process_started_from_a_larger_one_records_its_own_rise(self):
+        # The child starts from this (larger) test process, whose peak
+        # ru_maxrss would carry across exec and hide the allocation.
+        script = (
+            "from repro.exec.stagestore import StageCacheStats, maxrss_kib\n"
+            "stats = StageCacheStats()\n"
+            "before = maxrss_kib()\n"
+            "blob = b'x' * (64 << 20)\n"
+            "stats.record_run('alloc', 0.0, before)\n"
+            "print(stats.rss_rise_kib['alloc'])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert int(done.stdout) >= 48 << 10
 
     def test_a_fall_is_no_rise(self):
         stats = StageCacheStats()
